@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .arrays import fejer_correlation
-from .precoding import AnalogPrecoder, BasebandPrecoder
+from .precoding import BEAM_RANK_TOL, AnalogPrecoder, BasebandPrecoder
 
 _ALIGNMENT_TOL = 1e-12
 
@@ -109,7 +109,7 @@ def eta_factor(precoder: AnalogPrecoder) -> float:
     gram = precoder.matrix.conj().T @ precoder.matrix
     eigenvalues = np.linalg.eigvalsh(gram)
     lam_min, lam_max = float(eigenvalues[0]), float(eigenvalues[-1])
-    if lam_min <= lam_max * 1e-14:
+    if lam_min <= lam_max * BEAM_RANK_TOL:
         raise ValueError("analog precoder is rank deficient; eta is undefined")
     kappa = lam_max / lam_min
     return 0.25 * (kappa + 1.0 / kappa + 2.0)
@@ -130,8 +130,13 @@ def kernel_sum(
 
 
 def max_leakage_eigenvalue(baseband: BasebandPrecoder, cluster_idx: int) -> float:
-    """Largest eigenvalue of the off-cluster baseband columns' outer product."""
+    """Largest eigenvalue of the off-cluster baseband columns' outer product.
+
+    Zero for a single cluster: no other beam leaks into it.
+    """
     reduced = baseband.without_column(cluster_idx)
+    if reduced.shape[1] == 0:
+        return 0.0
     singvals = np.linalg.svd(reduced, compute_uv=False)
     return float(singvals[0] ** 2)
 

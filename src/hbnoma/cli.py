@@ -14,18 +14,15 @@ abort, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
 
+from .arrays import AngleSpec, ArrayGeometry, steering_vector
+from .engine import design_trial
 from .errors import ConfigurationError, SingularClusteringError
-from .power import ClusterPlan, order_by_gain
-from .precoding import (
-    design_analog_stage,
-    effective_channels,
-    power_constraint_check,
-    zero_forcing_precoder,
-)
+from .precoding import AnalogPrecoder, BasebandPrecoder, power_constraint_check
 from .results import emit_results, render
 from .runner import run_scenario, sweep_fig2, sweep_fig3
 from .scenario import load_config
@@ -116,34 +113,19 @@ def _cmd_fig3(args) -> int:
 
 def _cmd_validate(args) -> int:
     config = load_config(args.config)
-    rng = np.random.default_rng(config.seed)
-    from .runner import _materialize_trial
-
-    channels, membership = _materialize_trial(config, rng)
-    gains = {uid: ch.gain.magnitude for uid, ch in channels.items()}
-    plan = ClusterPlan(
-        tuple(tuple(order_by_gain({u: gains[u] for u in members})) for members in membership)
-    )
-    precoder, combiners = design_analog_stage(channels, plan)
-    effective = effective_channels(channels, precoder, combiners)
-    baseband = zero_forcing_precoder(
-        [effective.vector(uid) for uid in plan.first_users],
-        precoder,
-        [gains[uid] for uid in plan.first_users],
-        config.mu_antennas,
-    )
-    report = power_constraint_check(precoder, baseband)
-    leakage = max(
-        (
-            abs(np.vdot(effective.vector(uid), baseband.column(other)))
-            / effective.norm(uid)
-            for n, uid in enumerate(plan.first_users)
-            for other in range(plan.num_clusters)
-            if other != n
-        ),
-        default=0.0,
-    )
+    attempt, design = design_trial(config, 0)
+    bs = ArrayGeometry(config.bs_antennas)
+    beams = [AngleSpec.from_normalized(float(x)) for x in design.beam_aod[0]]
+    precoder = AnalogPrecoder(np.column_stack([steering_vector(a, bs) for a in beams]))
+    baseband = design.baseband[0]
+    report = power_constraint_check(precoder, BasebandPrecoder(baseband))
+    first = design.first_rows[0]
+    # |h_n^H f_j| / ||h_n|| of each cluster's SIC-first user n on every other beam j
+    coupling = np.abs(first @ baseband) / np.linalg.norm(first, axis=1)[:, None]
+    leakage = coupling[~np.eye(config.num_clusters, dtype=bool)].max(initial=0.0)
     print(f"config ok: {config.num_clusters} clusters x {config.users_per_cluster} users")
+    print(f"design of trial 0 (attempt {attempt}), beams at "
+          f"{[f'{math.degrees(a.physical_rad):.6g}' for a in beams]} deg")
     print(f"total radiated power (squared Frobenius): {report.frobenius_sq:.12g} "
           f"(target {report.expected_frobenius_sq:g})")
     print(f"max analog modulus deviation: {report.max_modulus_deviation:.3e}")

@@ -1,0 +1,416 @@
+"""Batched Monte Carlo engine: one array pipeline over (trial, cluster, user).
+
+Trials run in chunks of ``TRIAL_CHUNK``. Each trial still draws from its
+own generator, ``default_rng(trial_seed(seed, trial, attempt))``, in the
+fixed order cluster by cluster, user by user: AoD, AoA, gain. Everything
+after the draws is array arithmetic over the whole chunk:
+
+* the analog correlation of two steering vectors is the Dirichlet kernel
+  ``K_T(delta) = (1/T) * sum_k exp(-j*pi*k*delta)``, so the effective
+  channels, the beam Gram matrix and the radiated power of a beam come
+  from closed forms, and no T_MU x T_BS channel matrix is built;
+* zero forcing is one stacked ``np.linalg.solve`` over the accepted trials;
+* rates and the rate bound are masked sums over the cluster axis.
+
+The matched receive combiner cancels the AoA from every effective channel,
+so AoAs are drawn (to keep the random stream) and then discarded.
+
+Per-trial outputs land in (trials, clusters, users) arrays indexed by trial,
+so results do not depend on the chunk size or on which rows were redrawn.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Iterator, NamedTuple, Sequence
+
+import numpy as np
+
+from .arrays import _KERNEL_SINGULARITY_TOL, AngleSpec, PathGain
+from .errors import SingularClusteringError
+from .precoding import BEAM_RANK_TOL, MAX_GRAM_CONDITION
+from .scenario import ScenarioConfig
+
+# Trials designed per batch. Fixed, so memory stays flat in the trial
+# count; results do not depend on it.
+TRIAL_CHUNK = 64
+
+
+def _splitmix64(x: int) -> int:
+    """One splitmix64 scramble step; spreads consecutive indices apart."""
+    x = (x + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+    z = x
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    return (z ^ (z >> 31)) & 0xFFFFFFFFFFFFFFFF
+
+
+def trial_seed(master_seed: int, trial_idx: int, attempt: int = 0) -> int:
+    """Per-trial sub-seed: master seed XOR a hash of (trial, attempt)."""
+    return (master_seed & 0xFFFFFFFFFFFFFFFF) ^ _splitmix64((trial_idx << 16) | attempt)
+
+
+def _kernel_ratio(delta: np.ndarray, num_elements: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced offset r in [-1, 1] and the real ratio sin(pi*T*r/2) / (T*sin(pi*r/2))."""
+    # IEEE remainder mod 2; exact, because |delta| <= 2
+    reduced = delta - 2.0 * np.rint(0.5 * delta)
+    half = np.sin(np.pi * reduced / 2.0)
+    singular = np.abs(half) < _KERNEL_SINGULARITY_TOL
+    ratio = np.sin(np.pi * num_elements * reduced / 2.0) / (
+        num_elements * np.where(singular, 1.0, half)
+    )
+    return reduced, np.where(singular, 1.0, ratio)
+
+
+def dirichlet_kernel(delta: np.ndarray, num_elements: int) -> np.ndarray:
+    """Inner product a(x)^H a(x + delta) of two unit ULA steering vectors.
+
+    Equals exp(-j*pi*(T-1)*r/2) * sin(pi*T*r/2) / (T*sin(pi*r/2)) for the
+    offset r reduced to [-1, 1]; its squared magnitude is
+    ``arrays.fejer_correlation``.
+    """
+    reduced, ratio = _kernel_ratio(delta, num_elements)
+    return ratio * np.exp(-0.5j * np.pi * (num_elements - 1) * reduced)
+
+
+def fejer_kernel(delta: np.ndarray, num_elements: int) -> np.ndarray:
+    """Elementwise ``arrays.fejer_correlation``."""
+    return np.minimum(_kernel_ratio(delta, num_elements)[1] ** 2, 1.0)
+
+
+class TrialSampler:
+    """The random part of a scenario, drawn trial by trial into arrays.
+
+    Built once per config: fixed angles and gains are evaluated here, and
+    the per-trial draws become a short list of generator calls, adjacent
+    draws of one kind merged into one call. A user's k random angles are
+    ``rng.random(k)`` mapped to ``-pi/2 + pi*u`` and its random gain is
+    ``rng.standard_normal(2)``; both return the same doubles as the
+    corresponding scalar ``uniform``/``standard_normal`` calls.
+    """
+
+    def __init__(self, config: ScenarioConfig):
+        n, m = config.num_clusters, config.users_per_cluster
+        self.shape = (n, m)
+        self.aod = np.zeros(n * m)
+        self.beta = np.zeros(n * m, dtype=complex)
+        amplitude = np.zeros(n * m)
+        aod_slots: list[tuple[int, int]] = []  # (user, uniform column)
+        gain_slots: list[tuple[int, int]] = []  # (user, first normal column)
+        calls: list[list] = []  # [is_normal, start, stop]
+        counts = [0, 0]  # uniforms, normals
+
+        def consume(is_normal: bool, count: int) -> int:
+            start = counts[is_normal]
+            if calls and calls[-1][0] == is_normal:
+                calls[-1][2] += count
+            else:
+                calls.append([is_normal, start, start + count])
+            counts[is_normal] += count
+            return start
+
+        specs = [spec for cluster in config.clusters for spec in cluster.users]
+        for uid, spec in enumerate(specs):
+            random_angles = (spec.aod_deg is None) + (spec.aoa_deg is None)
+            if random_angles:
+                column = consume(False, random_angles)
+                if spec.aod_deg is None:
+                    aod_slots.append((uid, column))
+            if spec.aod_deg is not None:
+                self.aod[uid] = AngleSpec.from_degrees(spec.aod_deg).normalized
+            if spec.small_scale is None:
+                gain_slots.append((uid, consume(True, 2)))
+            else:
+                self.beta[uid] = PathGain(spec.small_scale, spec.large_scale_db).beta
+            amplitude[uid] = 10.0 ** (spec.large_scale_db / 20.0)
+
+        self._uniform = np.empty(counts[False])
+        self._normal = np.empty(counts[True])
+        self._calls = [
+            (np.random.Generator.standard_normal if is_normal else np.random.Generator.random,
+             (self._normal if is_normal else self._uniform)[start:stop])
+            for is_normal, start, stop in calls
+        ]
+        self._aod_users = np.array([uid for uid, _ in aod_slots], dtype=int)
+        self._aod_columns = np.array([column for _, column in aod_slots], dtype=int)
+        self._gain_users = np.array([uid for uid, _ in gain_slots], dtype=int)
+        self._gain_columns = np.array([column for _, column in gain_slots], dtype=int)
+        self._gain_amplitude = amplitude[self._gain_users]
+
+    @property
+    def random(self) -> bool:
+        """Whether a trial draws anything; a fixed scenario needs no generator."""
+        return bool(self._calls)
+
+    def draw(self, rngs: Sequence[np.random.Generator | None]) -> tuple[np.ndarray, np.ndarray]:
+        """Normalized AoDs and complex gains, each (trials, clusters, users)."""
+        rows = len(rngs)
+        uniform = np.empty((rows, self._uniform.size))
+        normal = np.empty((rows, self._normal.size))
+        if self._calls:
+            for i, rng in enumerate(rngs):
+                for call, out in self._calls:
+                    call(rng, out=out)
+                uniform[i] = self._uniform
+                normal[i] = self._normal
+        aod = np.tile(self.aod, (rows, 1))
+        beta = np.tile(self.beta, (rows, 1))
+        if self._aod_users.size:
+            physical = -math.pi / 2 + math.pi * uniform[:, self._aod_columns]
+            # the degree round trip mirrors how a drawn angle enters a UserSpec
+            aod[:, self._aod_users] = np.sin(np.radians(np.degrees(physical)))
+        if self._gain_users.size:
+            beta.real[:, self._gain_users] = (
+                normal[:, self._gain_columns] / math.sqrt(2.0) * self._gain_amplitude
+            )
+            beta.imag[:, self._gain_users] = (
+                normal[:, self._gain_columns + 1] / math.sqrt(2.0) * self._gain_amplitude
+            )
+        shape = (rows, *self.shape)
+        return aod.reshape(shape), beta.reshape(shape)
+
+
+class Design(NamedTuple):
+    """Precoders of a batch of accepted trials.
+
+    Arrays lead with the trial axis; user axes are in config order, and
+    ``sic`` gives each cluster's users in SIC order (strongest first).
+    """
+
+    aod: np.ndarray  # (C, N, M) normalized AoD
+    gain: np.ndarray  # (C, N, M) |beta|
+    beam_aod: np.ndarray  # (C, N) normalized AoD each analog beam is steered at
+    rows: np.ndarray  # (C, N, M, N) conjugated effective channels, h^H = w^H H F_rf
+    norm: np.ndarray  # (C, N, M) effective-channel norms
+    sic: np.ndarray  # (C, N, M) users of each cluster by descending effective norm
+    demoted: np.ndarray  # (C, N) the beam's user lost first place in the SIC order
+    gram: np.ndarray  # (C, N, N) F_rf^H F_rf
+    baseband: np.ndarray  # (C, N, N) zero-forcing precoder, unit power per beam
+
+    @property
+    def first_rows(self) -> np.ndarray:
+        """(C, N, N): row n is h^H of cluster n's SIC-first user."""
+        return _first_rows(self.rows, self.sic)
+
+
+def _first_rows(rows: np.ndarray, sic: np.ndarray) -> np.ndarray:
+    return np.take_along_axis(rows, sic[..., :1, None], axis=2)[:, :, 0]
+
+
+def zero_forcing_rejects(first_rows: np.ndarray) -> np.ndarray:
+    """Trials whose first users' squared condition number exceeds MAX_GRAM_CONDITION."""
+    singvals = np.linalg.svd(first_rows, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = singvals[:, 0] / singvals[:, -1]
+    return (singvals[:, -1] == 0.0) | (ratio**2 > MAX_GRAM_CONDITION)
+
+
+def design_trials(
+    config: ScenarioConfig, aod: np.ndarray, beta: np.ndarray
+) -> tuple[np.ndarray, Design]:
+    """Steer, reorder and zero-force a batch of drawn trials.
+
+    Returns the acceptance mask and the design of the accepted trials. Beams
+    are steered at each cluster's largest-|beta| user (ties to the lower
+    index); users are then reordered by effective-channel norm, and zero
+    forcing uses the reordered first users, as ``power.reorder_by_effective_norm``
+    and ``precoding.zero_forcing_precoder`` do.
+    """
+    t_bs = config.bs_antennas
+    gain = np.abs(beta)
+    beam_user = np.argmax(gain, axis=2)
+    beam_aod = np.take_along_axis(aod, beam_user[..., None], axis=2)[..., 0]
+    scale = math.sqrt(t_bs * config.mu_antennas)
+    rows = scale * beta[..., None] * dirichlet_kernel(
+        beam_aod[:, None, None, :] - aod[..., None], t_bs
+    )
+    norm = np.sqrt(np.sum(rows.real**2 + rows.imag**2, axis=-1))
+    sic = np.argsort(-norm, axis=2, kind="stable")
+    first_rows = _first_rows(rows, sic)
+    accepted = ~zero_forcing_rejects(first_rows)
+    if not accepted.all():
+        aod, gain, beam_aod, rows, norm, sic, beam_user, first_rows = (
+            a[accepted] for a in (aod, gain, beam_aod, rows, norm, sic, beam_user, first_rows)
+        )
+    n = config.num_clusters
+    # LU solve of first_rows @ F0 = I; explicit inversion loses digits at T_BS = 64
+    raw = np.linalg.solve(first_rows, np.broadcast_to(np.eye(n, dtype=complex), first_rows.shape))
+    gram = dirichlet_kernel(beam_aod[:, None, :] - beam_aod[:, :, None], t_bs)
+    gram_raw = np.sum(gram[..., None] * raw[:, None, :, :], axis=2)
+    radiated = np.sqrt(np.sum(raw.conj() * gram_raw, axis=1).real)
+    return accepted, Design(
+        aod=aod,
+        gain=gain,
+        beam_aod=beam_aod,
+        rows=rows,
+        norm=norm,
+        sic=sic,
+        demoted=sic[..., 0] != beam_user,
+        gram=gram,
+        baseband=raw / radiated[:, None, :],
+    )
+
+
+class TrialOutputs(NamedTuple):
+    """Per-trial results, each (C, N, M) with users in SIC order."""
+
+    rate: np.ndarray
+    bound: np.ndarray
+    rho: np.ndarray
+    intra: np.ndarray
+    inter: np.ndarray
+
+
+def evaluate(config: ScenarioConfig, design: Design, snr_db: float) -> TrialOutputs:
+    """Exact SINR rates and the closed-form bound of every user of every trial.
+
+    The same quantities as ``rates.user_rate`` and ``bounds.lower_bound_rate``;
+    first users keep their exact rate as their bound and a correlation of 1.
+    """
+    n, m = config.num_clusters, config.users_per_cluster
+    t_bs, t_mu = config.bs_antennas, config.mu_antennas
+    cluster_power = 10.0 ** (snr_db / 10.0) / n
+    user_power = [f * cluster_power for f in config.resolved_fractions()]
+    powers = np.array(user_power)
+    stronger = np.array([sum(user_power[:k]) for k in range(m)])
+
+    sic = design.sic
+    rows = np.take_along_axis(design.rows, sic[..., None], axis=2)
+    # h^H f_j for every user and beam j, summed over the beam axis in order
+    baseband = design.baseband[:, None, None]  # (C, 1, 1, N, N)
+    coupling = rows[..., 0, None] * baseband[..., 0, :]
+    for k in range(1, n):
+        coupling = coupling + rows[..., k, None] * baseband[..., k, :]
+    beam_gain = coupling.real**2 + coupling.imag**2  # (C, N, M, beam)
+    own = np.diagonal(beam_gain, axis1=1, axis2=3).transpose(0, 2, 1)
+    leaked = np.sum(np.where(np.eye(n, dtype=bool)[:, None, :], 0.0, beam_gain), axis=-1)
+    desired = powers * own
+    intra = stronger * own
+    inter = sum(user_power) * leaked
+    rate = np.log2(1.0 + desired / (intra + inter + 1.0))
+
+    norm = np.take_along_axis(design.norm, sic, axis=2)
+    inner = np.abs(np.sum(rows * rows[:, :, :1].conj(), axis=-1))
+    rho = np.minimum(inner / (norm * norm[..., :1]), 1.0)
+    rho[..., 0] = 1.0
+
+    bound = rate.copy()
+    if m > 1:
+        eigen = np.linalg.eigvalsh(design.gram)
+        lam_min, lam_max = eigen[:, 0], eigen[:, -1]
+        if np.any(lam_min <= lam_max * BEAM_RANK_TOL):
+            raise ValueError("analog precoder is rank deficient; eta is undefined")
+        kappa = lam_max / lam_min
+        eta = (0.25 * (kappa + 1.0 / kappa + 2.0))[:, None, None]
+        aod = np.take_along_axis(design.aod, sic, axis=2)
+        first_aod = aod[..., 0]
+        ks_first = np.sum(fejer_kernel(first_aod[:, :, None] - first_aod[:, None, :], t_bs), axis=1)
+        ks_first = ks_first[..., None]
+        ks_user = np.sum(fejer_kernel(first_aod[:, :, None, None] - aod[:, None], t_bs), axis=1)
+        lam = _max_leakage_eigenvalues(design.baseband)[..., None]
+        gain = np.take_along_axis(design.gain, sic, axis=2)
+        received = t_bs * t_mu * gain**2
+        rho2 = rho**2
+        zeta_intra = stronger * rho2 * received
+        zeta_inter = cluster_power * (1.0 - rho2) * received * lam * eta * ks_first
+        zeta_noise = eta * ks_first / ks_user
+        numerator = powers * rho2 * t_bs * t_mu * gain**2
+        weak = np.log2(1.0 + numerator / (zeta_intra + zeta_inter + zeta_noise))
+        bound[..., 1:] = weak[..., 1:]
+    return TrialOutputs(rate=rate, bound=bound, rho=rho, intra=intra, inter=inter)
+
+
+def _max_leakage_eigenvalues(baseband: np.ndarray) -> np.ndarray:
+    """(C, N): largest eigenvalue of the outer product of the baseband columns other than n.
+
+    Its nonzero spectrum is that of the columns' Gram matrix with row and
+    column n deleted.
+    """
+    c, n, _ = baseband.shape
+    if n == 1:
+        return np.zeros((c, 1))
+    gram = np.sum(baseband.conj()[..., None] * baseband[:, :, None, :], axis=1)
+    others = np.array([[j for j in range(n) if j != k] for k in range(n)])
+    return np.linalg.eigvalsh(gram[:, others[:, :, None], others[:, None, :]])[..., -1]
+
+
+class RedrawBudget:
+    """Cap on rejected draws: one percent of the trial budget, rounded up."""
+
+    def __init__(self, trials: int):
+        self.trials = trials
+        self.cap = math.ceil(0.01 * trials)
+        self.used = 0
+
+    def spend(self, count: int) -> None:
+        self.used += count
+        if self.used > self.cap:
+            raise SingularClusteringError(
+                f"{self.used} singular cluster draws exceed the 1% redraw cap "
+                f"({self.cap} of {self.trials} trials)"
+            )
+
+
+def accepted_designs(
+    config: ScenarioConfig, sampler: TrialSampler, trials: np.ndarray, budget: RedrawBudget
+) -> Iterator[tuple[np.ndarray, np.ndarray, Design]]:
+    """Design ``trials``, redrawing rejected rows from their next attempt seed.
+
+    Yields (positions in ``trials``, attempts, design) for the rows each
+    round accepts; only rejected rows are drawn again.
+    """
+    pending = np.arange(len(trials))
+    attempts = np.zeros(len(trials), dtype=int)
+    while pending.size:
+        if sampler.random:
+            rngs = [
+                np.random.default_rng(trial_seed(config.seed, int(trials[p]), int(attempts[p])))
+                for p in pending
+            ]
+        else:
+            rngs = [None] * pending.size
+        accepted, design = design_trials(config, *sampler.draw(rngs))
+        if accepted.any():
+            yield pending[accepted], attempts[pending[accepted]], design
+        pending = pending[~accepted]
+        budget.spend(pending.size)
+        attempts[pending] += 1
+
+
+def design_trial(config: ScenarioConfig, trial: int = 0) -> tuple[int, Design]:
+    """The design ``simulate`` accepts for one trial, and the attempt that produced it.
+
+    The trial's redraws count against the run's redraw cap.
+    """
+    budget = RedrawBudget(config.trials)
+    _, attempts, design = next(
+        accepted_designs(config, TrialSampler(config), np.array([trial]), budget)
+    )
+    return int(attempts[0]), design
+
+
+class Simulation(NamedTuple):
+    """Every trial's outputs, indexed by trial, plus the run's counters."""
+
+    outputs: TrialOutputs  # each (trials, N, M), users in SIC order
+    redraws: int
+    first_user_demotions: int
+
+
+def simulate(config: ScenarioConfig, snr_db: float) -> Simulation:
+    """Run the configured trial budget in chunks of ``TRIAL_CHUNK`` trials."""
+    shape = (config.trials, config.num_clusters, config.users_per_cluster)
+    store = {name: np.empty(shape) for name in TrialOutputs._fields}
+    sampler = TrialSampler(config)
+    budget = RedrawBudget(config.trials)
+    demotions = 0
+    for start in range(0, config.trials, TRIAL_CHUNK):
+        trials = np.arange(start, min(start + TRIAL_CHUNK, config.trials))
+        for rows, _, design in accepted_designs(config, sampler, trials, budget):
+            outputs = evaluate(config, design, snr_db)
+            for name in TrialOutputs._fields:
+                store[name][trials[rows]] = getattr(outputs, name)
+            demotions += int(np.count_nonzero(design.demoted))
+    return Simulation(
+        outputs=TrialOutputs(**store), redraws=budget.used, first_user_demotions=demotions
+    )

@@ -21,6 +21,9 @@ from .power import ClusterPlan
 # Condition number of H_eff H_eff^* beyond which the cluster geometry is
 # rejected instead of regularized; zero forcing presumes distinct beams.
 MAX_GRAM_CONDITION = 1e12
+# Relative eigenvalue floor of the analog beams' Gram matrix below which the
+# beam set counts as rank deficient.
+BEAM_RANK_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -70,13 +73,15 @@ class EffectiveChannelSet:
 class BasebandPrecoder:
     """Zero-forcing digital precoder with unit radiated power per column.
 
-    ``lambda_diag`` keeps the analytic per-cluster gains used by the rate
-    bound; it is not applied as a transmit scaling (doing so would break
-    the total-power constraint for generic gains).
+    ``lambda_diag`` keeps the analytic per-cluster gains of
+    ``zero_forcing_precoder``; it is not applied as a transmit scaling
+    (doing so would break the total-power constraint for generic gains).
+    It is None for a precoder taken from the batched engine, which does not
+    compute it.
     """
 
     matrix: np.ndarray  # N x N
-    lambda_diag: np.ndarray  # N
+    lambda_diag: np.ndarray | None = None  # N
 
     def column(self, n: int) -> np.ndarray:
         return self.matrix[:, n]

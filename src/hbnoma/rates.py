@@ -26,7 +26,6 @@ class RateBreakdown:
     intra_interference: float
     inter_interference: float
     rate_bps_hz: float
-    lower_bound_bps_hz: float | None = None
 
 
 def beam_gain(

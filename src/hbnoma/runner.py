@@ -5,45 +5,22 @@ Each trial draws the random parts of a scenario from its own sub-seed
 on execution order and sweeps that share a master seed see common random
 numbers across points. Trials whose cluster geometry defeats zero forcing
 are redrawn with a fresh attempt seed, capped at one percent of the trial
-budget.
+budget. The trials themselves run through the batched engine in
+``hbnoma.engine``; this module aggregates them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from . import __version__
-from .arrays import AngleSpec, ArrayGeometry, PathGain, SinglePathChannel
-from .bounds import hermitian_correlation, lower_bound_rate
+from .engine import TrialSampler, design_trials, evaluate, simulate
+from .engine import trial_seed  # noqa: F401  (public: replays derive sub-seeds from it)
 from .errors import ConfigurationError, SingularClusteringError
-from .power import (
-    ORDER_BY_LARGE_SCALE_GAIN,
-    ClusterPlan,
-    allocate_power,
-    order_by_gain,
-    reorder_by_effective_norm,
-)
-from .precoding import design_analog_stage, effective_channels, zero_forcing_precoder
-from .rates import user_rate
 from .scenario import ClusterSpec, ScenarioConfig, UserSpec
-
-
-def _splitmix64(x: int) -> int:
-    """One splitmix64 scramble step; spreads consecutive indices apart."""
-    x = (x + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    z = x
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return (z ^ (z >> 31)) & 0xFFFFFFFFFFFFFFFF
-
-
-def trial_seed(master_seed: int, trial_idx: int, attempt: int = 0) -> int:
-    """Per-trial sub-seed: master seed XOR a hash of (trial, attempt)."""
-    return (master_seed & 0xFFFFFFFFFFFFFFFF) ^ _splitmix64((trial_idx << 16) | attempt)
 
 
 @dataclass(frozen=True)
@@ -74,6 +51,7 @@ class RunManifest:
     trials: int
     version: str
     singular_redraws: int
+    first_user_demotions: int
     sum_rate_mean: float
     bound_violation_rate: float
     bound_violation_max_excess: float
@@ -104,6 +82,7 @@ class RunManifest:
             "trials": self.trials,
             "version": self.version,
             "singular_redraws": self.singular_redraws,
+            "first_user_demotions": self.first_user_demotions,
             "sum_rate_mean": self.sum_rate_mean,
             "bound_violation_rate": self.bound_violation_rate,
             "bound_violation_max_excess": self.bound_violation_max_excess,
@@ -117,172 +96,60 @@ class RunManifest:
         raise KeyError(f"no aggregate for user ({user_n}, {user_m})")
 
 
-def _materialize_trial(
-    config: ScenarioConfig, rng: np.random.Generator
-) -> tuple[dict[int, SinglePathChannel], list[list[int]]]:
-    """Draw the random angles/gains of one trial and build all channels.
-
-    Draw order is fixed (cluster by cluster, user by user: AoD, AoA, gain)
-    so identical configs consume identical random streams.
-    """
-    bs = ArrayGeometry(config.bs_antennas)
-    mu = ArrayGeometry(config.mu_antennas)
-    channels: dict[int, SinglePathChannel] = {}
-    membership: list[list[int]] = []
-    uid = 0
-    for cluster in config.clusters:
-        members = []
-        for spec in cluster.users:
-            aod = spec.aod_deg
-            if aod is None:
-                aod = math.degrees(rng.uniform(-math.pi / 2, math.pi / 2))
-            aoa = spec.aoa_deg
-            if aoa is None:
-                aoa = math.degrees(rng.uniform(-math.pi / 2, math.pi / 2))
-            g = spec.small_scale
-            if g is None:
-                g = complex(rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2.0)
-            channels[uid] = SinglePathChannel(
-                aoa=AngleSpec.from_degrees(aoa),
-                aod=AngleSpec.from_degrees(aod),
-                gain=PathGain(small_scale=g, large_scale_db=spec.large_scale_db),
-                bs_array=bs,
-                mu_array=mu,
-            )
-            members.append(uid)
-            uid += 1
-        membership.append(members)
-    return channels, membership
-
-
 def run_trial(config: ScenarioConfig, rng: np.random.Generator, snr_db: float) -> TrialOutcome:
-    """One full pipeline pass: draw, order, steer, zero-force, allocate, rate."""
-    channels, membership = _materialize_trial(config, rng)
-    gains = {uid: ch.gain.magnitude for uid, ch in channels.items()}
+    """One trial through the engine: draw from ``rng``, design, and rate.
 
-    plan = ClusterPlan(
-        tuple(tuple(order_by_gain({uid: gains[uid] for uid in members})) for members in membership),
-        ordering_basis=ORDER_BY_LARGE_SCALE_GAIN,
+    Raises SingularClusteringError when zero forcing rejects the draw.
+    """
+    accepted, design = design_trials(config, *TrialSampler(config).draw([rng]))
+    if not accepted[0]:
+        raise SingularClusteringError(
+            "first users have near-collinear effective channels; zero forcing rejected"
+        )
+    out = evaluate(config, design, snr_db)
+    users = tuple(
+        UserOutcome(
+            cluster_idx=n,
+            sic_idx=m,
+            rate=float(out.rate[0, n, m]),
+            bound=float(out.bound[0, n, m]),
+            rho=float(out.rho[0, n, m]),
+            intra=float(out.intra[0, n, m]),
+            inter=float(out.inter[0, n, m]),
+        )
+        for n in range(config.num_clusters)
+        for m in range(config.users_per_cluster)
     )
-    precoder, combiners = design_analog_stage(channels, plan)
-    effective = effective_channels(channels, precoder, combiners)
-    plan = reorder_by_effective_norm(effective, plan)
-
-    baseband = zero_forcing_precoder(
-        [effective.vector(uid) for uid in plan.first_users],
-        precoder,
-        [gains[uid] for uid in plan.first_users],
-        config.mu_antennas,
-    )
-
-    total_power = 10.0 ** (snr_db / 10.0)
-    powers = allocate_power(plan, total_power, config.resolved_fractions())
-    cluster_power = powers.cluster_power[0]
-    first_aods = [channels[uid].aod.normalized for uid in plan.first_users]
-
-    outcomes = []
-    total = 0.0
-    for n, cluster in enumerate(plan.assignments):
-        first_vec = effective.vector(cluster[0])
-        for m, uid in enumerate(cluster):
-            breakdown = user_rate(n, m, plan, effective, baseband, powers)
-            if m == 0:
-                rho, bound = 1.0, breakdown.rate_bps_hz
-            else:
-                rho = hermitian_correlation(effective.vector(uid), first_vec).rho
-                bound = lower_bound_rate(
-                    sic_idx=m,
-                    rho=rho,
-                    user_power=powers.power_of(uid),
-                    stronger_powers=[powers.power_of(cluster[k]) for k in range(m)],
-                    cluster_power=cluster_power,
-                    gain_magnitude=gains[uid],
-                    bs_antennas=config.bs_antennas,
-                    mu_antennas=config.mu_antennas,
-                    precoder=precoder,
-                    baseband=baseband,
-                    cluster_idx=n,
-                    first_user_aods=first_aods,
-                    user_aod=channels[uid].aod.normalized,
-                )
-            outcomes.append(
-                UserOutcome(
-                    cluster_idx=n,
-                    sic_idx=m,
-                    rate=breakdown.rate_bps_hz,
-                    bound=bound,
-                    rho=rho,
-                    intra=breakdown.intra_interference,
-                    inter=breakdown.inter_interference,
-                )
-            )
-            total += breakdown.rate_bps_hz
-    return TrialOutcome(users=tuple(outcomes), sum_rate=total)
+    return TrialOutcome(users=users, sum_rate=float(out.rate[0].sum()))
 
 
 def run_scenario(config: ScenarioConfig, snr_db: float | None = None) -> RunManifest:
     """Run the configured trial budget and aggregate position-wise means.
 
     Singular cluster draws are redrawn under a fresh attempt seed; more
-    redraws than one percent of the budget aborts the run.
+    redraws than one percent of the budget aborts the run. Means are
+    reduced once, over all trials in index order.
     """
     snr = config.single_snr_db() if snr_db is None else float(snr_db)
-    n_positions = config.num_clusters * config.users_per_cluster
-    sums = {
-        key: np.zeros(n_positions)
-        for key in ("rate", "bound", "rho", "intra", "inter")
-    }
-    sum_rate_acc = 0.0
-    violations = 0
-    bound_evals = 0
-    worst_excess = 0.0
-    redraws = 0
-    max_redraws = math.ceil(0.01 * config.trials)
+    sim = simulate(config, snr)
+    out = sim.outputs
+    means = {name: getattr(out, name).sum(axis=0) / config.trials for name in out._fields}
+    weak_rate, weak_bound = out.rate[..., 1:], out.bound[..., 1:]
+    excess = (weak_bound - weak_rate)[weak_bound > weak_rate]
 
-    for trial in range(config.trials):
-        attempt = 0
-        while True:
-            rng = np.random.default_rng(trial_seed(config.seed, trial, attempt))
-            try:
-                outcome = run_trial(config, rng, snr)
-                break
-            except SingularClusteringError:
-                redraws += 1
-                attempt += 1
-                if redraws > max_redraws:
-                    raise SingularClusteringError(
-                        f"{redraws} singular cluster draws exceed the 1% redraw cap "
-                        f"({max_redraws} of {config.trials} trials)"
-                    ) from None
-        for idx, user in enumerate(outcome.users):
-            sums["rate"][idx] += user.rate
-            sums["bound"][idx] += user.bound
-            sums["rho"][idx] += user.rho
-            sums["intra"][idx] += user.intra
-            sums["inter"][idx] += user.inter
-            if user.sic_idx > 0:
-                bound_evals += 1
-                if user.bound > user.rate:
-                    violations += 1
-                    worst_excess = max(worst_excess, user.bound - user.rate)
-        sum_rate_acc += outcome.sum_rate
-
-    users = []
-    idx = 0
-    for n in range(config.num_clusters):
-        for m in range(config.users_per_cluster):
-            users.append(
-                {
-                    "user_n": n + 1,
-                    "user_m": m + 1,
-                    "rate_mean": float(sums["rate"][idx] / config.trials),
-                    "rate_bound_mean": float(sums["bound"][idx] / config.trials),
-                    "rho_mean": float(sums["rho"][idx] / config.trials),
-                    "intra_mean": float(sums["intra"][idx] / config.trials),
-                    "inter_mean": float(sums["inter"][idx] / config.trials),
-                }
-            )
-            idx += 1
+    users = [
+        {
+            "user_n": n + 1,
+            "user_m": m + 1,
+            "rate_mean": float(means["rate"][n, m]),
+            "rate_bound_mean": float(means["bound"][n, m]),
+            "rho_mean": float(means["rho"][n, m]),
+            "intra_mean": float(means["intra"][n, m]),
+            "inter_mean": float(means["inter"][n, m]),
+        }
+        for n in range(config.num_clusters)
+        for m in range(config.users_per_cluster)
+    ]
 
     echo = config.as_dict()
     echo["snr_db"] = snr
@@ -291,18 +158,17 @@ def run_scenario(config: ScenarioConfig, snr_db: float | None = None) -> RunMani
         seed=config.seed,
         trials=config.trials,
         version=__version__,
-        singular_redraws=redraws,
-        sum_rate_mean=sum_rate_acc / config.trials,
-        bound_violation_rate=violations / bound_evals if bound_evals else 0.0,
-        bound_violation_max_excess=worst_excess,
+        singular_redraws=sim.redraws,
+        first_user_demotions=sim.first_user_demotions,
+        sum_rate_mean=float(out.rate.sum(axis=(1, 2)).sum() / config.trials),
+        bound_violation_rate=excess.size / weak_rate.size if weak_rate.size else 0.0,
+        bound_violation_max_excess=float(excess.max(initial=0.0)),
         users=users,
     )
 
 
 SWEEP_AOD_OF_USER = "aod_of_user"
-SWEEP_SNR_DB = "snr_db"
-SWEEP_RHO_TARGET = "rho_target"
-_SWEEP_VARIABLES = (SWEEP_AOD_OF_USER, SWEEP_SNR_DB, SWEEP_RHO_TARGET)
+_SWEEP_VARIABLES = (SWEEP_AOD_OF_USER,)
 
 
 @dataclass(frozen=True)

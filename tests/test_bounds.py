@@ -169,6 +169,9 @@ class TestLeakageEigenvalue:
                 assert got == pytest.approx(oracle, rel=1e-8)
                 assert got >= 0.0
 
+    def test_single_cluster_has_no_leakage(self):
+        assert max_leakage_eigenvalue(BasebandPrecoder(np.array([[0.7 + 0.2j]])), 0) == 0.0
+
 
 class TestLowerBoundRate:
     def _state(self, rng):

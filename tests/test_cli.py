@@ -1,10 +1,19 @@
 """Command-line surface: subcommands, output formats, exit codes."""
 
+import ast
 import json
+import math
 
+import numpy as np
 import pytest
 
 from hbnoma.cli import main
+from hbnoma.engine import design_trial, evaluate, simulate
+from hbnoma.runner import trial_seed
+from hbnoma.scenario import parse_config_text
+
+from bruteforce import array_response
+from object_pipeline import ObjectTrial
 
 CONFIG = """
 bs_antennas = 16
@@ -136,6 +145,47 @@ class TestValidateCommand:
         path = tmp_path / "bad.cfg"
         path.write_text("bs_antennas = 16\n")
         assert main(["validate", "--config", str(path)]) == 2
+
+    def test_reports_the_design_run_uses(self, tmp_path, capsys):
+        # random AoDs, so the report depends on which draw it inspects
+        text = CONFIG.replace("aod_deg=55", "aod_deg=random").replace("aod_deg=-60", "aod_deg=random")
+        path = tmp_path / "random.cfg"
+        path.write_text(text)
+        assert main(["validate", "--config", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+
+        def printed(prefix):
+            return next(line[len(prefix):] for line in lines if line.startswith(prefix))
+
+        config = parse_config_text(text)
+        attempt, design = design_trial(config, 0)
+        # the design is trial 0 of `run`
+        run = simulate(config, 5.0).outputs
+        assert np.array_equal(evaluate(config, design, 5.0).rate[0], run.rate[0])
+        # the printed beams are where the object-level replay of that draw steers
+        rng = np.random.default_rng(trial_seed(config.seed, 0, attempt))
+        reference = ObjectTrial(config, rng, 5.0)
+        beams = printed(f"design of trial 0 (attempt {attempt}), beams at ")
+        steered = [reference.channels[u].aod for u in reference.beam_users]
+        assert [float(b) for b in ast.literal_eval(beams.removesuffix(" deg"))] == [
+            float(f"{math.degrees(a.physical_rad):.6g}") for a in steered
+        ]
+        f_rf = np.column_stack(
+            [array_response(config.bs_antennas, math.asin(x)) for x in design.beam_aod[0]]
+        )
+        assert np.allclose(f_rf, reference.precoder.matrix, rtol=0, atol=1e-12)
+        powers = np.linalg.norm(f_rf @ design.baseband[0], axis=0)
+        assert ast.literal_eval(printed("per-beam radiated power: ")) == [f"{p:.12g}" for p in powers]
+        first = [reference.effective.vector(u) for u in reference.plan.first_users]
+        leakage = max(
+            abs(np.vdot(h, design.baseband[0][:, j])) / np.linalg.norm(h)
+            for n, h in enumerate(first)
+            for j in range(config.num_clusters)
+            if j != n
+        )
+        assert float(printed("max relative first-user leakage: ")) == pytest.approx(
+            leakage, abs=1e-12
+        )
 
     def test_singular_config_fails_with_code_3(self, tmp_path):
         path = tmp_path / "singular.cfg"

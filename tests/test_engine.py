@@ -1,0 +1,193 @@
+"""Batched engine against the object-level pipeline and the brute-force oracle."""
+
+import json
+import logging
+import math
+
+import numpy as np
+import pytest
+
+from hbnoma import ClusterSpec, ScenarioConfig, SingularClusteringError, UserSpec
+from hbnoma import engine
+from hbnoma.cli import main
+from hbnoma.engine import design_trial, simulate
+from hbnoma.runner import run_scenario, trial_seed
+
+from bruteforce import array_response, rate_table
+from object_pipeline import FIELDS, materialize, replay_run
+
+
+def random_config(rng):
+    """1-4 clusters of 1-3 users, T_BS in {4, 16, 64}, fixed and random parts mixed."""
+    n = int(rng.integers(1, 5))
+    m = int(rng.integers(1, 4))
+
+    def angle(p_random):
+        return None if rng.random() < p_random else float(rng.uniform(-90.0, 90.0))
+
+    clusters = []
+    for _ in range(n):
+        users = []
+        for _ in range(m):
+            gain = None
+            if rng.random() < 0.3:
+                gain = complex(rng.standard_normal(), rng.standard_normal())
+            users.append(
+                UserSpec(
+                    aod_deg=angle(0.7),
+                    aoa_deg=angle(0.5),
+                    large_scale_db=float(rng.choice([0.0, -3.0, -10.0])),
+                    small_scale=gain,
+                )
+            )
+        clusters.append(ClusterSpec(tuple(users)))
+    return ScenarioConfig(
+        bs_antennas=int(rng.choice([4, 16, 64])),
+        mu_antennas=int(rng.choice([1, 4])),
+        clusters=tuple(clusters),
+        snr_db=float(rng.choice([0.0, 5.0, 10.0])),
+        seed=int(rng.integers(0, 2**31)),
+        trials=int(rng.integers(20, 80)),
+    )
+
+
+def test_engine_matches_object_pipeline():
+    rng = np.random.default_rng(31)
+    redraws = demotions = capped = 0
+    for case in range(40):
+        config = random_config(rng)
+        snr = config.single_snr_db()
+        try:
+            reference, replayed = replay_run(config, snr)
+        except SingularClusteringError:
+            with pytest.raises(SingularClusteringError, match="redraw cap"):
+                simulate(config, snr)
+            capped += 1
+            continue
+        sim = simulate(config, snr)
+        assert sim.redraws == replayed
+        redraws += replayed
+        for t, ref in enumerate(reference):
+            demotions += ref.demotions
+            first = np.stack([ref.effective.vector(u).conj() for u in ref.plan.first_users])
+            # relative 1e-12 with an absolute floor of 1e-12 (first users'
+            # zero-forced leakage is rounding noise near 1e-27). Both sides
+            # solve the zero-forcing system, whose forward error grows as
+            # cond * eps; near the rejection threshold (cond 1e6) that
+            # exceeds 1e-12, so the tolerance grows with it there
+            rel = max(1e-12, 8 * np.linalg.cond(first) * np.finfo(float).eps)
+            for k, name in enumerate(FIELDS):
+                ours = getattr(sim.outputs, name)[t]
+                theirs = ref.values[..., k]
+                tol = rel * np.maximum(np.abs(ours), np.abs(theirs)) + 1e-12
+                assert np.all(np.abs(ours - theirs) <= tol), (case, t, name, ours, theirs)
+    # the sampled configs exercise every edge path
+    assert redraws > 0
+    assert demotions > 0
+    assert capped > 0
+
+
+def test_engine_precoders_match_bruteforce_oracle():
+    rng = np.random.default_rng(32)
+    checked = 0
+    for _ in range(12):
+        config = random_config(rng)
+        snr = config.single_snr_db()
+        try:
+            rates = simulate(config, snr).outputs.rate
+        except SingularClusteringError:
+            continue
+        for t in range(0, config.trials, 7):
+            attempt, design = design_trial(config, t)
+            channels, _ = materialize(
+                config, np.random.default_rng(trial_seed(config.seed, t, attempt))
+            )
+            n, m = config.num_clusters, config.users_per_cluster
+            sic = design.sic[0]
+            clusters = [[ci * m + int(u) for u in sic[ci]] for ci in range(n)]
+            cluster_power = 10.0 ** (snr / 10.0) / n
+            fractions = config.resolved_fractions()
+            f_rf = np.column_stack(
+                [array_response(config.bs_antennas, math.asin(x)) for x in design.beam_aod[0]]
+            )
+            oracle = rate_table(
+                bs_antennas=config.bs_antennas,
+                mu_antennas=config.mu_antennas,
+                aod_rad={u: ch.aod.physical_rad for u, ch in channels.items()},
+                aoa_rad={u: ch.aoa.physical_rad for u, ch in channels.items()},
+                beta={u: ch.gain.beta for u, ch in channels.items()},
+                clusters=clusters,
+                powers={u: fractions[k] * cluster_power for c in clusters for k, u in enumerate(c)},
+                f_rf=f_rf,
+                f_bb=design.baseband[0],
+            )
+            for ci, cluster in enumerate(clusters):
+                for mi, uid in enumerate(cluster):
+                    expected = oracle[uid]
+                    assert abs(rates[t, ci, mi] - expected) <= 1e-10 * max(abs(expected), 1e-12)
+                    checked += 1
+    assert checked > 100
+
+
+# seed 28 is one whose 300 trials include two redraws
+WIDE = """
+bs_antennas = 64
+mu_antennas = 4
+snr_db = 10
+seed = 28
+trials = 300
+
+cluster {
+  user aod_deg=random aoa_deg=random large_scale_db=0
+  user aod_deg=random aoa_deg=random large_scale_db=-5
+  user aod_deg=random aoa_deg=random large_scale_db=-10
+}
+cluster {
+  user aod_deg=random aoa_deg=random large_scale_db=0
+  user aod_deg=random aoa_deg=random large_scale_db=-5
+  user aod_deg=random aoa_deg=random large_scale_db=-10
+}
+cluster {
+  user aod_deg=random aoa_deg=random large_scale_db=0
+  user aod_deg=random aoa_deg=random large_scale_db=-5
+  user aod_deg=random aoa_deg=random large_scale_db=-10
+}
+cluster {
+  user aod_deg=random aoa_deg=random large_scale_db=0
+  user aod_deg=random aoa_deg=random large_scale_db=-5
+  user aod_deg=random aoa_deg=random large_scale_db=-10
+}
+"""
+
+
+def test_output_bytes_do_not_depend_on_chunk_size(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "wide.cfg"
+    path.write_text(WIDE)
+    outputs = []
+    for chunk in (1, 7, engine.TRIAL_CHUNK):
+        monkeypatch.setattr(engine, "TRIAL_CHUNK", chunk)
+        assert main(["run", "--config", str(path), "--format", "json"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    # rejected rows are redrawn inside a chunk
+    assert json.loads(outputs[0])["singular_redraws"] == 2
+
+
+def test_demotions_counted_not_logged(caplog):
+    # equal large-scale levels and wide beams, so the largest-gain user
+    # sometimes loses first place to a user between two beams
+    user = UserSpec(aod_deg=None, aoa_deg=None, large_scale_db=0.0)
+    config = ScenarioConfig(
+        bs_antennas=4,
+        mu_antennas=4,
+        clusters=tuple(ClusterSpec((user,) * 3) for _ in range(3)),
+        snr_db=5.0,
+        seed=17,
+        trials=150,
+    )
+    with caplog.at_level(logging.WARNING, logger="hbnoma"):
+        manifest = run_scenario(config)
+    assert not caplog.records
+    expected = sum(ref.demotions for ref in replay_run(config, 5.0)[0])
+    assert expected > 0
+    assert manifest.first_user_demotions == expected

@@ -112,21 +112,34 @@ class TestRedrawPolicy:
             run_scenario(self._coincident_config(trials=50))
 
     def test_occasional_singular_redrawn_and_counted(self, monkeypatch):
-        import hbnoma.runner as runner_module
+        import hbnoma.engine as engine
 
-        true_run_trial = runner_module.run_trial
+        true_rejects = engine.zero_forcing_rejects
         calls = {"count": 0}
 
-        def flaky(config, rng, snr_db):
+        def reject_trial_two_once(first_rows):
+            mask = true_rejects(first_rows)
             calls["count"] += 1
-            if calls["count"] == 3:
-                raise SingularClusteringError("synthetic near-collinear draw")
-            return true_run_trial(config, rng, snr_db)
+            if calls["count"] == 1:  # the first round of the first chunk: trials 0..63
+                mask[2] = True
+            return mask
 
-        monkeypatch.setattr(runner_module, "run_trial", flaky)
-        manifest = runner_module.run_scenario(small_config(trials=120), snr_db=5.0)
+        monkeypatch.setattr(engine, "zero_forcing_rejects", reject_trial_two_once)
+        config = small_config(trials=120)
+        manifest = run_scenario(config, snr_db=5.0)
         assert manifest.singular_redraws == 1
-        assert calls["count"] == 121
+
+        # trial 2 reports its attempt-1 draw; every other trial its attempt 0
+        def replayed_mean(attempt_of_two):
+            rates = []
+            for t in range(120):
+                seed = trial_seed(config.seed, t, attempt_of_two if t == 2 else 0)
+                rates.append(run_trial(config, np.random.default_rng(seed), 5.0).users[1].rate)
+            return float(np.mean(rates))
+
+        mean = manifest.user_entry(1, 2)["rate_mean"]
+        assert mean == pytest.approx(replayed_mean(1), rel=1e-12)
+        assert mean != pytest.approx(replayed_mean(0), rel=1e-12)
 
 
 class TestSpearman:
@@ -180,7 +193,7 @@ class TestSweepSpec:
         with pytest.raises(ConfigurationError):
             SweepSpec("aod_of_user", 60.0, 50.0, 0.5)
         with pytest.raises(ConfigurationError):
-            SweepSpec("snr_db", 0.0, 5.0, 0.0)
+            SweepSpec("aod_of_user", 0.0, 5.0, 0.0)
 
     def test_unknown_variable_rejected(self):
         with pytest.raises(ConfigurationError):
