@@ -22,7 +22,7 @@ _EXPORTS = {
         "order_by_gain", "reorder_by_effective_norm",
     ),
     "precoding": (
-        "AnalogCombiner", "AnalogPrecoder", "BasebandPrecoder", "EffectiveChannelSet",
+        "AnalogPrecoder", "BasebandPrecoder", "EffectiveChannelSet",
         "PrecoderDiagnostics", "design_analog_stage", "effective_channels",
         "power_constraint_check", "zero_forcing_precoder",
     ),

@@ -96,16 +96,12 @@ def _cmd_fig2(args) -> int:
         snrs = tuple(float(s) for s in args.snr_db.split(","))
     except ValueError:
         raise ConfigurationError(f"--snr-db must be numbers, got {args.snr_db!r}") from None
-    if args.step <= 0:
-        raise ConfigurationError("--step must be positive")
     sweep = sweep_fig2(snr_db_values=snrs, step_deg=args.step, trials=args.trials, seed=args.seed)
     _deliver(sweep, args)
     return EXIT_OK
 
 
 def _cmd_fig3(args) -> int:
-    if args.step <= 0:
-        raise ConfigurationError("--step must be positive")
     sweep = sweep_fig3(step_deg=args.step, seed=args.seed)
     _deliver(sweep, args)
     return EXIT_OK

@@ -19,9 +19,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 logger = logging.getLogger(__name__)
 
-ORDER_BY_LARGE_SCALE_GAIN = "large_scale_gain"
-ORDER_BY_EFFECTIVE_NORM = "effective_norm"
-
+# Allowed distance of the intra fractions' sum from one.
 _FRACTION_TOL = 1e-9
 
 
@@ -29,12 +27,11 @@ _FRACTION_TOL = 1e-9
 class ClusterPlan:
     """Cluster membership with users ordered for SIC.
 
-    ``assignments[n][0]`` is the first user of cluster ``n`` (strongest by
-    the declared ordering basis); identifiers are opaque integers.
+    ``assignments[n][0]`` is the first user of cluster ``n`` (the strongest);
+    identifiers are opaque integers.
     """
 
     assignments: tuple[tuple[int, ...], ...]
-    ordering_basis: str = ORDER_BY_LARGE_SCALE_GAIN
 
     def __post_init__(self) -> None:
         if not self.assignments:
@@ -99,7 +96,7 @@ def reorder_by_effective_norm(effective: "EffectiveChannelSet", plan: ClusterPla
                 ranked[0],
             )
         reordered.append(tuple(ranked))
-    return ClusterPlan(tuple(reordered), ordering_basis=ORDER_BY_EFFECTIVE_NORM)
+    return ClusterPlan(tuple(reordered))
 
 
 def default_intra_fractions(users_per_cluster: int) -> tuple[float, ...]:
@@ -114,29 +111,38 @@ def default_intra_fractions(users_per_cluster: int) -> tuple[float, ...]:
     return tuple(2 * 3**k / denom for k in range(m))
 
 
-def allocate_power(
-    plan: ClusterPlan, total_power: float, intra_fractions: Sequence[float]
-) -> PowerPlan:
-    """Split the budget evenly over clusters, then by fixed fractions inside.
+def check_intra_fractions(fractions: Sequence[float], users_per_cluster: int) -> None:
+    """Raise ConfigurationError unless ``fractions`` is a valid intra-cluster split.
 
-    ``intra_fractions[m]`` is the share of the cluster budget given to SIC
-    position m; fractions must be positive, sum to one, and be
-    nondecreasing so stronger users get less power.
+    A valid split has one fraction per SIC position; the fractions are
+    positive, sum to one, and are nondecreasing so stronger users get less
+    power.
     """
-    if total_power <= 0:
-        raise ConfigurationError(f"total power must be positive, got {total_power!r}")
-    fractions = tuple(float(f) for f in intra_fractions)
+    if len(fractions) != users_per_cluster:
+        raise ConfigurationError(
+            f"{len(fractions)} intra fractions for {users_per_cluster} users per cluster"
+        )
     if any(f <= 0 for f in fractions):
         raise ConfigurationError(f"intra fractions must be positive, got {fractions}")
     if abs(sum(fractions) - 1.0) > _FRACTION_TOL:
         raise ConfigurationError(f"intra fractions must sum to 1, got sum {sum(fractions)!r}")
     if any(b < a for a, b in zip(fractions, fractions[1:])):
         raise ConfigurationError(f"intra fractions must be nondecreasing, got {fractions}")
+
+
+def allocate_power(
+    plan: ClusterPlan, total_power: float, intra_fractions: Sequence[float]
+) -> PowerPlan:
+    """Split the budget evenly over clusters, then by fixed fractions inside.
+
+    ``intra_fractions[m]`` is the share of the cluster budget given to SIC
+    position m; see ``check_intra_fractions`` for what a valid split is.
+    """
+    if total_power <= 0:
+        raise ConfigurationError(f"total power must be positive, got {total_power!r}")
+    fractions = tuple(float(f) for f in intra_fractions)
     for cluster in plan.assignments:
-        if len(cluster) != len(fractions):
-            raise ConfigurationError(
-                f"cluster of size {len(cluster)} does not match {len(fractions)} fractions"
-            )
+        check_intra_fractions(fractions, len(cluster))
 
     cluster_power = total_power / plan.num_clusters
     user_powers = {

@@ -41,13 +41,6 @@ class AnalogPrecoder:
         return self.matrix.shape[1]
 
 
-@dataclass(frozen=True)
-class AnalogCombiner:
-    """Receive-side phase-shifter vector of one user."""
-
-    vector: np.ndarray  # T_MU
-
-
 @dataclass
 class EffectiveChannelSet:
     """Per-user effective channels seen through combining and analog precoding.
@@ -71,17 +64,9 @@ class EffectiveChannelSet:
 
 @dataclass(frozen=True)
 class BasebandPrecoder:
-    """Zero-forcing digital precoder with unit radiated power per column.
-
-    ``lambda_diag`` keeps the analytic per-cluster gains of
-    ``zero_forcing_precoder``; it is not applied as a transmit scaling
-    (doing so would break the total-power constraint for generic gains).
-    It is None for a precoder taken from the batched engine, which does not
-    compute it.
-    """
+    """Zero-forcing digital precoder with unit radiated power per column."""
 
     matrix: np.ndarray  # N x N
-    lambda_diag: np.ndarray | None = None  # N
 
     def column(self, n: int) -> np.ndarray:
         return self.matrix[:, n]
@@ -118,12 +103,13 @@ class PrecoderDiagnostics:
 
 def design_analog_stage(
     channels: Mapping[int, SinglePathChannel], plan: ClusterPlan
-) -> tuple[AnalogPrecoder, dict[int, AnalogCombiner]]:
+) -> tuple[AnalogPrecoder, dict[int, np.ndarray]]:
     """Steer one transmit beam per cluster and match every user's combiner.
 
     With a single propagation path the optimum under unit-modulus
-    constraints is the array response itself: each combiner points at the
-    user's own AoA and beam n points at the AoD of cluster n's first user.
+    constraints is the array response itself: each combiner, a length-T_MU
+    vector, points at the user's own AoA and beam n points at the AoD of
+    cluster n's first user.
     """
     if not plan.assignments:
         raise ConfigurationError("cluster plan is empty")
@@ -131,23 +117,20 @@ def design_analog_stage(
     bs_array = first_channels[0].bs_array
     columns = [steering_vector(ch.aod, bs_array) for ch in first_channels]
     precoder = AnalogPrecoder(np.column_stack(columns))
-    combiners = {
-        uid: AnalogCombiner(steering_vector(ch.aoa, ch.mu_array))
-        for uid, ch in channels.items()
-    }
+    combiners = {uid: steering_vector(ch.aoa, ch.mu_array) for uid, ch in channels.items()}
     return precoder, combiners
 
 
 def effective_channels(
     channels: Mapping[int, SinglePathChannel],
     precoder: AnalogPrecoder,
-    combiners: Mapping[int, AnalogCombiner],
+    combiners: Mapping[int, np.ndarray],
 ) -> EffectiveChannelSet:
     """Collapse each user's channel through its combiner and the analog beams."""
     vectors: dict[int, np.ndarray] = {}
     for uid, ch in channels.items():
         h = channel_matrix(ch)
-        w = combiners[uid].vector
+        w = combiners[uid]
         if h.shape != (w.shape[0], precoder.num_antennas):
             raise ValueError(
                 f"user {uid}: channel {h.shape} does not match combiner "
@@ -171,10 +154,7 @@ def _most_coherent_pair(first_vectors: Sequence[np.ndarray]) -> tuple[int, int]:
 
 
 def zero_forcing_precoder(
-    first_user_channels: Sequence[np.ndarray],
-    precoder: AnalogPrecoder,
-    first_user_gains: Sequence[float],
-    mu_antennas: int,
+    first_user_channels: Sequence[np.ndarray], precoder: AnalogPrecoder
 ) -> BasebandPrecoder:
     """Zero-force across the first users' effective channels.
 
@@ -195,13 +175,7 @@ def zero_forcing_precoder(
     # LU solve of rows @ F0 = I; explicit inversion loses digits at T_BS = 64.
     raw = np.linalg.solve(rows, np.eye(n_clusters, dtype=complex))
     radiated = np.linalg.norm(precoder.matrix @ raw, axis=0)
-    matrix = raw / radiated
-
-    gram = precoder.matrix.conj().T @ precoder.matrix
-    gram_inv_diag = np.real(np.diag(np.linalg.solve(gram, np.eye(n_clusters, dtype=complex))))
-    scale = precoder.num_antennas * mu_antennas
-    lambda_diag = np.sqrt(scale / gram_inv_diag) * np.asarray(first_user_gains, dtype=float)
-    return BasebandPrecoder(matrix=matrix, lambda_diag=lambda_diag)
+    return BasebandPrecoder(raw / radiated)
 
 
 def power_constraint_check(

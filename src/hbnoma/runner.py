@@ -11,35 +11,17 @@ budget. The trials themselves run through the batched engine in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from . import __version__
-from .engine import TrialSampler, design_trials, evaluate, simulate
+from .engine import TrialOutputs, TrialSampler, design_trials, evaluate, simulate
 from .engine import trial_seed  # noqa: F401  (public: replays derive sub-seeds from it)
 from .errors import ConfigurationError, SingularClusteringError
 from .scenario import ClusterSpec, ScenarioConfig, UserSpec
-
-
-@dataclass(frozen=True)
-class UserOutcome:
-    """Per-trial result for one SIC position."""
-
-    cluster_idx: int
-    sic_idx: int
-    rate: float
-    bound: float
-    rho: float
-    intra: float
-    inter: float
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    users: tuple[UserOutcome, ...]
-    sum_rate: float
 
 
 @dataclass
@@ -96,31 +78,18 @@ class RunManifest:
         raise KeyError(f"no aggregate for user ({user_n}, {user_m})")
 
 
-def run_trial(config: ScenarioConfig, rng: np.random.Generator, snr_db: float) -> TrialOutcome:
+def run_trial(config: ScenarioConfig, rng: np.random.Generator, snr_db: float) -> TrialOutputs:
     """One trial through the engine: draw from ``rng``, design, and rate.
 
-    Raises SingularClusteringError when zero forcing rejects the draw.
+    Returns the trial's outputs, each (clusters, users) with users in SIC
+    order. Raises SingularClusteringError when zero forcing rejects the draw.
     """
     accepted, design = design_trials(config, *TrialSampler(config).draw([rng]))
     if not accepted[0]:
         raise SingularClusteringError(
             "first users have near-collinear effective channels; zero forcing rejected"
         )
-    out = evaluate(config, design, snr_db)
-    users = tuple(
-        UserOutcome(
-            cluster_idx=n,
-            sic_idx=m,
-            rate=float(out.rate[0, n, m]),
-            bound=float(out.bound[0, n, m]),
-            rho=float(out.rho[0, n, m]),
-            intra=float(out.intra[0, n, m]),
-            inter=float(out.inter[0, n, m]),
-        )
-        for n in range(config.num_clusters)
-        for m in range(config.users_per_cluster)
-    )
-    return TrialOutcome(users=users, sum_rate=float(out.rate[0].sum()))
+    return TrialOutputs(*(values[0] for values in evaluate(config, design, snr_db)))
 
 
 def run_scenario(config: ScenarioConfig, snr_db: float | None = None) -> RunManifest:
@@ -167,44 +136,16 @@ def run_scenario(config: ScenarioConfig, snr_db: float | None = None) -> RunMani
     )
 
 
-SWEEP_AOD_OF_USER = "aod_of_user"
-_SWEEP_VARIABLES = (SWEEP_AOD_OF_USER,)
+def sweep_grid(start: float, stop: float, step: float) -> list[float]:
+    """Points ``start + k * step`` from ``start`` to ``stop``, never past ``stop``.
 
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """What to sweep, over which grid, and which user to track.
-
-    ``target_user`` is a one-based (cluster, SIC position) pair.
+    The 1e-9 slack keeps ``stop`` on the grid when ``step`` divides the
+    range up to rounding.
     """
-
-    variable: str
-    start: float
-    stop: float
-    step: float
-    target_user: tuple[int, int] = (1, 2)
-
-    def __post_init__(self) -> None:
-        if self.variable not in _SWEEP_VARIABLES:
-            raise ConfigurationError(
-                f"sweep variable must be one of {_SWEEP_VARIABLES}, got {self.variable!r}"
-            )
-        if self.step <= 0 or self.stop < self.start:
-            raise ConfigurationError(
-                f"empty sweep range: start={self.start}, stop={self.stop}, step={self.step}"
-            )
-
-    def grid(self) -> list[float]:
-        n_steps = int(round((self.stop - self.start) / self.step))
-        return [self.start + k * self.step for k in range(n_steps + 1)]
-
-    def validate_target(self, config: ScenarioConfig) -> None:
-        n, m = self.target_user
-        if not (1 <= n <= config.num_clusters and 1 <= m <= config.users_per_cluster):
-            raise ConfigurationError(
-                f"sweep target user {self.target_user} does not exist in a "
-                f"{config.num_clusters}x{config.users_per_cluster} scenario"
-            )
+    if step <= 0 or stop < start:
+        raise ConfigurationError(f"empty sweep range: start={start}, stop={stop}, step={step}")
+    n_steps = math.floor((stop - start) / step + 1e-9)
+    return [start + k * step for k in range(n_steps + 1)]
 
 
 def spearman_rank_correlation(x: Sequence[float], y: Sequence[float]) -> float:
@@ -309,22 +250,13 @@ def sweep_fig2(
     per sweep point and SNR. All points share the master seed, so the
     fading draws are common random numbers across the sweep.
     """
-    sweep = SweepSpec(
-        variable=SWEEP_AOD_OF_USER,
-        start=FIG2_SWEEP_START_DEG,
-        stop=FIG2_SWEEP_STOP_DEG,
-        step=step_deg,
-        target_user=(1, 2),
-    )
+    grid = sweep_grid(FIG2_SWEEP_START_DEG, FIG2_SWEEP_STOP_DEG, step_deg)
     rows = []
     spearman: dict[float, float] = {}
     for snr in snr_db_values:
         rhos, rates = [], []
-        for aod in sweep.grid():
-            config = fig2_config(aod, seed, trials, snr)
-            sweep.validate_target(config)
-            manifest = run_scenario(config, snr_db=snr)
-            entry = manifest.user_entry(*sweep.target_user)
+        for aod in grid:
+            entry = run_scenario(fig2_config(aod, seed, trials, snr)).user_entry(1, 2)
             rows.append(
                 (aod, entry["rho_mean"], entry["rate_mean"], entry["rate_bound_mean"], snr)
             )
@@ -399,13 +331,8 @@ class Fig3Sweep:
 
 def sweep_fig3(step_deg: float = 0.5, seed: int = 1) -> Fig3Sweep:
     """Walk the weak user of cluster one across [-90, 90] degrees."""
-    sweep = SweepSpec(
-        variable=SWEEP_AOD_OF_USER, start=-90.0, stop=90.0, step=step_deg, target_user=(1, 2)
-    )
-    rows = []
-    for aod in sweep.grid():
-        config = fig3_config(aod, seed)
-        sweep.validate_target(config)
-        manifest = run_scenario(config)
-        rows.append((aod, manifest.user_entry(*sweep.target_user)["rho_mean"]))
+    rows = [
+        (aod, run_scenario(fig3_config(aod, seed)).user_entry(1, 2)["rho_mean"])
+        for aod in sweep_grid(-90.0, 90.0, step_deg)
+    ]
     return Fig3Sweep(rows=rows, seed=seed, version=__version__)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigurationError
-from .power import default_intra_fractions
+from .power import check_intra_fractions, default_intra_fractions
 
 _TOP_KEYS = ("bs_antennas", "mu_antennas", "snr_db", "seed", "trials", "intra_fractions")
 _USER_KEYS = ("aod_deg", "aoa_deg", "large_scale_db", "gain")
@@ -112,8 +112,6 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"all clusters must serve the same number of users, got sizes {sorted(sizes)}"
             )
-        if 0 in sizes:
-            raise ConfigurationError("clusters must contain users")
         if self.trials < 1:
             raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
         snrs = self.snr_db if isinstance(self.snr_db, tuple) else (self.snr_db,)
@@ -127,17 +125,7 @@ class ScenarioConfig:
                             f"angles must lie in [-90, 90] degrees, got {angle!r}"
                         )
         if self.intra_fractions is not None:
-            fr = self.intra_fractions
-            if len(fr) != self.users_per_cluster:
-                raise ConfigurationError(
-                    f"{len(fr)} intra fractions for {self.users_per_cluster} users per cluster"
-                )
-            if any(f <= 0 for f in fr):
-                raise ConfigurationError(f"intra fractions must be positive, got {fr}")
-            if abs(sum(fr) - 1.0) > 1e-9:
-                raise ConfigurationError(f"intra fractions must sum to 1, got {sum(fr)!r}")
-            if any(b < a for a, b in zip(fr, fr[1:])):
-                raise ConfigurationError(f"intra fractions must be nondecreasing, got {fr}")
+            check_intra_fractions(self.intra_fractions, self.users_per_cluster)
 
     def as_dict(self) -> dict:
         return {
@@ -220,7 +208,7 @@ def parse_config_text(text: str) -> ScenarioConfig:
             clusters.append(ClusterSpec(tuple(current)))
             current = None
         elif current is not None:
-            if not line.startswith("user"):
+            if line.split()[0] != "user":
                 raise ConfigurationError(
                     f"line {line_no}: cluster blocks may only contain user lines"
                 )
@@ -279,7 +267,7 @@ def parse_config_text(text: str) -> ScenarioConfig:
 
 def load_config(path: str | Path) -> ScenarioConfig:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     return parse_config_text(text)

@@ -1,43 +1,13 @@
 """Shared builders for randomized pipeline states."""
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from hbnoma import (
-    AngleSpec,
-    ArrayGeometry,
-    ClusterPlan,
-    PathGain,
-    SinglePathChannel,
-    allocate_power,
-    default_intra_fractions,
-    design_analog_stage,
-    effective_channels,
-    order_by_gain,
-    reorder_by_effective_norm,
-    zero_forcing_precoder,
-)
+from hbnoma import AngleSpec, ArrayGeometry, PathGain, SinglePathChannel, default_intra_fractions
 
-
-@dataclass
-class PipelineState:
-    """Everything a designed downlink scenario produces, for inspection."""
-
-    channels: dict
-    plan: ClusterPlan
-    precoder: object
-    combiners: dict
-    effective: object
-    baseband: object
-    powers: object
-    bs_antennas: int
-    mu_antennas: int
-
-    def first_aods_normalized(self):
-        return [self.channels[uid].aod.normalized for uid in self.plan.first_users]
+from object_pipeline import assemble
 
 
 def draw_scenario(
@@ -50,7 +20,7 @@ def draw_scenario(
     min_first_separation_deg=None,
     weak_user_offset_deg=None,
 ):
-    """Random channels through the full design pipeline.
+    """Random channels through ``object_pipeline.assemble``.
 
     First-user AoDs can be forced pairwise apart; weak users can be placed
     near their cluster's first user instead of uniformly.
@@ -102,31 +72,7 @@ def draw_scenario(
             uid += 1
         membership.append(members)
 
-    gains = {u: ch.gain.magnitude for u, ch in channels.items()}
-    plan = ClusterPlan(
-        tuple(tuple(order_by_gain({u: gains[u] for u in members})) for members in membership)
-    )
-    precoder, combiners = design_analog_stage(channels, plan)
-    effective = effective_channels(channels, precoder, combiners)
-    plan = reorder_by_effective_norm(effective, plan)
-    baseband = zero_forcing_precoder(
-        [effective.vector(u) for u in plan.first_users],
-        precoder,
-        [gains[u] for u in plan.first_users],
-        mu_antennas,
-    )
-    powers = allocate_power(plan, total_power, default_intra_fractions(users_per_cluster))
-    return PipelineState(
-        channels=channels,
-        plan=plan,
-        precoder=precoder,
-        combiners=combiners,
-        effective=effective,
-        baseband=baseband,
-        powers=powers,
-        bs_antennas=bs_antennas,
-        mu_antennas=mu_antennas,
-    )
+    return assemble(channels, membership, total_power, default_intra_fractions(users_per_cluster))
 
 
 @pytest.fixture

@@ -2,9 +2,12 @@
 
 Replays a trial the way v0.1.0 ran it: scalar generator draws, per-user
 channel objects, and the unit-level functions of every module.
+``assemble`` is the one copy of the design steps that the tests build on.
 """
 
 import math
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +31,104 @@ from hbnoma import (
 from hbnoma.runner import trial_seed
 
 FIELDS = ("rate", "bound", "rho", "intra", "inter")
+
+
+@dataclass
+class PipelineState:
+    """Every stage of one designed downlink trial, for inspection.
+
+    ``beam_plan`` orders users by channel gain, and each beam is steered at
+    its first user; ``plan`` is the SIC order after the effective-norm reorder.
+    """
+
+    channels: dict
+    beam_plan: ClusterPlan
+    plan: ClusterPlan
+    precoder: object
+    combiners: dict
+    effective: object
+    baseband: object
+    powers: object
+
+    @property
+    def bs_antennas(self):
+        return self.precoder.num_antennas
+
+    @property
+    def mu_antennas(self):
+        return next(iter(self.channels.values())).mu_array.num_elements
+
+    @property
+    def beam_users(self):
+        return self.beam_plan.first_users
+
+    @property
+    def demotions(self):
+        return sum(a[0] != b[0] for a, b in zip(self.beam_plan.assignments, self.plan.assignments))
+
+    def first_aods_normalized(self):
+        return [self.channels[uid].aod.normalized for uid in self.plan.first_users]
+
+    @cached_property
+    def values(self):
+        """(clusters, users, FIELDS) of every SIC position, from the unit-level functions."""
+        first_aods = self.first_aods_normalized()
+        plan, powers = self.plan, self.powers
+        values = np.zeros((len(plan.assignments), len(plan.assignments[0]), len(FIELDS)))
+        for ci, cluster in enumerate(plan.assignments):
+            for mi, uid in enumerate(cluster):
+                rb = user_rate(ci, mi, plan, self.effective, self.baseband, powers)
+                rho, bound = 1.0, rb.rate_bps_hz
+                if mi > 0:
+                    rho = hermitian_correlation(
+                        self.effective.vector(uid), self.effective.vector(cluster[0])
+                    ).rho
+                    bound = lower_bound_rate(
+                        sic_idx=mi,
+                        rho=rho,
+                        user_power=powers.power_of(uid),
+                        stronger_powers=[powers.power_of(cluster[k]) for k in range(mi)],
+                        cluster_power=powers.cluster_power[0],
+                        gain_magnitude=self.channels[uid].gain.magnitude,
+                        bs_antennas=self.bs_antennas,
+                        mu_antennas=self.mu_antennas,
+                        precoder=self.precoder,
+                        baseband=self.baseband,
+                        cluster_idx=ci,
+                        first_user_aods=first_aods,
+                        user_aod=self.channels[uid].aod.normalized,
+                    )
+                values[ci, mi] = (
+                    rb.rate_bps_hz, bound, rho, rb.intra_interference, rb.inter_interference
+                )
+        return values
+
+
+def assemble(channels, membership, total_power, fractions):
+    """Design one trial from its channels: the object-level pipeline.
+
+    Steer at the largest-gain users, reorder by effective norm, zero-force
+    the reordered first users and split the power; raises
+    SingularClusteringError when zero forcing rejects the geometry.
+    """
+    gains = {uid: ch.gain.magnitude for uid, ch in channels.items()}
+    beam_plan = ClusterPlan(
+        tuple(tuple(order_by_gain({u: gains[u] for u in members})) for members in membership)
+    )
+    precoder, combiners = design_analog_stage(channels, beam_plan)
+    effective = effective_channels(channels, precoder, combiners)
+    plan = reorder_by_effective_norm(effective, beam_plan)
+    baseband = zero_forcing_precoder([effective.vector(u) for u in plan.first_users], precoder)
+    return PipelineState(
+        channels=channels,
+        beam_plan=beam_plan,
+        plan=plan,
+        precoder=precoder,
+        combiners=combiners,
+        effective=effective,
+        baseband=baseband,
+        powers=allocate_power(plan, total_power, fractions),
+    )
 
 
 def materialize(config, rng):
@@ -61,69 +162,16 @@ def materialize(config, rng):
     return channels, membership
 
 
-class ObjectTrial:
-    """One trial through the object-level API, the reference for the engine.
-
-    Steer at the largest-gain users, reorder by effective norm, zero-force
-    the reordered first users; raises SingularClusteringError on rejection.
-    """
-
-    def __init__(self, config, rng, snr_db):
-        self.channels, membership = materialize(config, rng)
-        gains = {uid: ch.gain.magnitude for uid, ch in self.channels.items()}
-        by_gain = ClusterPlan(
-            tuple(tuple(order_by_gain({u: gains[u] for u in members})) for members in membership)
-        )
-        self.beam_users = by_gain.first_users
-        self.precoder, combiners = design_analog_stage(self.channels, by_gain)
-        self.effective = effective_channels(self.channels, self.precoder, combiners)
-        self.plan = reorder_by_effective_norm(self.effective, by_gain)
-        self.demotions = sum(
-            a[0] != b[0] for a, b in zip(by_gain.assignments, self.plan.assignments)
-        )
-        self.baseband = zero_forcing_precoder(
-            [self.effective.vector(uid) for uid in self.plan.first_users],
-            self.precoder,
-            [gains[uid] for uid in self.plan.first_users],
-            config.mu_antennas,
-        )
-        self.powers = allocate_power(plan=self.plan, total_power=10.0 ** (snr_db / 10.0),
-                                     intra_fractions=config.resolved_fractions())
-        first_aods = [self.channels[uid].aod.normalized for uid in self.plan.first_users]
-        n, m = config.num_clusters, config.users_per_cluster
-        self.values = np.zeros((n, m, len(FIELDS)))
-        for ci, cluster in enumerate(self.plan.assignments):
-            for mi, uid in enumerate(cluster):
-                rb = user_rate(ci, mi, self.plan, self.effective, self.baseband, self.powers)
-                rho, bound = 1.0, rb.rate_bps_hz
-                if mi > 0:
-                    rho = hermitian_correlation(
-                        self.effective.vector(uid), self.effective.vector(cluster[0])
-                    ).rho
-                    bound = lower_bound_rate(
-                        sic_idx=mi,
-                        rho=rho,
-                        user_power=self.powers.power_of(uid),
-                        stronger_powers=[self.powers.power_of(cluster[k]) for k in range(mi)],
-                        cluster_power=self.powers.cluster_power[0],
-                        gain_magnitude=gains[uid],
-                        bs_antennas=config.bs_antennas,
-                        mu_antennas=config.mu_antennas,
-                        precoder=self.precoder,
-                        baseband=self.baseband,
-                        cluster_idx=ci,
-                        first_user_aods=first_aods,
-                        user_aod=self.channels[uid].aod.normalized,
-                    )
-                self.values[ci, mi] = (
-                    rb.rate_bps_hz, bound, rho, rb.intra_interference, rb.inter_interference
-                )
+def object_trial(config, rng, snr_db):
+    """One trial of ``config`` through the object-level API, the reference for the engine."""
+    channels, membership = materialize(config, rng)
+    return assemble(channels, membership, 10.0 ** (snr_db / 10.0), config.resolved_fractions())
 
 
 def replay_run(config, snr_db):
     """Replay every trial from its sub-seeds, redrawing as ``run`` does.
 
-    Returns the accepted ObjectTrial of each trial and the redraw count;
+    Returns the accepted PipelineState of each trial and the redraw count;
     raises SingularClusteringError past the 1% redraw cap.
     """
     cap = math.ceil(0.01 * config.trials)
@@ -133,7 +181,7 @@ def replay_run(config, snr_db):
         while True:
             rng = np.random.default_rng(trial_seed(config.seed, t, attempt))
             try:
-                trials.append(ObjectTrial(config, rng, snr_db))
+                trials.append(object_trial(config, rng, snr_db))
                 break
             except SingularClusteringError:
                 redraws += 1

@@ -73,12 +73,7 @@ def test_criterion_1_zero_forcing_orthogonality():
         precoder, combiners = design_analog_stage(channels, plan)
         effective = effective_channels(channels, precoder, combiners)
         try:
-            baseband = zero_forcing_precoder(
-                [effective.vector(u) for u in range(n)],
-                precoder,
-                [channels[u].gain.magnitude for u in range(n)],
-                4,
-            )
+            baseband = zero_forcing_precoder([effective.vector(u) for u in range(n)], precoder)
         except SingularClusteringError:
             redraws += 1
             continue

@@ -155,7 +155,7 @@ class TestLeakageEigenvalue:
         for _ in range(20):
             n = int(rng.integers(2, 5))
             matrix = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            baseband = BasebandPrecoder(matrix, np.ones(n))
+            baseband = BasebandPrecoder(matrix)
             for drop in range(n):
                 reduced = baseband.without_column(drop)
                 s = reduced @ reduced.conj().T

@@ -13,7 +13,7 @@ from hbnoma.runner import trial_seed
 from hbnoma.scenario import parse_config_text
 
 from bruteforce import array_response
-from object_pipeline import ObjectTrial
+from object_pipeline import object_trial
 
 CONFIG = """
 bs_antennas = 16
@@ -103,6 +103,13 @@ class TestRunCommand:
         assert code == 4
         assert "i/o error" in capsys.readouterr().err
 
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(CONFIG.encode() + b"# caf\xff\n")
+        for command in ("run", "validate"):
+            assert main([command, "--config", str(path)]) == 2
+            assert "configuration error" in capsys.readouterr().err
+
     def test_snr_list_rejected_for_run(self, tmp_path):
         path = tmp_path / "multi.cfg"
         path.write_text(CONFIG.replace("snr_db = 5", "snr_db = 0,5"))
@@ -132,6 +139,16 @@ class TestSweepCommands:
 
     def test_fig3_rejects_bad_step(self):
         assert main(["fig3", "--step", "-1"]) == 2
+
+    def test_fig2_rejects_bad_step(self, capsys):
+        assert main(["fig2", "--step", "0"]) == 2
+        assert "empty sweep range" in capsys.readouterr().err
+
+    def test_fig3_grid_stops_before_passing_90(self, capsys):
+        assert main(["fig3", "--step", "7"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[1].split(",")[0] == "-90"
+        assert rows[-1].split(",")[0] == "85"
 
 
 class TestValidateCommand:
@@ -164,7 +181,7 @@ class TestValidateCommand:
         assert np.array_equal(evaluate(config, design, 5.0).rate[0], run.rate[0])
         # the printed beams are where the object-level replay of that draw steers
         rng = np.random.default_rng(trial_seed(config.seed, 0, attempt))
-        reference = ObjectTrial(config, rng, 5.0)
+        reference = object_trial(config, rng, 5.0)
         beams = printed(f"design of trial 0 (attempt {attempt}), beams at ")
         steered = [reference.channels[u].aod for u in reference.beam_users]
         assert [float(b) for b in ast.literal_eval(beams.removesuffix(" deg"))] == [

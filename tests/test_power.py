@@ -12,10 +12,13 @@ from hbnoma import (
     AngleSpec,
     ArrayGeometry,
     ClusterPlan,
+    ClusterSpec,
     ConfigurationError,
     EffectiveChannelSet,
     PathGain,
+    ScenarioConfig,
     SinglePathChannel,
+    UserSpec,
     allocate_power,
     default_intra_fractions,
     design_analog_stage,
@@ -109,6 +112,28 @@ class TestAllocatePower:
         with pytest.raises(ConfigurationError):
             allocate_power(ClusterPlan(((0,),)), 0.0, (1.0,))
 
+    @pytest.mark.parametrize(
+        "fractions, reason",
+        [
+            ((1.0,), "1 intra fractions for 2 users"),
+            ((-0.25, 1.25), "positive"),
+            ((0.5, 0.6), "sum to 1"),
+            ((0.75, 0.25), "nondecreasing"),
+        ],
+    )
+    def test_config_and_allocation_reject_alike(self, fractions, reason):
+        user = UserSpec(aod_deg=0.0, aoa_deg=0.0)
+        with pytest.raises(ConfigurationError, match=reason) as from_config:
+            ScenarioConfig(
+                bs_antennas=16,
+                mu_antennas=4,
+                clusters=(ClusterSpec((user, user)), ClusterSpec((user, user))),
+                intra_fractions=fractions,
+            )
+        with pytest.raises(ConfigurationError) as from_allocation:
+            allocate_power(ClusterPlan(((0, 1), (2, 3))), 1.0, fractions)
+        assert str(from_config.value) == str(from_allocation.value)
+
     @given(
         n=st.integers(min_value=1, max_value=5),
         m=st.integers(min_value=1, max_value=5),
@@ -192,7 +217,6 @@ class TestReorderByEffectiveNorm:
         assert k_near * 0.45**2 > k_far * 0.5**2
         reordered = reorder_by_effective_norm(effective, plan)
         assert reordered.assignments == ((0, 2, 1),)
-        assert reordered.ordering_basis == "effective_norm"
 
     def test_colocated_users_keep_gain_order(self):
         channels, plan, effective = _cluster_channels(

@@ -67,7 +67,7 @@ class TestIntraInterference:
 
         vec = np.array([2.0 + 0j])
         vectors = {0: vec, 1: vec, 2: vec}
-        baseband = BasebandPrecoder(np.array([[1.0 + 0j]]), np.array([1.0]))
+        baseband = BasebandPrecoder(np.array([[1.0 + 0j]]))
         plan, effective, powers = synthetic_state(
             vectors, ((0, 1, 2),), {0: 0.1, 1: 0.3, 2: 0.6}, baseband
         )
@@ -79,7 +79,7 @@ class TestIntraInterference:
         from hbnoma.precoding import BasebandPrecoder
 
         vec = np.array([1.3 - 0.4j])
-        baseband = BasebandPrecoder(np.array([[1.0 + 0j]]), np.array([1.0]))
+        baseband = BasebandPrecoder(np.array([[1.0 + 0j]]))
         plan, effective, powers = synthetic_state(
             {u: vec for u in range(4)},
             ((0, 1, 2, 3),),
@@ -142,7 +142,7 @@ class TestUserRate:
         from hbnoma.precoding import BasebandPrecoder
 
         vectors = {0: np.array([1.0 + 0j, 0.0]), 1: np.array([0.0j, 1.0])}
-        baseband = BasebandPrecoder(np.eye(2, dtype=complex), np.ones(2))
+        baseband = BasebandPrecoder(np.eye(2, dtype=complex))
         plan, effective, powers = synthetic_state(
             vectors, ((0,), (1,)), {0: 1.0, 1: 1.0}, baseband
         )
@@ -166,7 +166,7 @@ class TestUserRate:
         from hbnoma.precoding import BasebandPrecoder
 
         vec = np.array([3.0 + 0j])
-        baseband = BasebandPrecoder(np.array([[1.0 + 0j]]), np.array([1.0]))
+        baseband = BasebandPrecoder(np.array([[1.0 + 0j]]))
         plan, effective, powers = synthetic_state(
             {0: vec, 1: vec}, ((0, 1),), {0: 0.5, 1: 0.5}, baseband
         )

@@ -9,7 +9,6 @@ from hbnoma import ClusterSpec, ConfigurationError, ScenarioConfig, SingularClus
 from hbnoma.results import render_csv, render_json
 from hbnoma.runner import (
     Fig3Sweep,
-    SweepSpec,
     fig2_config,
     fig3_config,
     run_scenario,
@@ -17,6 +16,7 @@ from hbnoma.runner import (
     spearman_rank_correlation,
     sweep_fig2,
     sweep_fig3,
+    sweep_grid,
     trial_seed,
 )
 
@@ -85,8 +85,7 @@ class TestManifest:
         rates = []
         for t in range(8):
             rng = np.random.default_rng(trial_seed(config.seed, t))
-            outcome = run_trial(config, rng, 5.0)
-            rates.append(outcome.users[1].rate)  # position (1, 2)
+            rates.append(run_trial(config, rng, 5.0).rate[0, 1])  # position (1, 2)
         assert manifest.user_entry(1, 2)["rate_mean"] == pytest.approx(
             float(np.mean(rates)), rel=1e-12
         )
@@ -134,7 +133,7 @@ class TestRedrawPolicy:
             rates = []
             for t in range(120):
                 seed = trial_seed(config.seed, t, attempt_of_two if t == 2 else 0)
-                rates.append(run_trial(config, np.random.default_rng(seed), 5.0).users[1].rate)
+                rates.append(run_trial(config, np.random.default_rng(seed), 5.0).rate[0, 1])
             return float(np.mean(rates))
 
         mean = manifest.user_entry(1, 2)["rate_mean"]
@@ -184,28 +183,25 @@ class TestFig2Sweep:
         assert "spearman_rho_vs_rate_by_snr" in payload
 
 
-class TestSweepSpec:
+class TestSweepGrid:
     def test_grid_includes_both_endpoints(self):
-        spec = SweepSpec("aod_of_user", 50.0, 60.0, 2.5)
-        assert spec.grid() == [50.0, 52.5, 55.0, 57.5, 60.0]
+        assert sweep_grid(50.0, 60.0, 2.5) == [50.0, 52.5, 55.0, 57.5, 60.0]
 
     def test_empty_range_rejected(self):
         with pytest.raises(ConfigurationError):
-            SweepSpec("aod_of_user", 60.0, 50.0, 0.5)
+            sweep_grid(60.0, 50.0, 0.5)
         with pytest.raises(ConfigurationError):
-            SweepSpec("aod_of_user", 0.0, 5.0, 0.0)
-
-    def test_unknown_variable_rejected(self):
+            sweep_grid(0.0, 5.0, 0.0)
         with pytest.raises(ConfigurationError):
-            SweepSpec("frequency", 0.0, 1.0, 0.1)
+            sweep_grid(0.0, 5.0, -1.0)
 
-    def test_target_user_must_exist(self):
-        spec = SweepSpec("aod_of_user", 50.0, 60.0, 1.0, target_user=(3, 1))
-        with pytest.raises(ConfigurationError, match="does not exist"):
-            spec.validate_target(fig2_config(55.0, seed=1, trials=1, snr_db=5.0))
-        SweepSpec("aod_of_user", 50.0, 60.0, 1.0, target_user=(2, 2)).validate_target(
-            fig2_config(55.0, seed=1, trials=1, snr_db=5.0)
-        )
+    def test_grid_never_passes_stop(self):
+        assert sweep_grid(50.0, 60.0, 6.0) == [50.0, 56.0]
+        assert sweep_grid(-90.0, 90.0, 7.0)[-1] == 85.0
+
+    def test_step_dividing_the_range_up_to_rounding_keeps_stop(self):
+        # 0.3 / 0.1 is 2.9999999999999996
+        assert len(sweep_grid(0.0, 0.3, 0.1)) == 4
 
 
 class TestEmission:

@@ -76,6 +76,10 @@ class TestParsing:
         with pytest.raises(ConfigurationError):
             parse_config_text(mutation(GOOD))
 
+    def test_user_keyword_is_a_whole_token(self):
+        with pytest.raises(ConfigurationError, match="only contain user lines"):
+            parse_config_text(GOOD.replace("user aod_deg=60", "username aod_deg=10"))
+
     def test_unterminated_block(self):
         with pytest.raises(ConfigurationError, match="unterminated"):
             parse_config_text("bs_antennas = 4\nmu_antennas = 1\ncluster {\n user aod_deg=0 aoa_deg=0\n")
