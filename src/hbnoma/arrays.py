@@ -1,9 +1,9 @@
 """Uniform linear arrays, single-path mmWave channels, and beam correlation.
 
-Angles are carried in two forms: the physical angle in radians (restricted
-to [-pi/2, pi/2], broadside convention) and the normalized spatial
-frequency 2*(d/lambda)*sin(angle). With half-wavelength spacing the
-normalized angle spans exactly [-1, 1].
+Arrays have half-wavelength element spacing. Angles are carried in two
+forms: the physical angle in radians (restricted to [-pi/2, pi/2], broadside
+convention) and the normalized spatial frequency 2*(d/lambda)*sin(angle),
+which at d = lambda/2 is sin(angle) and spans exactly [-1, 1].
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-HALF_WAVELENGTH = 0.5
-
 # |sin(pi*delta/2)| below this is treated as the removable singularity of
 # the correlation kernel (delta congruent to 0 mod 2, identical beams).
 _KERNEL_SINGULARITY_TOL = 1e-9
@@ -22,25 +20,22 @@ _KERNEL_SINGULARITY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """A uniform linear array: element count and spacing in wavelengths."""
+    """A half-wavelength uniform linear array with ``num_elements`` elements."""
 
     num_elements: int
-    spacing_ratio: float = HALF_WAVELENGTH
 
     def __post_init__(self) -> None:
         if self.num_elements < 1:
             raise ValueError(f"num_elements must be >= 1, got {self.num_elements}")
-        if not self.spacing_ratio > 0:
-            raise ValueError(f"spacing_ratio must be positive, got {self.spacing_ratio}")
 
 
-def normalized_angle(physical_rad: float, spacing_ratio: float = HALF_WAVELENGTH) -> float:
-    """Spatial frequency 2*(d/lambda)*sin(angle) of a physical angle in radians."""
+def normalized_angle(physical_rad: float) -> float:
+    """Spatial frequency sin(angle) of a physical angle in radians, at d = lambda/2."""
     if not -math.pi / 2 <= physical_rad <= math.pi / 2:
         raise ValueError(
             f"physical angle must lie in [-pi/2, pi/2], got {physical_rad!r}"
         )
-    return 2.0 * spacing_ratio * math.sin(physical_rad)
+    return math.sin(physical_rad)
 
 
 @dataclass(frozen=True)
@@ -55,21 +50,18 @@ class AngleSpec:
             raise ValueError(f"normalized angle must lie in [-1, 1], got {self.normalized!r}")
 
     @classmethod
-    def from_physical(cls, physical_rad: float, spacing_ratio: float = HALF_WAVELENGTH) -> "AngleSpec":
-        return cls(physical_rad, normalized_angle(physical_rad, spacing_ratio))
+    def from_physical(cls, physical_rad: float) -> "AngleSpec":
+        return cls(physical_rad, normalized_angle(physical_rad))
 
     @classmethod
-    def from_degrees(cls, physical_deg: float, spacing_ratio: float = HALF_WAVELENGTH) -> "AngleSpec":
-        return cls.from_physical(math.radians(physical_deg), spacing_ratio)
+    def from_degrees(cls, physical_deg: float) -> "AngleSpec":
+        return cls.from_physical(math.radians(physical_deg))
 
     @classmethod
-    def from_normalized(cls, normalized: float, spacing_ratio: float = HALF_WAVELENGTH) -> "AngleSpec":
-        sine = normalized / (2.0 * spacing_ratio)
-        if not -1.0 <= sine <= 1.0:
-            raise ValueError(
-                f"normalized angle {normalized!r} has no physical angle at spacing {spacing_ratio!r}"
-            )
-        return cls(math.asin(sine), normalized)
+    def from_normalized(cls, normalized: float) -> "AngleSpec":
+        if not -1.0 <= normalized <= 1.0:
+            raise ValueError(f"normalized angle {normalized!r} has no physical angle")
+        return cls(math.asin(normalized), normalized)
 
 
 @dataclass(frozen=True)
@@ -91,15 +83,6 @@ class PathGain:
     @property
     def magnitude(self) -> float:
         return abs(self.beta)
-
-    @classmethod
-    def from_distance(
-        cls, small_scale: complex, distance: float, pathloss_exponent: float
-    ) -> "PathGain":
-        """Large-scale level D**(-nu) expressed in dB from distance in meters."""
-        if distance <= 0:
-            raise ValueError(f"distance must be positive, got {distance!r}")
-        return cls(small_scale, -10.0 * pathloss_exponent * math.log10(distance))
 
 
 @dataclass(frozen=True)

@@ -48,10 +48,6 @@ class BoundComponents:
     zeta_intra: float
     zeta_inter: float
     zeta_noise: float
-    eta: float
-    kernel_sum_first: float
-    kernel_sum_user: float
-    lambda_max_s: float
 
 
 def hermitian_correlation(hm: np.ndarray, h1: np.ndarray) -> CorrelationReport:
@@ -167,15 +163,7 @@ def bound_components(
     zeta_intra = sum(stronger_powers) * rho**2 * received
     zeta_inter = cluster_power * (1.0 - rho**2) * received * lam * eta * ks_first
     zeta_noise = eta * ks_first / ks_user
-    return BoundComponents(
-        zeta_intra=zeta_intra,
-        zeta_inter=zeta_inter,
-        zeta_noise=zeta_noise,
-        eta=eta,
-        kernel_sum_first=ks_first,
-        kernel_sum_user=ks_user,
-        lambda_max_s=lam,
-    )
+    return BoundComponents(zeta_intra=zeta_intra, zeta_inter=zeta_inter, zeta_noise=zeta_noise)
 
 
 def lower_bound_rate(

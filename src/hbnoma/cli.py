@@ -115,7 +115,7 @@ def _cmd_validate(args) -> int:
     precoder = AnalogPrecoder(np.column_stack([steering_vector(a, bs) for a in beams]))
     baseband = design.baseband[0]
     report = power_constraint_check(precoder, BasebandPrecoder(baseband))
-    first = design.first_rows[0]
+    first = design.rows[0, :, 0]
     # |h_n^H f_j| / ||h_n|| of each cluster's SIC-first user n on every other beam j
     coupling = np.abs(first @ baseband) / np.linalg.norm(first, axis=1)[:, None]
     leakage = coupling[~np.eye(config.num_clusters, dtype=bool)].max(initial=0.0)

@@ -173,8 +173,9 @@ class TrialSampler:
 class Design(NamedTuple):
     """Precoders of a batch of accepted trials.
 
-    Arrays lead with the trial axis; user axes are in config order, and
-    ``sic`` gives each cluster's users in SIC order (strongest first).
+    Arrays lead with the trial axis; every user axis is in SIC order
+    (strongest first), and ``sic`` maps each SIC position back to the
+    user's index in the config.
     """
 
     aod: np.ndarray  # (C, N, M) normalized AoD
@@ -182,19 +183,10 @@ class Design(NamedTuple):
     beam_aod: np.ndarray  # (C, N) normalized AoD each analog beam is steered at
     rows: np.ndarray  # (C, N, M, N) conjugated effective channels, h^H = w^H H F_rf
     norm: np.ndarray  # (C, N, M) effective-channel norms
-    sic: np.ndarray  # (C, N, M) users of each cluster by descending effective norm
+    sic: np.ndarray  # (C, N, M) config index of each SIC position
     demoted: np.ndarray  # (C, N) the beam's user lost first place in the SIC order
     gram: np.ndarray  # (C, N, N) F_rf^H F_rf
     baseband: np.ndarray  # (C, N, N) zero-forcing precoder, unit power per beam
-
-    @property
-    def first_rows(self) -> np.ndarray:
-        """(C, N, N): row n is h^H of cluster n's SIC-first user."""
-        return _first_rows(self.rows, self.sic)
-
-
-def _first_rows(rows: np.ndarray, sic: np.ndarray) -> np.ndarray:
-    return np.take_along_axis(rows, sic[..., :1, None], axis=2)[:, :, 0]
 
 
 def zero_forcing_rejects(first_rows: np.ndarray) -> np.ndarray:
@@ -212,9 +204,9 @@ def design_trials(
 
     Returns the acceptance mask and the design of the accepted trials. Beams
     are steered at each cluster's largest-|beta| user (ties to the lower
-    index); users are then reordered by effective-channel norm, and zero
-    forcing uses the reordered first users, as ``power.reorder_by_effective_norm``
-    and ``precoding.zero_forcing_precoder`` do.
+    index); every per-user array is then put in SIC order, by descending
+    effective-channel norm, and zero forcing uses the SIC-first users, as
+    ``power.reorder_by_effective_norm`` and ``precoding.zero_forcing_precoder`` do.
     """
     t_bs = config.bs_antennas
     gain = np.abs(beta)
@@ -226,12 +218,14 @@ def design_trials(
     )
     norm = np.sqrt(np.sum(rows.real**2 + rows.imag**2, axis=-1))
     sic = np.argsort(-norm, axis=2, kind="stable")
-    first_rows = _first_rows(rows, sic)
-    accepted = ~zero_forcing_rejects(first_rows)
+    aod, gain, norm = (np.take_along_axis(a, sic, axis=2) for a in (aod, gain, norm))
+    rows = np.take_along_axis(rows, sic[..., None], axis=2)
+    accepted = ~zero_forcing_rejects(rows[:, :, 0])
     if not accepted.all():
-        aod, gain, beam_aod, rows, norm, sic, beam_user, first_rows = (
-            a[accepted] for a in (aod, gain, beam_aod, rows, norm, sic, beam_user, first_rows)
+        aod, gain, beam_aod, rows, norm, sic, beam_user = (
+            a[accepted] for a in (aod, gain, beam_aod, rows, norm, sic, beam_user)
         )
+    first_rows = rows[:, :, 0]
     n = config.num_clusters
     # LU solve of first_rows @ F0 = I; explicit inversion loses digits at T_BS = 64
     raw = np.linalg.solve(first_rows, np.broadcast_to(np.eye(n, dtype=complex), first_rows.shape))
@@ -274,8 +268,7 @@ def evaluate(config: ScenarioConfig, design: Design, snr_db: float) -> TrialOutp
     powers = np.array(user_power)
     stronger = np.array([sum(user_power[:k]) for k in range(m)])
 
-    sic = design.sic
-    rows = np.take_along_axis(design.rows, sic[..., None], axis=2)
+    rows = design.rows
     # h^H f_j for every user and beam j, summed over the beam axis in order
     baseband = design.baseband[:, None, None]  # (C, 1, 1, N, N)
     coupling = rows[..., 0, None] * baseband[..., 0, :]
@@ -289,9 +282,8 @@ def evaluate(config: ScenarioConfig, design: Design, snr_db: float) -> TrialOutp
     inter = sum(user_power) * leaked
     rate = np.log2(1.0 + desired / (intra + inter + 1.0))
 
-    norm = np.take_along_axis(design.norm, sic, axis=2)
     inner = np.abs(np.sum(rows * rows[:, :, :1].conj(), axis=-1))
-    rho = np.minimum(inner / (norm * norm[..., :1]), 1.0)
+    rho = np.minimum(inner / (design.norm * design.norm[..., :1]), 1.0)
     rho[..., 0] = 1.0
 
     bound = rate.copy()
@@ -302,19 +294,17 @@ def evaluate(config: ScenarioConfig, design: Design, snr_db: float) -> TrialOutp
             raise ValueError("analog precoder is rank deficient; eta is undefined")
         kappa = lam_max / lam_min
         eta = (0.25 * (kappa + 1.0 / kappa + 2.0))[:, None, None]
-        aod = np.take_along_axis(design.aod, sic, axis=2)
-        first_aod = aod[..., 0]
+        first_aod = design.aod[..., 0]
         ks_first = np.sum(fejer_kernel(first_aod[:, :, None] - first_aod[:, None, :], t_bs), axis=1)
         ks_first = ks_first[..., None]
-        ks_user = np.sum(fejer_kernel(first_aod[:, :, None, None] - aod[:, None], t_bs), axis=1)
+        ks_user = np.sum(fejer_kernel(first_aod[:, :, None, None] - design.aod[:, None], t_bs), axis=1)
         lam = _max_leakage_eigenvalues(design.baseband)[..., None]
-        gain = np.take_along_axis(design.gain, sic, axis=2)
-        received = t_bs * t_mu * gain**2
+        received = t_bs * t_mu * design.gain**2
         rho2 = rho**2
         zeta_intra = stronger * rho2 * received
         zeta_inter = cluster_power * (1.0 - rho2) * received * lam * eta * ks_first
         zeta_noise = eta * ks_first / ks_user
-        numerator = powers * rho2 * t_bs * t_mu * gain**2
+        numerator = powers * rho2 * t_bs * t_mu * design.gain**2
         weak = np.log2(1.0 + numerator / (zeta_intra + zeta_inter + zeta_noise))
         bound[..., 1:] = weak[..., 1:]
     return TrialOutputs(rate=rate, bound=bound, rho=rho, intra=intra, inter=inter)

@@ -8,7 +8,6 @@ with the strongest channel receives the least power.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -16,8 +15,6 @@ from .errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .precoding import EffectiveChannelSet
-
-logger = logging.getLogger(__name__)
 
 # Allowed distance of the intra fractions' sum from one.
 _FRACTION_TOL = 1e-9
@@ -84,19 +81,15 @@ def reorder_by_effective_norm(effective: "EffectiveChannelSet", plan: ClusterPla
 
     The analog stage steers each beam at its cluster's strongest user, so
     that user should keep the largest effective norm. This is verified
-    rather than assumed: a demotion is logged and the norm ordering kept.
+    rather than assumed: when it does not, the norm ordering is kept, and the
+    returned plan shows the demotion.
     """
-    reordered = []
-    for cluster in plan.assignments:
-        ranked = sorted(cluster, key=lambda uid: (-effective.norm(uid), uid))
-        if ranked[0] != cluster[0]:
-            logger.warning(
-                "effective-norm reordering demoted first user %d below %d",
-                cluster[0],
-                ranked[0],
-            )
-        reordered.append(tuple(ranked))
-    return ClusterPlan(tuple(reordered))
+    return ClusterPlan(
+        tuple(
+            tuple(sorted(cluster, key=lambda uid: (-effective.norm(uid), uid)))
+            for cluster in plan.assignments
+        )
+    )
 
 
 def default_intra_fractions(users_per_cluster: int) -> tuple[float, ...]:

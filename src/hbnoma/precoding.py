@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .arrays import SinglePathChannel, channel_matrix, steering_vector
-from .errors import ConfigurationError, SingularClusteringError
+from .errors import SingularClusteringError
 from .power import ClusterPlan
 
 # Condition number of H_eff H_eff^* beyond which the cluster geometry is
@@ -24,6 +24,9 @@ MAX_GRAM_CONDITION = 1e12
 # Relative eigenvalue floor of the analog beams' Gram matrix below which the
 # beam set counts as rank deficient.
 BEAM_RANK_TOL = 1e-14
+# Allowed deviation of the radiated power (relative, floored at one) and of
+# each analog modulus from their targets.
+CONSTRAINT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -84,11 +87,10 @@ class PrecoderDiagnostics:
     column_norms: tuple[float, ...]
     max_modulus_deviation: float
     modulus_violations: tuple[tuple[int, int], ...]
-    tolerance: float
 
     @property
     def power_ok(self) -> bool:
-        return abs(self.frobenius_sq - self.expected_frobenius_sq) <= self.tolerance * max(
+        return abs(self.frobenius_sq - self.expected_frobenius_sq) <= CONSTRAINT_TOL * max(
             1.0, self.expected_frobenius_sq
         )
 
@@ -111,8 +113,6 @@ def design_analog_stage(
     vector, points at the user's own AoA and beam n points at the AoD of
     cluster n's first user.
     """
-    if not plan.assignments:
-        raise ConfigurationError("cluster plan is empty")
     first_channels = [channels[uid] for uid in plan.first_users]
     bs_array = first_channels[0].bs_array
     columns = [steering_vector(ch.aod, bs_array) for ch in first_channels]
@@ -179,7 +179,7 @@ def zero_forcing_precoder(
 
 
 def power_constraint_check(
-    precoder: AnalogPrecoder, baseband: BasebandPrecoder, tolerance: float = 1e-9
+    precoder: AnalogPrecoder, baseband: BasebandPrecoder
 ) -> PrecoderDiagnostics:
     """Report how well the designed pair meets its hardware/power constraints."""
     product = precoder.matrix @ baseband.matrix
@@ -189,7 +189,7 @@ def power_constraint_check(
     target = 1.0 / math.sqrt(precoder.num_antennas)
     deviations = np.abs(moduli - target)
     violations = tuple(
-        (int(i), int(j)) for i, j in zip(*np.nonzero(deviations > tolerance))
+        (int(i), int(j)) for i, j in zip(*np.nonzero(deviations > CONSTRAINT_TOL))
     )
     return PrecoderDiagnostics(
         frobenius_sq=frobenius_sq,
@@ -197,5 +197,4 @@ def power_constraint_check(
         column_norms=column_norms,
         max_modulus_deviation=float(deviations.max()),
         modulus_violations=violations,
-        tolerance=tolerance,
     )

@@ -12,7 +12,7 @@ from typing import Protocol
 
 
 class Emittable(Protocol):
-    def csv_header(self) -> tuple[str, ...]: ...
+    CSV_HEADER: tuple[str, ...]
 
     def csv_rows(self) -> list[tuple]: ...
 
@@ -26,7 +26,7 @@ def format_value(value) -> str:
 
 
 def render_csv(payload: Emittable) -> str:
-    lines = [",".join(payload.csv_header())]
+    lines = [",".join(payload.CSV_HEADER)]
     for row in payload.csv_rows():
         lines.append(",".join(format_value(v) for v in row))
     return "\n".join(lines) + "\n"

@@ -12,7 +12,7 @@ budget. The trials themselves run through the batched engine in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -37,39 +37,15 @@ class RunManifest:
     sum_rate_mean: float
     bound_violation_rate: float
     bound_violation_max_excess: float
-    users: list[dict] = field(default_factory=list)
+    users: list[dict]
 
     CSV_HEADER = ("user_n", "user_m", "rate_mean", "rate_bound_mean", "intra_mean", "inter_mean")
 
-    def csv_header(self) -> tuple[str, ...]:
-        return self.CSV_HEADER
-
     def csv_rows(self) -> list[tuple]:
-        return [
-            (
-                u["user_n"],
-                u["user_m"],
-                u["rate_mean"],
-                u["rate_bound_mean"],
-                u["intra_mean"],
-                u["inter_mean"],
-            )
-            for u in self.users
-        ]
+        return [tuple(u[column] for column in self.CSV_HEADER) for u in self.users]
 
     def as_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "seed": self.seed,
-            "trials": self.trials,
-            "version": self.version,
-            "singular_redraws": self.singular_redraws,
-            "first_user_demotions": self.first_user_demotions,
-            "sum_rate_mean": self.sum_rate_mean,
-            "bound_violation_rate": self.bound_violation_rate,
-            "bound_violation_max_excess": self.bound_violation_max_excess,
-            "users": self.users,
-        }
+        return asdict(self)
 
     def user_entry(self, user_n: int, user_m: int) -> dict:
         for entry in self.users:
@@ -92,14 +68,14 @@ def run_trial(config: ScenarioConfig, rng: np.random.Generator, snr_db: float) -
     return TrialOutputs(*(values[0] for values in evaluate(config, design, snr_db)))
 
 
-def run_scenario(config: ScenarioConfig, snr_db: float | None = None) -> RunManifest:
+def run_scenario(config: ScenarioConfig) -> RunManifest:
     """Run the configured trial budget and aggregate position-wise means.
 
     Singular cluster draws are redrawn under a fresh attempt seed; more
     redraws than one percent of the budget aborts the run. Means are
     reduced once, over all trials in index order.
     """
-    snr = config.single_snr_db() if snr_db is None else float(snr_db)
+    snr = config.single_snr_db()
     sim = simulate(config, snr)
     out = sim.outputs
     means = {name: getattr(out, name).sum(axis=0) / config.trials for name in out._fields}
@@ -136,16 +112,28 @@ def run_scenario(config: ScenarioConfig, snr_db: float | None = None) -> RunMani
     )
 
 
+# Most points a sweep grid may have; fig3's default grid has 361.
+MAX_SWEEP_POINTS = 100_000
+
+
 def sweep_grid(start: float, stop: float, step: float) -> list[float]:
     """Points ``start + k * step`` from ``start`` to ``stop``, never past ``stop``.
 
     The 1e-9 slack keeps ``stop`` on the grid when ``step`` divides the
-    range up to rounding.
+    range up to rounding. The step must be finite, and the grid may have at
+    most ``MAX_SWEEP_POINTS`` points; the count is checked before the grid
+    is built.
     """
+    if not math.isfinite(step):
+        raise ConfigurationError(f"sweep step must be finite, got {step}")
     if step <= 0 or stop < start:
         raise ConfigurationError(f"empty sweep range: start={start}, stop={stop}, step={step}")
-    n_steps = math.floor((stop - start) / step + 1e-9)
-    return [start + k * step for k in range(n_steps + 1)]
+    steps = (stop - start) / step + 1e-9
+    if steps >= MAX_SWEEP_POINTS:
+        raise ConfigurationError(
+            f"sweep step {step} gives more than {MAX_SWEEP_POINTS} points from {start} to {stop}"
+        )
+    return [start + k * step for k in range(math.floor(steps) + 1)]
 
 
 def spearman_rank_correlation(x: Sequence[float], y: Sequence[float]) -> float:
@@ -218,9 +206,6 @@ class Fig2Sweep:
     version: str
 
     CSV_HEADER = ("aod_deg", "rho", "rate_sim_bps_hz", "rate_bound_bps_hz", "snr_db")
-
-    def csv_header(self) -> tuple[str, ...]:
-        return self.CSV_HEADER
 
     def csv_rows(self) -> list[tuple]:
         return list(self.rows)
@@ -314,9 +299,6 @@ class Fig3Sweep:
     version: str
 
     CSV_HEADER = ("aod_deg", "rho")
-
-    def csv_header(self) -> tuple[str, ...]:
-        return self.CSV_HEADER
 
     def csv_rows(self) -> list[tuple]:
         return list(self.rows)

@@ -124,6 +124,15 @@ class ScenarioConfig:
                         raise ConfigurationError(
                             f"angles must lie in [-90, 90] degrees, got {angle!r}"
                         )
+                if not math.isfinite(user.large_scale_db):
+                    raise ConfigurationError(
+                        f"large_scale_db must be finite, got {user.large_scale_db!r}"
+                    )
+                # a zero gain leaves rho at 0/0
+                if user.small_scale is not None and not 0.0 < abs(user.small_scale) < math.inf:
+                    raise ConfigurationError(
+                        f"gain must be finite and nonzero, got {user.small_scale!r}"
+                    )
         if self.intra_fractions is not None:
             check_intra_fractions(self.intra_fractions, self.users_per_cluster)
 

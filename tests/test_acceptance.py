@@ -28,7 +28,7 @@ from hbnoma import (
     zero_forcing_precoder,
 )
 from hbnoma.cli import main as cli_main
-from hbnoma.runner import fig2_config, run_scenario, sweep_fig2, sweep_fig3
+from hbnoma.runner import run_scenario, sweep_fig2, sweep_fig3
 
 from bruteforce import rate_table
 from conftest import draw_scenario

@@ -110,6 +110,13 @@ class TestRunCommand:
             assert main([command, "--config", str(path)]) == 2
             assert "configuration error" in capsys.readouterr().err
 
+    def test_nonfinite_gain_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.cfg"
+        path.write_text(CONFIG.replace("aod_deg=55 aoa_deg=random large_scale_db=-10",
+                                       "aod_deg=55 aoa_deg=random large_scale_db=nan"))
+        assert main(["run", "--config", str(path)]) == 2
+        assert "large_scale_db must be finite" in capsys.readouterr().err
+
     def test_snr_list_rejected_for_run(self, tmp_path):
         path = tmp_path / "multi.cfg"
         path.write_text(CONFIG.replace("snr_db = 5", "snr_db = 0,5"))
@@ -138,7 +145,18 @@ class TestSweepCommands:
         assert first.read_bytes() == second.read_bytes()
 
     def test_fig3_rejects_bad_step(self):
-        assert main(["fig3", "--step", "-1"]) == 2
+        for step in ("-1", "nan"):
+            assert main(["fig3", "--step", step]) == 2
+
+    def test_fig3_json_rows_match_csv(self, capsys):
+        assert main(["fig3", "--step", "45", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert main(["fig3", "--step", "45"]) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        rows = [dict(zip(header.split(","), map(float, line.split(",")))) for line in lines]
+        assert payload["rows"] == rows
+        assert [row["aod_deg"] for row in rows] == [-90.0, -45.0, 0.0, 45.0, 90.0]
+        assert payload["seed"] == 1
 
     def test_fig2_rejects_bad_step(self, capsys):
         assert main(["fig2", "--step", "0"]) == 2

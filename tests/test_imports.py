@@ -1,0 +1,68 @@
+"""No module of the package or of the tests imports a name it never uses.
+
+Scans with the stdlib ``ast`` module alone. ``from __future__`` imports and
+names imported on a line marked ``# noqa`` (deliberate re-exports) are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted([*ROOT.glob("src/hbnoma/*.py"), *ROOT.glob("tests/*.py")])
+
+
+def _annotation_names(tree: ast.AST) -> set[str]:
+    """Names used inside string annotations such as ``"EffectiveChannelSet"``."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            every = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            annotations += [a.annotation for a in every if a is not None]
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    names = set()
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                parsed = ast.parse(node.value, mode="eval")
+                names |= {n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)}
+    return names
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if "# noqa" not in lines[alias.lineno - 1]:
+                    imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _annotation_names(tree)
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_scan_flags_unused_and_honours_exemptions():
+    source = (
+        "from __future__ import annotations\n"
+        "import math\n"
+        "import numpy as np\n"
+        "from os import path, sep  # noqa: F401\n"
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    from json import JSONDecoder\n"
+        "def f(x: 'JSONDecoder') -> None:\n"
+        "    return np.zeros(1)\n"
+    )
+    assert unused_imports(source) == ["line 2: math"]

@@ -15,12 +15,11 @@ from hbnoma import (
     channel_matrix,
     design_analog_stage,
     effective_channels,
-    fejer_correlation,
     kernel_sum,
     power_constraint_check,
     zero_forcing_precoder,
 )
-from hbnoma.precoding import AnalogPrecoder, EffectiveChannelSet
+from hbnoma.precoding import AnalogPrecoder
 
 from conftest import draw_scenario
 

@@ -6,21 +6,17 @@ import numpy as np
 import pytest
 
 from hbnoma import (
-    AngleSpec,
-    ArrayGeometry,
     ClusterPlan,
     PathGain,
     PowerPlan,
     SinglePathChannel,
     beam_gain,
-    design_analog_stage,
     effective_channels,
     hermitian_correlation,
     inter_interference,
     intra_interference,
     sum_rate,
     user_rate,
-    zero_forcing_precoder,
 )
 from hbnoma.precoding import EffectiveChannelSet
 

@@ -8,6 +8,7 @@ import pytest
 from hbnoma import ClusterSpec, ConfigurationError, ScenarioConfig, SingularClusteringError, UserSpec
 from hbnoma.results import render_csv, render_json
 from hbnoma.runner import (
+    MAX_SWEEP_POINTS,
     Fig3Sweep,
     fig2_config,
     fig3_config,
@@ -27,15 +28,15 @@ def small_config(trials=20, seed=3):
 
 class TestDeterminism:
     def test_same_seed_same_manifest(self):
-        a = run_scenario(small_config(), snr_db=5.0)
-        b = run_scenario(small_config(), snr_db=5.0)
+        a = run_scenario(small_config())
+        b = run_scenario(small_config())
         assert a.as_dict() == b.as_dict()
         assert render_csv(a) == render_csv(b)
         assert render_json(a) == render_json(b)
 
     def test_different_seed_different_result(self):
-        a = run_scenario(small_config(seed=3), snr_db=5.0)
-        b = run_scenario(small_config(seed=4), snr_db=5.0)
+        a = run_scenario(small_config(seed=3))
+        b = run_scenario(small_config(seed=4))
         assert a.sum_rate_mean != b.sum_rate_mean
 
     def test_single_fixed_trial_is_deterministic(self):
@@ -52,7 +53,7 @@ class TestDeterminism:
 
 class TestManifest:
     def test_aggregates_and_echo(self):
-        manifest = run_scenario(small_config(trials=30), snr_db=5.0)
+        manifest = run_scenario(small_config(trials=30))
         assert manifest.trials == 30
         assert manifest.version
         assert manifest.config["snr_db"] == 5.0
@@ -65,23 +66,23 @@ class TestManifest:
             manifest.user_entry(9, 9)
 
     def test_first_users_keep_exact_rate_as_bound(self):
-        manifest = run_scenario(small_config(trials=10), snr_db=5.0)
+        manifest = run_scenario(small_config(trials=10))
         for n in (1, 2):
             entry = manifest.user_entry(n, 1)
             assert entry["rate_bound_mean"] == pytest.approx(entry["rate_mean"], rel=1e-12)
             assert entry["rho_mean"] == 1.0
 
     def test_violation_rate_reported(self):
-        manifest = run_scenario(small_config(trials=25), snr_db=5.0)
+        manifest = run_scenario(small_config(trials=25))
         assert 0.0 <= manifest.bound_violation_rate <= 1.0
 
     def test_json_round_trip(self):
-        manifest = run_scenario(small_config(trials=5), snr_db=5.0)
+        manifest = run_scenario(small_config(trials=5))
         assert json.loads(render_json(manifest)) == manifest.as_dict()
 
     def test_mean_rate_matches_trial_average(self):
         config = small_config(trials=8)
-        manifest = run_scenario(config, snr_db=5.0)
+        manifest = run_scenario(config)
         rates = []
         for t in range(8):
             rng = np.random.default_rng(trial_seed(config.seed, t))
@@ -106,6 +107,10 @@ class TestRedrawPolicy:
             seed=1,
         )
 
+    def test_run_trial_rejects_singular_draw(self):
+        with pytest.raises(SingularClusteringError, match="zero forcing rejected"):
+            run_trial(self._coincident_config(trials=1), np.random.default_rng(0), 5.0)
+
     def test_always_singular_aborts(self):
         with pytest.raises(SingularClusteringError, match="redraw cap"):
             run_scenario(self._coincident_config(trials=50))
@@ -125,7 +130,7 @@ class TestRedrawPolicy:
 
         monkeypatch.setattr(engine, "zero_forcing_rejects", reject_trial_two_once)
         config = small_config(trials=120)
-        manifest = run_scenario(config, snr_db=5.0)
+        manifest = run_scenario(config)
         assert manifest.singular_redraws == 1
 
         # trial 2 reports its attempt-1 draw; every other trial its attempt 0
@@ -167,7 +172,7 @@ class TestFig2Sweep:
         endpoint = sweep.rows[-1]
         assert endpoint[1] >= 1.0 - 1e-9  # swept user shares the beam direction
         assert set(sweep.spearman_by_snr) == {5.0}
-        assert sweep.csv_header() == ("aod_deg", "rho", "rate_sim_bps_hz", "rate_bound_bps_hz", "snr_db")
+        assert sweep.CSV_HEADER == ("aod_deg", "rho", "rate_sim_bps_hz", "rate_bound_bps_hz", "snr_db")
 
     def test_common_random_numbers_across_points(self):
         # the same master seed must reuse fading draws at every sweep point,
@@ -198,6 +203,19 @@ class TestSweepGrid:
     def test_grid_never_passes_stop(self):
         assert sweep_grid(50.0, 60.0, 6.0) == [50.0, 56.0]
         assert sweep_grid(-90.0, 90.0, 7.0)[-1] == 85.0
+
+    @pytest.mark.parametrize("step", [float("nan"), float("inf"), 1e-12])
+    def test_nonfinite_or_too_fine_step_rejected(self, step):
+        with pytest.raises(ConfigurationError):
+            sweep_grid(-90.0, 90.0, step)
+
+    def test_point_cap(self):
+        assert len(sweep_grid(0.0, MAX_SWEEP_POINTS - 1.0, 1.0)) == MAX_SWEEP_POINTS
+        with pytest.raises(ConfigurationError, match="more than"):
+            sweep_grid(0.0, float(MAX_SWEEP_POINTS), 1.0)
+        # the default fig2 and fig3 grids
+        assert len(sweep_grid(50.0, 60.0, 0.25)) == 41
+        assert len(sweep_grid(-90.0, 90.0, 0.5)) == 361
 
     def test_step_dividing_the_range_up_to_rounding_keeps_stop(self):
         # 0.3 / 0.1 is 2.9999999999999996

@@ -125,6 +125,21 @@ class TestValidation:
                     intra_fractions=fractions,
                 )
 
+    @pytest.mark.parametrize(
+        "gain",
+        [
+            "large_scale_db=nan",
+            "large_scale_db=inf",
+            "large_scale_db=-inf",
+            "large_scale_db=-10 gain=nan+0j",
+            "large_scale_db=-10 gain=inf+0j",
+            "large_scale_db=-10 gain=0j",
+        ],
+    )
+    def test_nonfinite_or_zero_gain_rejected(self, gain):
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            parse_config_text(GOOD.replace("large_scale_db=-10 gain=1+0j", gain))
+
     def test_as_dict_mirrors_fields(self):
         config = parse_config_text(GOOD)
         echo = config.as_dict()
