@@ -109,6 +109,7 @@ def _cmd_fig3(args) -> int:
 
 def _cmd_validate(args) -> int:
     config = load_config(args.config)
+    config.single_snr_db()  # `run` needs one SNR, so a valid config has one
     attempt, design = design_trial(config, 0)
     bs = ArrayGeometry(config.bs_antennas)
     beams = [AngleSpec.from_normalized(float(x)) for x in design.beam_aod[0]]

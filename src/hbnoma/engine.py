@@ -1,9 +1,9 @@
 """Batched Monte Carlo engine: one array pipeline over (trial, cluster, user).
 
-Trials run in chunks of ``TRIAL_CHUNK``. Each trial still draws from its
-own generator, ``default_rng(trial_seed(seed, trial, attempt))``, in the
-fixed order cluster by cluster, user by user: AoD, AoA, gain. Everything
-after the draws is array arithmetic over the whole chunk:
+Trials run in chunks of ``TRIAL_CHUNK``. ``TrialSampler`` draws a chunk's
+AoDs and gains in one call from a counter-based stream keyed by (seed,
+attempt), at a fixed offset per trial. Everything after the draws is array
+arithmetic over the whole chunk:
 
 * the analog correlation of two steering vectors is the Dirichlet kernel
   ``K_T(delta) = (1/T) * sum_k exp(-j*pi*k*delta)``, so the effective
@@ -13,7 +13,7 @@ after the draws is array arithmetic over the whole chunk:
 * rates and the rate bound are masked sums over the cluster axis.
 
 The matched receive combiner cancels the AoA from every effective channel,
-so AoAs are drawn (to keep the random stream) and then discarded.
+so AoAs are never drawn.
 
 Per-trial outputs land in (trials, clusters, users) arrays indexed by trial,
 so results do not depend on the chunk size or on which rows were redrawn.
@@ -22,7 +22,7 @@ so results do not depend on the chunk size or on which rows were redrawn.
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -34,20 +34,6 @@ from .scenario import ScenarioConfig
 # Trials designed per batch. Fixed, so memory stays flat in the trial
 # count; results do not depend on it.
 TRIAL_CHUNK = 64
-
-
-def _splitmix64(x: int) -> int:
-    """One splitmix64 scramble step; spreads consecutive indices apart."""
-    x = (x + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    z = x
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return (z ^ (z >> 31)) & 0xFFFFFFFFFFFFFFFF
-
-
-def trial_seed(master_seed: int, trial_idx: int, attempt: int = 0) -> int:
-    """Per-trial sub-seed: master seed XOR a hash of (trial, attempt)."""
-    return (master_seed & 0xFFFFFFFFFFFFFFFF) ^ _splitmix64((trial_idx << 16) | attempt)
 
 
 def _kernel_ratio(delta: np.ndarray, num_elements: int) -> tuple[np.ndarray, np.ndarray]:
@@ -79,92 +65,60 @@ def fejer_kernel(delta: np.ndarray, num_elements: int) -> np.ndarray:
 
 
 class TrialSampler:
-    """The random part of a scenario, drawn trial by trial into arrays.
+    """The random part of a scenario, drawn for any set of trials into arrays.
 
-    Built once per config: fixed angles and gains are evaluated here, and
-    the per-trial draws become a short list of generator calls, adjacent
-    draws of one kind merged into one call. A user's k random angles are
-    ``rng.random(k)`` mapped to ``-pi/2 + pi*u`` and its random gain is
-    ``rng.standard_normal(2)``; both return the same doubles as the
-    corresponding scalar ``uniform``/``standard_normal`` calls.
+    Built once per config: fixed angles and gains are evaluated here. Each
+    attempt draws from one counter-based stream,
+    ``Philox(key=(seed mod 2**64, attempt))`` (Salmon et al., SC'11), in
+    which trial t reads the ``stride`` uniforms from counter
+    t * stride / 4 on (a counter step gives four). So a trial's draws do not
+    depend on the other trials drawn with it. A random AoD takes one uniform
+    u, as sin(-pi/2 + pi*u); a random gain takes two, a Box-Muller circular
+    Gaussian times the level's amplitude. AoAs are not drawn.
     """
 
     def __init__(self, config: ScenarioConfig):
-        n, m = config.num_clusters, config.users_per_cluster
-        self.shape = (n, m)
-        self.aod = np.zeros(n * m)
-        self.beta = np.zeros(n * m, dtype=complex)
-        amplitude = np.zeros(n * m)
-        aod_slots: list[tuple[int, int]] = []  # (user, uniform column)
-        gain_slots: list[tuple[int, int]] = []  # (user, first normal column)
-        calls: list[list] = []  # [is_normal, start, stop]
-        counts = [0, 0]  # uniforms, normals
-
-        def consume(is_normal: bool, count: int) -> int:
-            start = counts[is_normal]
-            if calls and calls[-1][0] == is_normal:
-                calls[-1][2] += count
-            else:
-                calls.append([is_normal, start, start + count])
-            counts[is_normal] += count
-            return start
-
         specs = [spec for cluster in config.clusters for spec in cluster.users]
+        self.shape = (config.num_clusters, config.users_per_cluster)
+        self.seed = config.seed % 2**64
+        self.aod = np.zeros(len(specs))
+        self.beta = np.zeros(len(specs), dtype=complex)
         for uid, spec in enumerate(specs):
-            random_angles = (spec.aod_deg is None) + (spec.aoa_deg is None)
-            if random_angles:
-                column = consume(False, random_angles)
-                if spec.aod_deg is None:
-                    aod_slots.append((uid, column))
             if spec.aod_deg is not None:
                 self.aod[uid] = AngleSpec.from_degrees(spec.aod_deg).normalized
-            if spec.small_scale is None:
-                gain_slots.append((uid, consume(True, 2)))
-            else:
+            if spec.small_scale is not None:
                 self.beta[uid] = PathGain(spec.small_scale, spec.large_scale_db).beta
-            amplitude[uid] = 10.0 ** (spec.large_scale_db / 20.0)
+        self._aod_users = np.flatnonzero([spec.aod_deg is None for spec in specs])
+        self._gain_users = np.flatnonzero([spec.small_scale is None for spec in specs])
+        self._gain_amplitude = np.array(
+            [10.0 ** (specs[uid].large_scale_db / 20.0) for uid in self._gain_users]
+        )
+        # uniforms per trial, in whole counter steps of four
+        self.stride = 4 * math.ceil((self._aod_users.size + 2 * self._gain_users.size) / 4)
 
-        self._uniform = np.empty(counts[False])
-        self._normal = np.empty(counts[True])
-        self._calls = [
-            (np.random.Generator.standard_normal if is_normal else np.random.Generator.random,
-             (self._normal if is_normal else self._uniform)[start:stop])
-            for is_normal, start, stop in calls
-        ]
-        self._aod_users = np.array([uid for uid, _ in aod_slots], dtype=int)
-        self._aod_columns = np.array([column for _, column in aod_slots], dtype=int)
-        self._gain_users = np.array([uid for uid, _ in gain_slots], dtype=int)
-        self._gain_columns = np.array([column for _, column in gain_slots], dtype=int)
-        self._gain_amplitude = amplitude[self._gain_users]
+    def draw(self, trials: np.ndarray, attempt: int) -> tuple[np.ndarray, np.ndarray]:
+        """Normalized AoDs and complex gains of ``trials`` at one attempt.
 
-    @property
-    def random(self) -> bool:
-        """Whether a trial draws anything; a fixed scenario needs no generator."""
-        return bool(self._calls)
-
-    def draw(self, rngs: Sequence[np.random.Generator | None]) -> tuple[np.ndarray, np.ndarray]:
-        """Normalized AoDs and complex gains, each (trials, clusters, users)."""
-        rows = len(rngs)
-        uniform = np.empty((rows, self._uniform.size))
-        normal = np.empty((rows, self._normal.size))
-        if self._calls:
-            for i, rng in enumerate(rngs):
-                for call, out in self._calls:
-                    call(rng, out=out)
-                uniform[i] = self._uniform
-                normal[i] = self._normal
+        Each is (trials, clusters, users). One call draws the span from the
+        lowest to the highest trial and keeps the rows asked for.
+        """
+        rows = len(trials)
         aod = np.tile(self.aod, (rows, 1))
         beta = np.tile(self.beta, (rows, 1))
-        if self._aod_users.size:
-            physical = -math.pi / 2 + math.pi * uniform[:, self._aod_columns]
-            # the degree round trip mirrors how a drawn angle enters a UserSpec
-            aod[:, self._aod_users] = np.sin(np.radians(np.degrees(physical)))
-        if self._gain_users.size:
-            beta.real[:, self._gain_users] = (
-                normal[:, self._gain_columns] / math.sqrt(2.0) * self._gain_amplitude
+        if self.stride:
+            first, last = int(trials.min()), int(trials.max())
+            bits = np.random.Philox(
+                key=np.array([self.seed, attempt], dtype=np.uint64),
+                counter=first * self.stride // 4,
             )
-            beta.imag[:, self._gain_users] = (
-                normal[:, self._gain_columns + 1] / math.sqrt(2.0) * self._gain_amplitude
+            span = np.random.Generator(bits).random((last - first + 1, self.stride))
+            na, ng = self._aod_users.size, self._gain_users.size
+            columns = [na, na + ng, na + 2 * ng]  # AoDs, gain radii, gain phases, padding
+            angle, radius, phase, _ = np.split(span[trials - first], columns, axis=1)
+            aod[:, self._aod_users] = np.sin(-math.pi / 2 + math.pi * angle)
+            # Box-Muller with 1 - u in (0, 1]: sqrt(-ln(1 - u)) * exp(2j*pi*v) is CN(0, 1)
+            beta[:, self._gain_users] = (
+                self._gain_amplitude * np.sqrt(-np.log1p(-radius)) * np.exp(2j * math.pi * phase)
             )
         shape = (rows, *self.shape)
         return aod.reshape(shape), beta.reshape(shape)
@@ -190,8 +144,10 @@ class Design(NamedTuple):
 
 
 def zero_forcing_rejects(first_rows: np.ndarray) -> np.ndarray:
-    """Trials whose first users' squared condition number exceeds MAX_GRAM_CONDITION."""
-    singvals = np.linalg.svd(first_rows, compute_uv=False)
+    """Trials whose first users' rows, scaled to unit norm, have a squared
+    condition number above MAX_GRAM_CONDITION."""
+    unit = first_rows / np.linalg.norm(first_rows, axis=-1, keepdims=True)
+    singvals = np.linalg.svd(unit, compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = singvals[:, 0] / singvals[:, -1]
     return (singvals[:, -1] == 0.0) | (ratio**2 > MAX_GRAM_CONDITION)
@@ -343,28 +299,21 @@ class RedrawBudget:
 
 def accepted_designs(
     config: ScenarioConfig, sampler: TrialSampler, trials: np.ndarray, budget: RedrawBudget
-) -> Iterator[tuple[np.ndarray, np.ndarray, Design]]:
-    """Design ``trials``, redrawing rejected rows from their next attempt seed.
+) -> Iterator[tuple[np.ndarray, int, Design]]:
+    """Design ``trials``, redrawing rejected rows at the next attempt.
 
-    Yields (positions in ``trials``, attempts, design) for the rows each
-    round accepts; only rejected rows are drawn again.
+    Yields (positions in ``trials``, attempt, design) for the rows each
+    round accepts; round k draws attempt k, for the rows still rejected.
     """
     pending = np.arange(len(trials))
-    attempts = np.zeros(len(trials), dtype=int)
+    attempt = 0
     while pending.size:
-        if sampler.random:
-            rngs = [
-                np.random.default_rng(trial_seed(config.seed, int(trials[p]), int(attempts[p])))
-                for p in pending
-            ]
-        else:
-            rngs = [None] * pending.size
-        accepted, design = design_trials(config, *sampler.draw(rngs))
+        accepted, design = design_trials(config, *sampler.draw(trials[pending], attempt))
         if accepted.any():
-            yield pending[accepted], attempts[pending[accepted]], design
+            yield pending[accepted], attempt, design
         pending = pending[~accepted]
         budget.spend(pending.size)
-        attempts[pending] += 1
+        attempt += 1
 
 
 def design_trial(config: ScenarioConfig, trial: int = 0) -> tuple[int, Design]:
@@ -373,10 +322,10 @@ def design_trial(config: ScenarioConfig, trial: int = 0) -> tuple[int, Design]:
     The trial's redraws count against the run's redraw cap.
     """
     budget = RedrawBudget(config.trials)
-    _, attempts, design = next(
+    _, attempt, design = next(
         accepted_designs(config, TrialSampler(config), np.array([trial]), budget)
     )
-    return int(attempts[0]), design
+    return attempt, design
 
 
 class Simulation(NamedTuple):

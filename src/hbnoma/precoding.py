@@ -18,8 +18,11 @@ from .arrays import SinglePathChannel, channel_matrix, steering_vector
 from .errors import SingularClusteringError
 from .power import ClusterPlan
 
-# Condition number of H_eff H_eff^* beyond which the cluster geometry is
-# rejected instead of regularized; zero forcing presumes distinct beams.
+# Condition number of the Gram matrix of the first users' effective channels,
+# each scaled to unit norm, beyond which the cluster geometry is rejected
+# instead of regularized; zero forcing presumes distinct beams. Column
+# normalization makes F_bb independent of the rows' scale, so a gain gap
+# between clusters is not bad geometry.
 MAX_GRAM_CONDITION = 1e12
 # Relative eigenvalue floor of the analog beams' Gram matrix below which the
 # beam set counts as rank deficient.
@@ -165,7 +168,7 @@ def zero_forcing_precoder(
     """
     n_clusters = len(first_user_channels)
     rows = np.stack([vec.conj() for vec in first_user_channels], axis=0)
-    singvals = np.linalg.svd(rows, compute_uv=False)
+    singvals = np.linalg.svd(rows / np.linalg.norm(rows, axis=1, keepdims=True), compute_uv=False)
     if singvals[-1] == 0.0 or (singvals[0] / singvals[-1]) ** 2 > MAX_GRAM_CONDITION:
         i, j = _most_coherent_pair(first_user_channels)
         raise SingularClusteringError(

@@ -1,10 +1,10 @@
 """Seeded Monte Carlo execution of the full downlink pipeline plus presets.
 
-Each trial draws the random parts of a scenario from its own sub-seed
-(master seed XOR a hash of the trial index), so aggregates do not depend
-on execution order and sweeps that share a master seed see common random
+Each trial draws the random parts of a scenario at a fixed place in a
+stream keyed by (master seed, attempt), so aggregates do not depend on
+execution order and sweeps that share a master seed see common random
 numbers across points. Trials whose cluster geometry defeats zero forcing
-are redrawn with a fresh attempt seed, capped at one percent of the trial
+are redrawn at the next attempt, capped at one percent of the trial
 budget. The trials themselves run through the batched engine in
 ``hbnoma.engine``; this module aggregates them.
 """
@@ -19,7 +19,6 @@ import numpy as np
 
 from . import __version__
 from .engine import TrialOutputs, TrialSampler, design_trials, evaluate, simulate
-from .engine import trial_seed  # noqa: F401  (public: replays derive sub-seeds from it)
 from .errors import ConfigurationError, SingularClusteringError
 from .scenario import ClusterSpec, ScenarioConfig, UserSpec
 
@@ -54,18 +53,20 @@ class RunManifest:
         raise KeyError(f"no aggregate for user ({user_n}, {user_m})")
 
 
-def run_trial(config: ScenarioConfig, rng: np.random.Generator, snr_db: float) -> TrialOutputs:
-    """One trial through the engine: draw from ``rng``, design, and rate.
+def run_trial(config: ScenarioConfig, trial: int, attempt: int = 0) -> TrialOutputs:
+    """One trial through the engine: its draw at ``attempt``, designed and rated
+    at the config's SNR.
 
     Returns the trial's outputs, each (clusters, users) with users in SIC
     order. Raises SingularClusteringError when zero forcing rejects the draw.
     """
-    accepted, design = design_trials(config, *TrialSampler(config).draw([rng]))
+    draw = TrialSampler(config).draw(np.array([trial]), attempt)
+    accepted, design = design_trials(config, *draw)
     if not accepted[0]:
         raise SingularClusteringError(
             "first users have near-collinear effective channels; zero forcing rejected"
         )
-    return TrialOutputs(*(values[0] for values in evaluate(config, design, snr_db)))
+    return TrialOutputs(*(values[0] for values in evaluate(config, design, config.single_snr_db())))
 
 
 def run_scenario(config: ScenarioConfig) -> RunManifest:
@@ -142,14 +143,9 @@ def spearman_rank_correlation(x: Sequence[float], y: Sequence[float]) -> float:
     ys = np.asarray(y, dtype=float)
 
     def ranks(values: np.ndarray) -> np.ndarray:
-        order = np.argsort(values, kind="stable")
-        ranked = np.empty(len(values))
-        ranked[order] = np.arange(1, len(values) + 1)
-        for v in np.unique(values):
-            mask = values == v
-            if mask.sum() > 1:
-                ranked[mask] = ranked[mask].mean()
-        return ranked
+        # a run of k tied values ending at rank c has average rank c - (k - 1)/2
+        _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+        return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
     rx, ry = ranks(xs), ranks(ys)
     sx, sy = rx.std(), ry.std()

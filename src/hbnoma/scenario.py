@@ -20,9 +20,10 @@ block per cluster, each block listing ``user`` lines::
       user aod_deg=-50 aoa_deg=random large_scale_db=-10 gain=1+0j
     }
 
-Angles are physical degrees or the word ``random`` (drawn uniformly in
-[-90, 90] per trial); ``gain`` optionally pins the small-scale gain to a
-fixed complex value instead of a per-trial draw. Unknown keys are errors.
+Angles are physical degrees or the word ``random`` (uniform in [-90, 90]
+per trial; a random AoA is not drawn, since the matched combiner cancels
+it); ``gain`` optionally pins the small-scale gain to a fixed complex value
+instead of a per-trial draw. Unknown keys are errors.
 """
 
 from __future__ import annotations
@@ -124,9 +125,14 @@ class ScenarioConfig:
                         raise ConfigurationError(
                             f"angles must lie in [-90, 90] degrees, got {angle!r}"
                         )
-                if not math.isfinite(user.large_scale_db):
+                try:
+                    amplitude = 10.0 ** (user.large_scale_db / 20.0)
+                except OverflowError:
+                    amplitude = math.inf
+                if not 0.0 < amplitude < math.inf:
                     raise ConfigurationError(
-                        f"large_scale_db must be finite, got {user.large_scale_db!r}"
+                        "large_scale_db must be finite, with a finite and positive amplitude "
+                        f"10**(dB/20), got {user.large_scale_db!r}"
                     )
                 # a zero gain leaves rho at 0/0
                 if user.small_scale is not None and not 0.0 < abs(user.small_scale) < math.inf:

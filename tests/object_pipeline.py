@@ -1,7 +1,9 @@
 """The object-level pipeline, trial by trial: the reference for the batched engine.
 
-Replays a trial the way v0.1.0 ran it: scalar generator draws, per-user
-channel objects, and the unit-level functions of every module.
+Replays a trial the way v0.1.0 ran it: per-user channel objects and the
+unit-level functions of every module. AoDs and gains are the engine's draws;
+AoAs, which the engine never draws, come from a generator of the test's own,
+so a comparison with the engine also checks that the AoAs cancel.
 ``assemble`` is the one copy of the design steps that the tests build on.
 """
 
@@ -28,7 +30,7 @@ from hbnoma import (
     user_rate,
     zero_forcing_precoder,
 )
-from hbnoma.runner import trial_seed
+from hbnoma.engine import TrialSampler
 
 FIELDS = ("rate", "bound", "rho", "intra", "inter")
 
@@ -131,28 +133,23 @@ def assemble(channels, membership, total_power, fractions):
     )
 
 
-def materialize(config, rng):
-    """Draw one trial with scalar generator calls: cluster by cluster, user by
-    user, AoD, AoA, gain; fixed values are used as given."""
+def materialize(config, trial, attempt, rng):
+    """Channels of one trial: the engine's AoDs and gains for (trial, attempt),
+    and an AoA from ``rng`` for every ``random`` one."""
+    aods, betas = (a[0].ravel() for a in TrialSampler(config).draw(np.array([trial]), attempt))
     bs = ArrayGeometry(config.bs_antennas)
     mu = ArrayGeometry(config.mu_antennas)
     channels, membership, uid = {}, [], 0
     for cluster in config.clusters:
         members = []
         for spec in cluster.users:
-            aod = spec.aod_deg
-            if aod is None:
-                aod = math.degrees(rng.uniform(-math.pi / 2, math.pi / 2))
             aoa = spec.aoa_deg
             if aoa is None:
                 aoa = math.degrees(rng.uniform(-math.pi / 2, math.pi / 2))
-            g = spec.small_scale
-            if g is None:
-                g = complex(rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2.0)
             channels[uid] = SinglePathChannel(
                 aoa=AngleSpec.from_degrees(aoa),
-                aod=AngleSpec.from_degrees(aod),
-                gain=PathGain(small_scale=g, large_scale_db=spec.large_scale_db),
+                aod=AngleSpec.from_normalized(float(aods[uid])),
+                gain=PathGain(small_scale=complex(betas[uid])),
                 bs_array=bs,
                 mu_array=mu,
             )
@@ -162,26 +159,27 @@ def materialize(config, rng):
     return channels, membership
 
 
-def object_trial(config, rng, snr_db):
+def object_trial(config, trial, attempt, rng):
     """One trial of ``config`` through the object-level API, the reference for the engine."""
-    channels, membership = materialize(config, rng)
-    return assemble(channels, membership, 10.0 ** (snr_db / 10.0), config.resolved_fractions())
+    channels, membership = materialize(config, trial, attempt, rng)
+    total_power = 10.0 ** (config.single_snr_db() / 10.0)
+    return assemble(channels, membership, total_power, config.resolved_fractions())
 
 
-def replay_run(config, snr_db):
-    """Replay every trial from its sub-seeds, redrawing as ``run`` does.
+def replay_run(config):
+    """Replay every trial at its attempts, redrawing as ``run`` does.
 
     Returns the accepted PipelineState of each trial and the redraw count;
     raises SingularClusteringError past the 1% redraw cap.
     """
     cap = math.ceil(0.01 * config.trials)
+    rng = np.random.default_rng(config.seed + 1)
     trials, redraws = [], 0
     for t in range(config.trials):
         attempt = 0
         while True:
-            rng = np.random.default_rng(trial_seed(config.seed, t, attempt))
             try:
-                trials.append(object_trial(config, rng, snr_db))
+                trials.append(object_trial(config, t, attempt, rng))
                 break
             except SingularClusteringError:
                 redraws += 1

@@ -3,17 +3,19 @@
 import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hbnoma.cli import main
 from hbnoma.engine import design_trial, evaluate, simulate
-from hbnoma.runner import trial_seed
 from hbnoma.scenario import parse_config_text
 
 from bruteforce import array_response
 from object_pipeline import object_trial
+
+DEMO = Path(__file__).resolve().parents[1] / "scenarios" / "two_cluster_demo.cfg"
 
 CONFIG = """
 bs_antennas = 16
@@ -117,10 +119,35 @@ class TestRunCommand:
         assert main(["run", "--config", str(path)]) == 2
         assert "large_scale_db must be finite" in capsys.readouterr().err
 
-    def test_snr_list_rejected_for_run(self, tmp_path):
+    def test_out_of_range_level_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "loud.cfg"
+        path.write_text(CONFIG.replace("aod_deg=55 aoa_deg=random large_scale_db=-10",
+                                       "aod_deg=55 aoa_deg=random large_scale_db=1e6"))
+        assert main(["run", "--config", str(path)]) == 2
+        assert "finite and positive amplitude" in capsys.readouterr().err
+
+    def test_snr_list_rejected_for_run(self, tmp_path, capsys):
         path = tmp_path / "multi.cfg"
         path.write_text(CONFIG.replace("snr_db = 5", "snr_db = 0,5"))
-        assert main(["run", "--config", str(path)]) == 2
+        for command in ("run", "validate"):
+            assert main([command, "--config", str(path)]) == 2
+            assert "needs a single snr_db" in capsys.readouterr().err
+
+    def test_gain_gap_between_clusters_is_not_singular(self, tmp_path, capsys):
+        # beams stay at +-60 degrees; only cluster 2's levels drop, which
+        # scales its rows but leaves the geometry well conditioned
+        text = (
+            DEMO.read_text()
+            .replace("aod_deg=-60 aoa_deg=random large_scale_db=0",
+                     "aod_deg=-60 aoa_deg=random large_scale_db=-130")
+            .replace("aod_deg=-50 aoa_deg=random large_scale_db=-10",
+                     "aod_deg=-50 aoa_deg=random large_scale_db=-140")
+        )
+        assert "large_scale_db=-130" in text and "large_scale_db=-140" in text
+        path = tmp_path / "gap.cfg"
+        path.write_text(text)
+        assert main(["run", "--config", str(path), "--trials", "100", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["singular_redraws"] == 0
 
 
 class TestSweepCommands:
@@ -198,8 +225,7 @@ class TestValidateCommand:
         run = simulate(config, 5.0).outputs
         assert np.array_equal(evaluate(config, design, 5.0).rate[0], run.rate[0])
         # the printed beams are where the object-level replay of that draw steers
-        rng = np.random.default_rng(trial_seed(config.seed, 0, attempt))
-        reference = object_trial(config, rng, 5.0)
+        reference = object_trial(config, 0, attempt, np.random.default_rng(0))
         beams = printed(f"design of trial 0 (attempt {attempt}), beams at ")
         steered = [reference.channels[u].aod for u in reference.beam_users]
         assert [float(b) for b in ast.literal_eval(beams.removesuffix(" deg"))] == [

@@ -10,8 +10,9 @@ import pytest
 from hbnoma import ClusterSpec, ScenarioConfig, SingularClusteringError, UserSpec
 from hbnoma import engine
 from hbnoma.cli import main
-from hbnoma.engine import design_trial, simulate
-from hbnoma.runner import run_scenario, trial_seed
+from hbnoma.engine import TrialSampler, design_trial, simulate
+from hbnoma.runner import run_scenario
+from hbnoma.scenario import parse_config_text
 
 from bruteforce import array_response, rate_table
 from object_pipeline import FIELDS, materialize, replay_run
@@ -58,7 +59,7 @@ def test_engine_matches_object_pipeline():
         config = random_config(rng)
         snr = config.single_snr_db()
         try:
-            reference, replayed = replay_run(config, snr)
+            reference, replayed = replay_run(config)
         except SingularClusteringError:
             with pytest.raises(SingularClusteringError, match="redraw cap"):
                 simulate(config, snr)
@@ -99,9 +100,7 @@ def test_engine_precoders_match_bruteforce_oracle():
             continue
         for t in range(0, config.trials, 7):
             attempt, design = design_trial(config, t)
-            channels, _ = materialize(
-                config, np.random.default_rng(trial_seed(config.seed, t, attempt))
-            )
+            channels, _ = materialize(config, t, attempt, np.random.default_rng(t))
             n, m = config.num_clusters, config.users_per_cluster
             sic = design.sic[0]
             clusters = [[ci * m + int(u) for u in sic[ci]] for ci in range(n)]
@@ -129,12 +128,12 @@ def test_engine_precoders_match_bruteforce_oracle():
     assert checked > 100
 
 
-# seed 28 is one whose 300 trials include two redraws
+# seed 21 is the first positive seed whose 300 trials include two redraws
 WIDE = """
 bs_antennas = 64
 mu_antennas = 4
 snr_db = 10
-seed = 28
+seed = 21
 trials = 300
 
 cluster {
@@ -173,6 +172,42 @@ def test_output_bytes_do_not_depend_on_chunk_size(tmp_path, capsys, monkeypatch)
     assert json.loads(outputs[0])["singular_redraws"] == 2
 
 
+def test_trial_draws_do_not_depend_on_the_batch():
+    sampler = TrialSampler(parse_config_text(WIDE))
+    chunk = sampler.draw(np.arange(64, 128), 0)
+    for t in (64, 70, 127):
+        alone = sampler.draw(np.array([t]), 0)
+        assert all(np.array_equal(a[0], c[t - 64]) for a, c in zip(alone, chunk))
+    # a redraw round draws only the rejected rows, at the next attempt
+    rejected = np.array([65, 81, 120])
+    redrawn = sampler.draw(rejected, 1)
+    full = sampler.draw(np.arange(64, 128), 1)
+    assert all(np.array_equal(r, f[rejected - 64]) for r, f in zip(redrawn, full))
+    # attempts draw from different streams
+    assert not np.any(full[0] == chunk[0])
+    assert not np.any(full[1] == chunk[1])
+
+
+def test_draws_have_the_configured_distributions():
+    user = UserSpec(aod_deg=None, aoa_deg=None, large_scale_db=-10.0)
+    config = ScenarioConfig(
+        bs_antennas=4, mu_antennas=1, clusters=(ClusterSpec((user,)),), seed=5
+    )
+    aod, beta = (a.ravel() for a in TrialSampler(config).draw(np.arange(40000), 0))
+    # six standard errors of 40,000 draws
+    tol = 6.0 / math.sqrt(40000)
+    # the physical AoD is uniform on [-pi/2, pi/2]: mean 0, variance pi^2/12
+    physical = np.arcsin(aod) / math.pi
+    assert abs(physical.mean()) < tol * math.sqrt(1 / 12)
+    assert abs(np.mean(physical**2) - 1 / 12) < tol * math.sqrt(1 / 80 - 1 / 144)
+    # the gain is circular Gaussian with power 10**(-10/10): |g|^2 is exponential
+    g = beta / math.sqrt(0.1)
+    power = np.abs(g) ** 2
+    assert abs(power.mean() - 1.0) < tol
+    assert abs(np.mean(power > 1.0) - math.exp(-1.0)) < tol * 0.5
+    assert abs(g.mean()) < tol and abs(np.mean(g**2)) < tol
+
+
 def test_demotions_counted_not_logged(caplog):
     # equal large-scale levels and wide beams, so the largest-gain user
     # sometimes loses first place to a user between two beams
@@ -188,6 +223,6 @@ def test_demotions_counted_not_logged(caplog):
     with caplog.at_level(logging.WARNING, logger="hbnoma"):
         manifest = run_scenario(config)
     assert not caplog.records
-    expected = sum(ref.demotions for ref in replay_run(config, 5.0)[0])
+    expected = sum(ref.demotions for ref in replay_run(config)[0])
     assert expected > 0
     assert manifest.first_user_demotions == expected

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hbnoma import ClusterSpec, ConfigurationError, ScenarioConfig, SingularClusteringError, UserSpec
+from hbnoma.engine import TrialSampler
 from hbnoma.results import render_csv, render_json
 from hbnoma.runner import (
     MAX_SWEEP_POINTS,
@@ -18,7 +19,6 @@ from hbnoma.runner import (
     sweep_fig2,
     sweep_fig3,
     sweep_grid,
-    trial_seed,
 )
 
 
@@ -46,9 +46,19 @@ class TestDeterminism:
         assert one.as_dict() == two.as_dict()
         assert one.trials == 1
 
-    def test_trial_seeds_are_distinct(self):
-        seeds = {trial_seed(7, t, a) for t in range(200) for a in range(3)}
-        assert len(seeds) == 600
+    def test_trial_draws_are_distinct(self):
+        config = ScenarioConfig(
+            bs_antennas=4,
+            mu_antennas=1,
+            clusters=(ClusterSpec((UserSpec(aod_deg=None, aoa_deg=None),)),),
+            seed=7,
+        )
+        sampler = TrialSampler(config)
+        draws = set()
+        for attempt in range(3):
+            aod, beta = sampler.draw(np.arange(200), attempt)
+            draws |= set(zip(aod.ravel().tolist(), beta.ravel().tolist()))
+        assert len(draws) == 600
 
 
 class TestManifest:
@@ -83,10 +93,7 @@ class TestManifest:
     def test_mean_rate_matches_trial_average(self):
         config = small_config(trials=8)
         manifest = run_scenario(config)
-        rates = []
-        for t in range(8):
-            rng = np.random.default_rng(trial_seed(config.seed, t))
-            rates.append(run_trial(config, rng, 5.0).rate[0, 1])  # position (1, 2)
+        rates = [run_trial(config, t).rate[0, 1] for t in range(8)]  # position (1, 2)
         assert manifest.user_entry(1, 2)["rate_mean"] == pytest.approx(
             float(np.mean(rates)), rel=1e-12
         )
@@ -109,7 +116,7 @@ class TestRedrawPolicy:
 
     def test_run_trial_rejects_singular_draw(self):
         with pytest.raises(SingularClusteringError, match="zero forcing rejected"):
-            run_trial(self._coincident_config(trials=1), np.random.default_rng(0), 5.0)
+            run_trial(self._coincident_config(trials=1), 0)
 
     def test_always_singular_aborts(self):
         with pytest.raises(SingularClusteringError, match="redraw cap"):
@@ -135,10 +142,10 @@ class TestRedrawPolicy:
 
         # trial 2 reports its attempt-1 draw; every other trial its attempt 0
         def replayed_mean(attempt_of_two):
-            rates = []
-            for t in range(120):
-                seed = trial_seed(config.seed, t, attempt_of_two if t == 2 else 0)
-                rates.append(run_trial(config, np.random.default_rng(seed), 5.0).rate[0, 1])
+            rates = [
+                run_trial(config, t, attempt_of_two if t == 2 else 0).rate[0, 1]
+                for t in range(120)
+            ]
             return float(np.mean(rates))
 
         mean = manifest.user_entry(1, 2)["rate_mean"]
@@ -180,6 +187,20 @@ class TestFig2Sweep:
         a = sweep_fig2(snr_db_values=(5.0,), step_deg=5.0, trials=4, seed=11)
         b = sweep_fig2(snr_db_values=(5.0,), step_deg=5.0, trials=4, seed=11)
         assert a.rows == b.rows
+
+    def test_points_share_draws(self):
+        # every point draws the same gains; only the swept AoD differs
+        trials = np.arange(50)
+        (aod_a, beta_a), (aod_b, beta_b) = (
+            TrialSampler(fig2_config(swept, seed=3, trials=50, snr_db=5.0)).draw(trials, 0)
+            for swept in (50.0, 57.5)
+        )
+        assert np.array_equal(beta_a, beta_b)
+        assert np.unique(beta_a).size == beta_a.size
+        swept = np.zeros(aod_a.shape, dtype=bool)
+        swept[:, 0, 1] = True
+        assert np.array_equal(aod_a[~swept], aod_b[~swept])
+        assert not np.any(aod_a[swept] == aod_b[swept])
 
     def test_json_payload(self):
         sweep = sweep_fig2(snr_db_values=(0.0,), step_deg=10.0, trials=2, seed=1)

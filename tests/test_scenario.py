@@ -131,6 +131,8 @@ class TestValidation:
             "large_scale_db=nan",
             "large_scale_db=inf",
             "large_scale_db=-inf",
+            "large_scale_db=1e6",  # the amplitude 10**(dB/20) overflows
+            "large_scale_db=-7000",  # the amplitude underflows to 0
             "large_scale_db=-10 gain=nan+0j",
             "large_scale_db=-10 gain=inf+0j",
             "large_scale_db=-10 gain=0j",
