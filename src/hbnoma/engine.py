@@ -1,9 +1,12 @@
-"""Batched Monte Carlo engine: one array pipeline over (trial, cluster, user).
+"""Batched Monte Carlo engine: one array pipeline over (sweep point, trial,
+cluster, user).
 
-Trials run in chunks of ``TRIAL_CHUNK``. ``TrialSampler`` draws a chunk's
-AoDs and gains in one call from a counter-based stream keyed by (seed,
-attempt), at a fixed offset per trial. Everything after the draws is array
-arithmetic over the whole chunk:
+Trials run in chunks of ``TRIAL_CHUNK``, and the points of a sweep in
+blocks of at most ``BLOCK_ROWS`` (point, trial) rows; a plain run is a sweep
+of one point. ``TrialSampler`` draws a chunk's AoDs and gains in one call
+from a counter-based stream keyed by (seed, attempt), at a fixed offset per
+trial, and every point of the block shares them. Everything after the draws
+is array arithmetic over the whole block:
 
 * the analog correlation of two steering vectors is the Dirichlet kernel
   ``K_T(delta) = (1/T) * sum_k exp(-j*pi*k*delta)``, so the effective
@@ -15,14 +18,15 @@ arithmetic over the whole chunk:
 The matched receive combiner cancels the AoA from every effective channel,
 so AoAs are never drawn.
 
-Per-trial outputs land in (trials, clusters, users) arrays indexed by trial,
-so results do not depend on the chunk size or on which rows were redrawn.
+Per-trial outputs land in (points, trials, clusters, users) arrays indexed by
+trial, so results do not depend on the chunk or block size or on which rows
+were redrawn.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,9 +35,13 @@ from .errors import SingularClusteringError
 from .precoding import BEAM_RANK_TOL, MAX_GRAM_CONDITION
 from .scenario import ScenarioConfig
 
-# Trials designed per batch. Fixed, so memory stays flat in the trial
-# count; results do not depend on it.
+# Trials designed per batch, and (sweep point, trial) rows per block of a
+# sweep of fewer trials than a chunk. Larger blocks run such sweeps faster
+# but hold more memory; at 32 rows a block's working set is below a chunk's.
+# Fixed, so memory stays flat in the trial and point counts; results do not
+# depend on them.
 TRIAL_CHUNK = 64
+BLOCK_ROWS = 32
 
 
 def _kernel_ratio(delta: np.ndarray, num_elements: int) -> tuple[np.ndarray, np.ndarray]:
@@ -281,38 +289,59 @@ def _max_leakage_eigenvalues(baseband: np.ndarray) -> np.ndarray:
 
 
 class RedrawBudget:
-    """Cap on rejected draws: one percent of the trial budget, rounded up."""
+    """Cap on rejected draws at each sweep point: one percent of the trial
+    budget, rounded up. The abort message names a point by its swept AoD."""
 
-    def __init__(self, trials: int):
+    def __init__(self, trials: int, sweep_aod_deg: Sequence[float] | None = None):
         self.trials = trials
         self.cap = math.ceil(0.01 * trials)
-        self.used = 0
+        self.sweep_aod_deg = sweep_aod_deg
+        self.used = np.zeros(1 if sweep_aod_deg is None else len(sweep_aod_deg), dtype=int)
 
-    def spend(self, count: int) -> None:
-        self.used += count
-        if self.used > self.cap:
-            raise SingularClusteringError(
-                f"{self.used} singular cluster draws exceed the 1% redraw cap "
+    def spend(self, points: np.ndarray) -> None:
+        """Count one redraw for each sweep-point index in ``points``."""
+        if not points.size:
+            return
+        self.used += np.bincount(points, minlength=self.used.size)
+        over = np.flatnonzero(self.used > self.cap)
+        if over.size:
+            p = over[0]
+            message = (
+                f"{self.used[p]} singular cluster draws exceed the 1% redraw cap "
                 f"({self.cap} of {self.trials} trials)"
             )
+            if self.sweep_aod_deg is not None:
+                message += f" at sweep point aod_deg={self.sweep_aod_deg[p]:g}"
+            raise SingularClusteringError(message)
 
 
 def accepted_designs(
-    config: ScenarioConfig, sampler: TrialSampler, trials: np.ndarray, budget: RedrawBudget
+    config: ScenarioConfig,
+    sampler: TrialSampler,
+    trials: np.ndarray,
+    points: np.ndarray,
+    budget: RedrawBudget,
+    swept: np.ndarray | None = None,
 ) -> Iterator[tuple[np.ndarray, int, Design]]:
     """Design ``trials``, redrawing rejected rows at the next attempt.
 
-    Yields (positions in ``trials``, attempt, design) for the rows each
-    round accepts; round k draws attempt k, for the rows still rejected.
+    Row i is trial ``trials[i]`` at sweep point ``points[i]``; ``swept``, when
+    given, holds each point's normalized AoD for config user (1, 2). Yields
+    (positions in ``trials``, attempt, design) for the rows each round
+    accepts; round k draws attempt k, for the rows still rejected, and
+    charges each to its own point's budget.
     """
     pending = np.arange(len(trials))
     attempt = 0
     while pending.size:
-        accepted, design = design_trials(config, *sampler.draw(trials[pending], attempt))
+        aod, beta = sampler.draw(trials[pending], attempt)
+        if swept is not None:
+            aod[:, 0, 1] = swept[points[pending]]
+        accepted, design = design_trials(config, aod, beta)
         if accepted.any():
             yield pending[accepted], attempt, design
         pending = pending[~accepted]
-        budget.spend(pending.size)
+        budget.spend(points[pending])
         attempt += 1
 
 
@@ -322,10 +351,58 @@ def design_trial(config: ScenarioConfig, trial: int = 0) -> tuple[int, Design]:
     The trial's redraws count against the run's redraw cap.
     """
     budget = RedrawBudget(config.trials)
-    _, attempt, design = next(
-        accepted_designs(config, TrialSampler(config), np.array([trial]), budget)
-    )
+    trials, points = np.array([trial]), np.zeros(1, dtype=int)
+    rounds = accepted_designs(config, TrialSampler(config), trials, points, budget)
+    _, attempt, design = next(rounds)
     return attempt, design
+
+
+class Block(NamedTuple):
+    """Outputs of a block of sweep points over a run of consecutive trials."""
+
+    points: np.ndarray  # (P,) sweep-point indices
+    trials: np.ndarray  # (T,) trial indices, ascending
+    outputs: tuple[TrialOutputs, ...]  # one per SNR, each (P, T, N, M), users in SIC order
+    redraws: int
+    demotions: int
+
+
+def simulate_blocks(
+    config: ScenarioConfig, snr_dbs: Sequence[float], sweep_aod_deg: Sequence[float] | None = None
+) -> Iterator[Block]:
+    """Run the configured trial budget at every sweep point, block by block.
+
+    Point p is ``config`` with user (1, 2)'s AoD at ``sweep_aod_deg[p]``;
+    None makes ``config`` the one point. Each (trial, attempt) is drawn once
+    and shared by every point. A block holds as many points as fit in
+    ``BLOCK_ROWS`` rows (at least one) times up to ``TRIAL_CHUNK`` trials, in
+    point-major rows; blocks come in point order, then trial order. One
+    design serves every SNR.
+    """
+    swept = None
+    if sweep_aod_deg is not None:
+        swept = np.array([AngleSpec.from_degrees(a).normalized for a in sweep_aod_deg])
+    budget = RedrawBudget(config.trials, sweep_aod_deg)
+    sampler = TrialSampler(config)
+    fields, shape = len(TrialOutputs._fields), (config.num_clusters, config.users_per_cluster)
+    per_block = max(1, BLOCK_ROWS // min(config.trials, TRIAL_CHUNK))
+    for first in range(0, budget.used.size, per_block):
+        points = np.arange(first, min(first + per_block, budget.used.size))
+        for start in range(0, config.trials, TRIAL_CHUNK):
+            trials = np.arange(start, min(start + TRIAL_CHUNK, config.trials))
+            # (SNR, field, point, trial, cluster, user), filled through a row view
+            store = np.empty((len(snr_dbs), fields, len(points), len(trials), *shape))
+            rows = store.reshape(*store.shape[:2], -1, *shape)
+            redrawn, demotions = int(budget.used.sum()), 0
+            row_trials, row_points = np.tile(trials, len(points)), np.repeat(points, len(trials))
+            for done, _, design in accepted_designs(
+                config, sampler, row_trials, row_points, budget, swept
+            ):
+                for by_snr, snr in zip(rows, snr_dbs):
+                    by_snr[:, done] = evaluate(config, design, snr)
+                demotions += int(np.count_nonzero(design.demoted))
+            outputs = tuple(TrialOutputs(*by_snr) for by_snr in store)
+            yield Block(points, trials, outputs, int(budget.used.sum()) - redrawn, demotions)
 
 
 class Simulation(NamedTuple):
@@ -337,19 +414,12 @@ class Simulation(NamedTuple):
 
 
 def simulate(config: ScenarioConfig, snr_db: float) -> Simulation:
-    """Run the configured trial budget in chunks of ``TRIAL_CHUNK`` trials."""
+    """Run the configured trial budget as a sweep of one point, keeping every trial."""
     shape = (config.trials, config.num_clusters, config.users_per_cluster)
-    store = {name: np.empty(shape) for name in TrialOutputs._fields}
-    sampler = TrialSampler(config)
-    budget = RedrawBudget(config.trials)
-    demotions = 0
-    for start in range(0, config.trials, TRIAL_CHUNK):
-        trials = np.arange(start, min(start + TRIAL_CHUNK, config.trials))
-        for rows, _, design in accepted_designs(config, sampler, trials, budget):
-            outputs = evaluate(config, design, snr_db)
-            for name in TrialOutputs._fields:
-                store[name][trials[rows]] = getattr(outputs, name)
-            demotions += int(np.count_nonzero(design.demoted))
-    return Simulation(
-        outputs=TrialOutputs(**store), redraws=budget.used, first_user_demotions=demotions
-    )
+    store = np.empty((len(TrialOutputs._fields), *shape))
+    redraws = demotions = 0
+    for block in simulate_blocks(config, (snr_db,)):
+        store[:, block.trials] = np.array(block.outputs[0])[:, 0]
+        redraws += block.redraws
+        demotions += block.demotions
+    return Simulation(TrialOutputs(*store), redraws=redraws, first_user_demotions=demotions)

@@ -5,8 +5,9 @@ stream keyed by (master seed, attempt), so aggregates do not depend on
 execution order and sweeps that share a master seed see common random
 numbers across points. Trials whose cluster geometry defeats zero forcing
 are redrawn at the next attempt, capped at one percent of the trial
-budget. The trials themselves run through the batched engine in
-``hbnoma.engine``; this module aggregates them.
+budget, at each sweep point. The trials themselves run through the batched
+engine in ``hbnoma.engine``, a sweep's whole grid in one pass; this module
+aggregates them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .engine import TrialOutputs, TrialSampler, design_trials, evaluate, simulate
+from .engine import TrialOutputs, TrialSampler, design_trials, evaluate, simulate, simulate_blocks
 from .errors import ConfigurationError, SingularClusteringError
 from .scenario import ClusterSpec, ScenarioConfig, UserSpec
 
@@ -137,6 +138,25 @@ def sweep_grid(start: float, stop: float, step: float) -> list[float]:
     return [start + k * step for k in range(math.floor(steps) + 1)]
 
 
+def _sweep_means(
+    config: ScenarioConfig, grid: Sequence[float], snr_dbs: Sequence[float]
+) -> np.ndarray:
+    """Means of SIC position (1, 2)'s rate, bound and correlation, as
+    (SNRs, 3, points), with config user (1, 2)'s AoD swept over ``grid``.
+
+    Each point's sums run over its trials in index order, as ``run_scenario``
+    reduces its (trials, clusters, users) arrays, so they match its means
+    to the bit.
+    """
+    sums = np.zeros((len(snr_dbs), 3, len(grid)))
+    for block in simulate_blocks(config, snr_dbs, grid):
+        tracked = np.array([(out.rate, out.bound, out.rho) for out in block.outputs])[..., 0, 1]
+        # a cumulative sum adds strictly in trial order
+        running = np.concatenate([sums[..., block.points, None], tracked], axis=-1)
+        sums[..., block.points] = np.cumsum(running, axis=-1)[..., -1]
+    return sums / config.trials
+
+
 def spearman_rank_correlation(x: Sequence[float], y: Sequence[float]) -> float:
     """Spearman correlation via average ranks; NaN-free for constant input."""
     xs = np.asarray(x, dtype=float)
@@ -228,22 +248,20 @@ def sweep_fig2(
 
     The tracked user is SIC position (1, 2); its mean correlation against
     the serving beam, mean simulated rate, and mean rate bound are emitted
-    per sweep point and SNR. All points share the master seed, so the
-    fading draws are common random numbers across the sweep.
+    per sweep point and SNR. The grid is one batched engine pass: every
+    point reuses the same draws (common random numbers), one design serves
+    every SNR, and a rejected (point, trial) pair is redrawn at its own next
+    attempt, against that point's redraw cap.
     """
     grid = sweep_grid(FIG2_SWEEP_START_DEG, FIG2_SWEEP_STOP_DEG, step_deg)
+    config = fig2_config(grid[0], seed, trials, tuple(snr_db_values))
     rows = []
     spearman: dict[float, float] = {}
-    for snr in snr_db_values:
-        rhos, rates = [], []
-        for aod in grid:
-            entry = run_scenario(fig2_config(aod, seed, trials, snr)).user_entry(1, 2)
-            rows.append(
-                (aod, entry["rho_mean"], entry["rate_mean"], entry["rate_bound_mean"], snr)
-            )
-            rhos.append(entry["rho_mean"])
-            rates.append(entry["rate_mean"])
-        spearman[float(snr)] = spearman_rank_correlation(rhos, rates)
+    for snr, (rate, bound, rho) in zip(snr_db_values, _sweep_means(config, grid, snr_db_values)):
+        rows += [
+            (aod, float(r), float(m), float(b), snr) for aod, m, b, r in zip(grid, rate, bound, rho)
+        ]
+        spearman[float(snr)] = spearman_rank_correlation(rho, rate)
     return Fig2Sweep(
         rows=rows,
         spearman_by_snr=spearman,
@@ -308,9 +326,12 @@ class Fig3Sweep:
 
 
 def sweep_fig3(step_deg: float = 0.5, seed: int = 1) -> Fig3Sweep:
-    """Walk the weak user of cluster one across [-90, 90] degrees."""
-    rows = [
-        (aod, run_scenario(fig3_config(aod, seed)).user_entry(1, 2)["rho_mean"])
-        for aod in sweep_grid(-90.0, 90.0, step_deg)
-    ]
-    return Fig3Sweep(rows=rows, seed=seed, version=__version__)
+    """Walk the weak user of cluster one across [-90, 90] degrees.
+
+    The grid is one batched engine pass of one trial per point; the tracked
+    user is SIC position (1, 2), as in ``sweep_fig2``.
+    """
+    grid = sweep_grid(-90.0, 90.0, step_deg)
+    config = fig3_config(grid[0], seed)
+    rho = _sweep_means(config, grid, (config.snr_db,))[0, 2]
+    return Fig3Sweep([(aod, float(r)) for aod, r in zip(grid, rho)], seed=seed, version=__version__)

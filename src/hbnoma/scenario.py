@@ -35,6 +35,10 @@ from pathlib import Path
 from .errors import ConfigurationError
 from .power import check_intra_fractions, default_intra_fractions
 
+# Largest |large_scale_db|: the effective-channel norms square the amplitude
+# 10**(dB/20), and at +-300 dB that square is 1e+-30, far from under/overflow.
+MAX_ABS_LEVEL_DB = 300.0
+
 _TOP_KEYS = ("bs_antennas", "mu_antennas", "snr_db", "seed", "trials", "intra_fractions")
 _USER_KEYS = ("aod_deg", "aoa_deg", "large_scale_db", "gain")
 
@@ -125,14 +129,11 @@ class ScenarioConfig:
                         raise ConfigurationError(
                             f"angles must lie in [-90, 90] degrees, got {angle!r}"
                         )
-                try:
-                    amplitude = 10.0 ** (user.large_scale_db / 20.0)
-                except OverflowError:
-                    amplitude = math.inf
-                if not 0.0 < amplitude < math.inf:
+                if not -MAX_ABS_LEVEL_DB <= user.large_scale_db <= MAX_ABS_LEVEL_DB:
                     raise ConfigurationError(
-                        "large_scale_db must be finite, with a finite and positive amplitude "
-                        f"10**(dB/20), got {user.large_scale_db!r}"
+                        f"large_scale_db must be finite and within +-{MAX_ABS_LEVEL_DB:g} dB, "
+                        "for a finite and positive amplitude 10**(dB/20) whose square stays a "
+                        f"normal double; got {user.large_scale_db!r}"
                     )
                 # a zero gain leaves rho at 0/0
                 if user.small_scale is not None and not 0.0 < abs(user.small_scale) < math.inf:

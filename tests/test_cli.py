@@ -3,6 +3,7 @@
 import ast
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +126,28 @@ class TestRunCommand:
                                        "aod_deg=55 aoa_deg=random large_scale_db=1e6"))
         assert main(["run", "--config", str(path)]) == 2
         assert "finite and positive amplitude" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("level", ["-3300", "-301"])
+    def test_level_below_the_floor_is_config_error(self, tmp_path, capsys, level):
+        # -3300 dB underflowed the weak user's norms: rho read 1.0 and the run exited 0
+        path = tmp_path / "faint.cfg"
+        path.write_text(CONFIG.replace("aod_deg=55 aoa_deg=random large_scale_db=-10",
+                                       f"aod_deg=55 aoa_deg=random large_scale_db={level}"))
+        assert main(["run", "--config", str(path)]) == 2
+        assert "within +-300 dB" in capsys.readouterr().err
+
+    def test_lowest_level_runs_cleanly(self, tmp_path, capsys):
+        # at -300 dB the weak users' norms stay normal: no warning, and rho
+        # is not the 1 that an underflowed norm clips to
+        text = CONFIG.replace("large_scale_db=-10", "large_scale_db=-300")
+        path = tmp_path / "faint.cfg"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(path), "--trials", "20", "--format", "json"]) == 0
+        users = json.loads(capsys.readouterr().out)["users"]
+        weak = [u["rho_mean"] for u in users if u["user_m"] == 2]
+        assert len(weak) == 2 and all(0.0 < rho < 1.0 for rho in weak)
 
     def test_snr_list_rejected_for_run(self, tmp_path, capsys):
         path = tmp_path / "multi.cfg"

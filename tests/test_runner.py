@@ -1,11 +1,15 @@
 """Monte Carlo runner: determinism, aggregation, redraw policy, sweeps."""
 
+import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hbnoma import ClusterSpec, ConfigurationError, ScenarioConfig, SingularClusteringError, UserSpec
+from hbnoma import engine
+from hbnoma.cli import main
 from hbnoma.engine import TrialSampler
 from hbnoma.results import render_csv, render_json
 from hbnoma.runner import (
@@ -209,6 +213,105 @@ class TestFig2Sweep:
         assert "spearman_rho_vs_rate_by_snr" in payload
 
 
+class TestBatchedSweep:
+    """The one-pass sweep against one ``run_scenario`` per point."""
+
+    SNRS = (0.0, 5.0)
+    STEP, TRIALS, SEED = 2.5, 30, 4  # five points; the redraw cap is 1 per point
+    GRID = (50.0, 52.5, 55.0, 57.5, 60.0)
+
+    def _sweep(self):
+        return sweep_fig2(
+            snr_db_values=self.SNRS, step_deg=self.STEP, trials=self.TRIALS, seed=self.SEED
+        )
+
+    def _force_rejects(self, monkeypatch, pairs):
+        """Reject the (point, trial) pairs in the first zero-forcing test; with
+        the grid in one block, it sees every pair, in point-major rows."""
+        monkeypatch.setattr(engine, "BLOCK_ROWS", len(self.GRID) * self.TRIALS)
+        true_rejects = engine.zero_forcing_rejects
+        calls = []
+
+        def patched(first_rows):
+            mask = true_rejects(first_rows)
+            if not calls:
+                assert len(first_rows) == len(self.GRID) * self.TRIALS
+                for point, trial in pairs:
+                    mask[point * self.TRIALS + trial] = True
+            calls.append(len(first_rows))
+            return mask
+
+        monkeypatch.setattr(engine, "zero_forcing_rejects", patched)
+
+    def _replayed_row(self, aod, snr, attempts):
+        """A point's row from one-trial replays, summed in trial order."""
+        config = fig2_config(aod, self.SEED, self.TRIALS, snr)
+        sums = [0.0, 0.0, 0.0]
+        for t in range(self.TRIALS):
+            out = run_trial(config, t, attempts.get(t, 0))
+            sums = [s + float(v[0, 1]) for s, v in zip(sums, (out.rho, out.rate, out.bound))]
+        return (aod, *(s / self.TRIALS for s in sums), snr)
+
+    def test_rows_equal_one_run_per_point(self):
+        sweep = self._sweep()
+        assert [row[0] for row in sweep.rows[: len(self.GRID)]] == list(self.GRID)
+        expected = []
+        for snr in self.SNRS:
+            entries = [
+                run_scenario(fig2_config(aod, self.SEED, self.TRIALS, snr)).user_entry(1, 2)
+                for aod in self.GRID
+            ]
+            expected += [
+                (aod, e["rho_mean"], e["rate_mean"], e["rate_bound_mean"], snr)
+                for aod, e in zip(self.GRID, entries)
+            ]
+            spearman = spearman_rank_correlation(
+                [e["rho_mean"] for e in entries], [e["rate_mean"] for e in entries]
+            )
+            assert sweep.spearman_by_snr[snr] == spearman
+        assert sweep.rows == expected  # bitwise
+
+    def test_rejected_pair_redraws_at_its_own_next_attempt(self, monkeypatch):
+        plain = self._sweep().rows
+        assert plain[2] == self._replayed_row(55.0, 0.0, {})
+        self._force_rejects(monkeypatch, [(2, 7)])
+        forced = self._sweep().rows
+        for k, (before, after) in enumerate(zip(plain, forced)):
+            if k % len(self.GRID) == 2:
+                assert after != before
+                assert after == self._replayed_row(55.0, after[4], {7: 1})
+            else:
+                assert after == before
+
+    def test_redraws_count_against_their_own_point(self, monkeypatch, capsys):
+        # one redraw at each of two points: within each point's cap of 1
+        self._force_rejects(monkeypatch, [(1, 0), (3, 0)])
+        self._sweep()
+        # two at one point exceed its cap; the abort names the point
+        self._force_rejects(monkeypatch, [(2, 0), (2, 5)])
+        message = r"\(1 of 30 trials\) at sweep point aod_deg=55$"
+        with pytest.raises(SingularClusteringError, match=message):
+            self._sweep()
+        self._force_rejects(monkeypatch, [(2, 0), (2, 5)])
+        argv = ["fig2", "--trials", "30", "--step", "2.5", "--seed", "4"]
+        assert main(argv) == 3
+        assert "redraw cap (1 of 30 trials) at sweep point aod_deg=55" in capsys.readouterr().err
+
+    def test_output_bytes_do_not_depend_on_block_size(self, monkeypatch, capsys):
+        commands = (
+            ["fig2", "--trials", "100", "--step", "1", "--format", "json"],  # two trial chunks
+            ["fig2", "--trials", "3", "--step", "0.5", "--format", "json"],  # 2 points per 7 rows
+            ["fig3", "--format", "csv"],
+        )
+        outputs = []
+        for rows in (1, 7, engine.BLOCK_ROWS):
+            monkeypatch.setattr(engine, "BLOCK_ROWS", rows)
+            for argv in commands:
+                assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
+
+
 class TestSweepGrid:
     def test_grid_includes_both_endpoints(self):
         assert sweep_grid(50.0, 60.0, 2.5) == [50.0, 52.5, 55.0, 57.5, 60.0]
@@ -262,6 +365,15 @@ class TestFig3Sweep:
         by_aod = dict(sweep.rows)
         assert by_aod[0.0] >= 1.0 - 1e-9
         assert all(0.0 <= rho <= 1.0 + 1e-12 for _, rho in sweep.rows)
+
+    def test_matches_committed_table(self):
+        # the table the benchmark checks fig3 against, with its tolerance
+        path = Path(__file__).resolve().parents[1] / "results" / "fig3.csv"
+        with path.open(newline="") as handle:
+            reference = [(float(a), float(r)) for a, r in list(csv.reader(handle))[1:]]
+        rows = sweep_fig3().rows
+        assert [aod for aod, _ in rows] == [aod for aod, _ in reference]
+        assert max(abs(rho - ref) for (_, rho), (_, ref) in zip(rows, reference)) <= 1e-12
 
     def test_deterministic_bytes(self):
         a = render_csv(sweep_fig3(step_deg=2.0, seed=5))

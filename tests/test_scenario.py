@@ -133,6 +133,10 @@ class TestValidation:
             "large_scale_db=-inf",
             "large_scale_db=1e6",  # the amplitude 10**(dB/20) overflows
             "large_scale_db=-7000",  # the amplitude underflows to 0
+            "large_scale_db=6000",  # the squared effective-channel norms overflow
+            "large_scale_db=-3300",  # the squared effective-channel norms underflow
+            "large_scale_db=-301",
+            "large_scale_db=301",
             "large_scale_db=-10 gain=nan+0j",
             "large_scale_db=-10 gain=inf+0j",
             "large_scale_db=-10 gain=0j",
@@ -141,6 +145,12 @@ class TestValidation:
     def test_nonfinite_or_zero_gain_rejected(self, gain):
         with pytest.raises(ConfigurationError, match="must be finite"):
             parse_config_text(GOOD.replace("large_scale_db=-10 gain=1+0j", gain))
+
+    @pytest.mark.parametrize("level", ["-300", "300", "-300.0"])
+    def test_level_at_the_limit_accepted(self, level):
+        text = GOOD.replace("large_scale_db=-10 gain=1+0j", f"large_scale_db={level}")
+        config = parse_config_text(text)
+        assert abs(config.clusters[1].users[1].large_scale_db) == 300.0
 
     def test_as_dict_mirrors_fields(self):
         config = parse_config_text(GOOD)
