@@ -1,26 +1,27 @@
 """Batched Monte Carlo engine: one array pipeline over (sweep point, trial,
 cluster, user).
 
-Trials run in chunks of ``TRIAL_CHUNK``, and the points of a sweep in
-blocks of at most ``BLOCK_ROWS`` (point, trial) rows; a plain run is a sweep
-of one point. ``TrialSampler`` draws a chunk's AoDs and gains in one call
-from a counter-based stream keyed by (seed, attempt), at a fixed offset per
-trial, and every point of the block shares them. Everything after the draws
-is array arithmetic over the whole block:
+``simulate`` is the one loop. It runs the points of a sweep in blocks of at
+most ``BLOCK_ROWS`` (point, trial) rows; a plain run is a sweep of one
+point. ``TrialSampler`` draws a block's AoDs and gains in one call from a
+counter-based stream keyed by (seed, attempt), at a fixed offset per trial,
+and every point of the block shares them. Everything after the draws is
+array arithmetic over the whole block:
 
 * the analog correlation of two steering vectors is the Dirichlet kernel
   ``K_T(delta) = (1/T) * sum_k exp(-j*pi*k*delta)``, so the effective
   channels, the beam Gram matrix and the radiated power of a beam come
   from closed forms, and no T_MU x T_BS channel matrix is built;
 * zero forcing is one stacked ``np.linalg.solve`` over the accepted trials;
-* rates and the rate bound are masked sums over the cluster axis.
+* rates and the rate bound are masked sums over the cluster axis, at every
+  SNR of one design.
 
 The matched receive combiner cancels the AoA from every effective channel,
 so AoAs are never drawn.
 
-Per-trial outputs land in (points, trials, clusters, users) arrays indexed by
-trial, so results do not depend on the chunk or block size or on which rows
-were redrawn.
+Each block is added to running sums in trial order, so totals do not
+depend on the block size or on which rows were redrawn, and memory stays
+flat in the trial and point counts.
 """
 
 from __future__ import annotations
@@ -35,13 +36,10 @@ from .errors import SingularClusteringError
 from .precoding import BEAM_RANK_TOL, MAX_GRAM_CONDITION
 from .scenario import ScenarioConfig
 
-# Trials designed per batch, and (sweep point, trial) rows per block of a
-# sweep of fewer trials than a chunk. Larger blocks run such sweeps faster
-# but hold more memory; at 32 rows a block's working set is below a chunk's.
-# Fixed, so memory stays flat in the trial and point counts; results do not
-# depend on them.
-TRIAL_CHUNK = 64
-BLOCK_ROWS = 32
+# (sweep point, trial) rows per block: min(trials, BLOCK_ROWS) consecutive
+# trials at as many points as fill BLOCK_ROWS rows, at least one. Fixed, so
+# memory stays flat in the trial and point counts; results do not depend on it.
+BLOCK_ROWS = 64
 
 
 def _kernel_ratio(delta: np.ndarray, num_elements: int) -> tuple[np.ndarray, np.ndarray]:
@@ -210,7 +208,7 @@ def design_trials(
 
 
 class TrialOutputs(NamedTuple):
-    """Per-trial results, each (C, N, M) with users in SIC order."""
+    """Per-user results, users in SIC order."""
 
     rate: np.ndarray
     bound: np.ndarray
@@ -219,18 +217,26 @@ class TrialOutputs(NamedTuple):
     inter: np.ndarray
 
 
-def evaluate(config: ScenarioConfig, design: Design, snr_db: float) -> TrialOutputs:
-    """Exact SINR rates and the closed-form bound of every user of every trial.
+def evaluate(config: ScenarioConfig, design: Design, snr_dbs: Sequence[float]) -> TrialOutputs:
+    """Exact SINR rates and the closed-form bound of every user of every trial
+    at every SNR, each (SNRs, C, N, M); ``rho`` does not depend on the SNR
+    and is (1, C, N, M). Work that does not depend on the SNR is done once.
 
     The same quantities as ``rates.user_rate`` and ``bounds.lower_bound_rate``;
     first users keep their exact rate as their bound and a correlation of 1.
     """
     n, m = config.num_clusters, config.users_per_cluster
     t_bs, t_mu = config.bs_antennas, config.mu_antennas
-    cluster_power = 10.0 ** (snr_db / 10.0) / n
-    user_power = [f * cluster_power for f in config.resolved_fractions()]
-    powers = np.array(user_power)
-    stronger = np.array([sum(user_power[:k]) for k in range(m)])
+    # power scalars in Python floats, one row per SNR, broadcast over (C, N, M)
+    cluster_power = [10.0 ** (snr_db / 10.0) / n for snr_db in snr_dbs]
+    user_power = [[f * p for f in config.resolved_fractions()] for p in cluster_power]
+
+    def per_snr(values):
+        return np.array(values).reshape(len(cluster_power), 1, 1, -1)
+
+    powers = per_snr(user_power)
+    stronger = per_snr([[sum(up[:k]) for k in range(m)] for up in user_power])
+    total = per_snr([sum(up) for up in user_power])
 
     rows = design.rows
     # h^H f_j for every user and beam j, summed over the beam axis in order
@@ -243,7 +249,7 @@ def evaluate(config: ScenarioConfig, design: Design, snr_db: float) -> TrialOutp
     leaked = np.sum(np.where(np.eye(n, dtype=bool)[:, None, :], 0.0, beam_gain), axis=-1)
     desired = powers * own
     intra = stronger * own
-    inter = sum(user_power) * leaked
+    inter = total * leaked
     rate = np.log2(1.0 + desired / (intra + inter + 1.0))
 
     inner = np.abs(np.sum(rows * rows[:, :, :1].conj(), axis=-1))
@@ -266,12 +272,12 @@ def evaluate(config: ScenarioConfig, design: Design, snr_db: float) -> TrialOutp
         received = t_bs * t_mu * design.gain**2
         rho2 = rho**2
         zeta_intra = stronger * rho2 * received
-        zeta_inter = cluster_power * (1.0 - rho2) * received * lam * eta * ks_first
+        zeta_inter = per_snr(cluster_power) * (1.0 - rho2) * received * lam * eta * ks_first
         zeta_noise = eta * ks_first / ks_user
         numerator = powers * rho2 * t_bs * t_mu * design.gain**2
         weak = np.log2(1.0 + numerator / (zeta_intra + zeta_inter + zeta_noise))
         bound[..., 1:] = weak[..., 1:]
-    return TrialOutputs(rate=rate, bound=bound, rho=rho, intra=intra, inter=inter)
+    return TrialOutputs(rate=rate, bound=bound, rho=rho[None], intra=intra, inter=inter)
 
 
 def _max_leakage_eigenvalues(baseband: np.ndarray) -> np.ndarray:
@@ -357,69 +363,62 @@ def design_trial(config: ScenarioConfig, trial: int = 0) -> tuple[int, Design]:
     return attempt, design
 
 
-class Block(NamedTuple):
-    """Outputs of a block of sweep points over a run of consecutive trials."""
+class Totals(NamedTuple):
+    """Sums over a run's trials, in trial order, at each SNR and sweep point."""
 
-    points: np.ndarray  # (P,) sweep-point indices
-    trials: np.ndarray  # (T,) trial indices, ascending
-    outputs: tuple[TrialOutputs, ...]  # one per SNR, each (P, T, N, M), users in SIC order
+    sums: TrialOutputs  # each (SNRs, points, N, M), users in SIC order
+    violations: np.ndarray  # (SNRs, points) weak (trial, user) pairs whose bound exceeds the rate
+    max_excess: np.ndarray  # (SNRs, points) largest such excess of bound over rate, 0 if none
     redraws: int
-    demotions: int
+    first_user_demotions: int
 
 
-def simulate_blocks(
+def simulate(
     config: ScenarioConfig, snr_dbs: Sequence[float], sweep_aod_deg: Sequence[float] | None = None
-) -> Iterator[Block]:
-    """Run the configured trial budget at every sweep point, block by block.
+) -> Totals:
+    """Run the configured trial budget at every sweep point and total the outputs.
 
     Point p is ``config`` with user (1, 2)'s AoD at ``sweep_aod_deg[p]``;
     None makes ``config`` the one point. Each (trial, attempt) is drawn once
-    and shared by every point. A block holds as many points as fit in
-    ``BLOCK_ROWS`` rows (at least one) times up to ``TRIAL_CHUNK`` trials, in
-    point-major rows; blocks come in point order, then trial order. One
-    design serves every SNR.
+    and shared by every point, and one design serves every SNR. Blocks of
+    point-major rows (see ``BLOCK_ROWS``) come in point order, then trial
+    order, and a cumulative sum adds each to the running sums, so every sum
+    runs in trial order whatever the block size.
     """
     swept = None
     if sweep_aod_deg is not None:
         swept = np.array([AngleSpec.from_degrees(a).normalized for a in sweep_aod_deg])
     budget = RedrawBudget(config.trials, sweep_aod_deg)
     sampler = TrialSampler(config)
-    fields, shape = len(TrialOutputs._fields), (config.num_clusters, config.users_per_cluster)
-    per_block = max(1, BLOCK_ROWS // min(config.trials, TRIAL_CHUNK))
-    for first in range(0, budget.used.size, per_block):
-        points = np.arange(first, min(first + per_block, budget.used.size))
-        for start in range(0, config.trials, TRIAL_CHUNK):
-            trials = np.arange(start, min(start + TRIAL_CHUNK, config.trials))
-            # (SNR, field, point, trial, cluster, user), filled through a row view
-            store = np.empty((len(snr_dbs), fields, len(points), len(trials), *shape))
-            rows = store.reshape(*store.shape[:2], -1, *shape)
-            redrawn, demotions = int(budget.used.sum()), 0
+    snrs, points_total = len(snr_dbs), budget.used.size
+    shape = (config.num_clusters, config.users_per_cluster)
+    # (field, SNR, point, cluster, user)
+    sums = np.zeros((len(TrialOutputs._fields), snrs, points_total, *shape))
+    violations = np.zeros((snrs, points_total), dtype=int)
+    max_excess = np.zeros((snrs, points_total))
+    demotions = 0
+    chunk = min(config.trials, BLOCK_ROWS)
+    per_block = max(1, BLOCK_ROWS // chunk)
+    for first in range(0, points_total, per_block):
+        points = np.arange(first, min(first + per_block, points_total))
+        at = slice(first, first + len(points))
+        for start in range(0, config.trials, chunk):
+            trials = np.arange(start, min(start + chunk, config.trials))
+            # (field, SNR, point, trial, cluster, user), filled through a row view
+            block = np.empty((*sums.shape[:2], len(points), len(trials), *shape))
+            rows = block.reshape(*block.shape[:2], -1, *shape)
             row_trials, row_points = np.tile(trials, len(points)), np.repeat(points, len(trials))
             for done, _, design in accepted_designs(
                 config, sampler, row_trials, row_points, budget, swept
             ):
-                for by_snr, snr in zip(rows, snr_dbs):
-                    by_snr[:, done] = evaluate(config, design, snr)
+                for into, values in zip(rows, evaluate(config, design, snr_dbs)):
+                    into[:, done] = values
                 demotions += int(np.count_nonzero(design.demoted))
-            outputs = tuple(TrialOutputs(*by_snr) for by_snr in store)
-            yield Block(points, trials, outputs, int(budget.used.sum()) - redrawn, demotions)
-
-
-class Simulation(NamedTuple):
-    """Every trial's outputs, indexed by trial, plus the run's counters."""
-
-    outputs: TrialOutputs  # each (trials, N, M), users in SIC order
-    redraws: int
-    first_user_demotions: int
-
-
-def simulate(config: ScenarioConfig, snr_db: float) -> Simulation:
-    """Run the configured trial budget as a sweep of one point, keeping every trial."""
-    shape = (config.trials, config.num_clusters, config.users_per_cluster)
-    store = np.empty((len(TrialOutputs._fields), *shape))
-    redraws = demotions = 0
-    for block in simulate_blocks(config, (snr_db,)):
-        store[:, block.trials] = np.array(block.outputs[0])[:, 0]
-        redraws += block.redraws
-        demotions += block.demotions
-    return Simulation(TrialOutputs(*store), redraws=redraws, first_user_demotions=demotions)
+            rate, bound = block[0, ..., 1:], block[1, ..., 1:]
+            over = bound > rate
+            violations[:, at] += np.count_nonzero(over, axis=(2, 3, 4))
+            excess = np.where(over, bound - rate, 0.0).max(axis=(2, 3, 4), initial=0.0)
+            max_excess[:, at] = np.maximum(max_excess[:, at], excess)
+            running = np.concatenate([sums[:, :, at, None], block], axis=3)
+            sums[:, :, at] = np.cumsum(running, axis=3)[:, :, :, -1]
+    return Totals(TrialOutputs(*sums), violations, max_excess, int(budget.used.sum()), demotions)

@@ -6,8 +6,8 @@ execution order and sweeps that share a master seed see common random
 numbers across points. Trials whose cluster geometry defeats zero forcing
 are redrawn at the next attempt, capped at one percent of the trial
 budget, at each sweep point. The trials themselves run through the batched
-engine in ``hbnoma.engine``, a sweep's whole grid in one pass; this module
-aggregates them.
+engine in ``hbnoma.engine``, a sweep's whole grid in one pass, which totals
+them in trial order; this module turns the totals into means.
 """
 
 from __future__ import annotations
@@ -19,14 +19,15 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .engine import TrialOutputs, TrialSampler, design_trials, evaluate, simulate, simulate_blocks
+from .engine import TrialOutputs, TrialSampler, design_trials, evaluate, simulate
 from .errors import ConfigurationError, SingularClusteringError
 from .scenario import ClusterSpec, ScenarioConfig, UserSpec
 
 
 @dataclass
 class RunManifest:
-    """Aggregated scenario results; means run over trials in index order."""
+    """Aggregated scenario results: each mean is a trial-order sum divided by
+    the trial count, and ``sum_rate_mean`` is the sum of the users' ``rate_mean``."""
 
     config: dict
     seed: int
@@ -67,32 +68,32 @@ def run_trial(config: ScenarioConfig, trial: int, attempt: int = 0) -> TrialOutp
         raise SingularClusteringError(
             "first users have near-collinear effective channels; zero forcing rejected"
         )
-    return TrialOutputs(*(values[0] for values in evaluate(config, design, config.single_snr_db())))
+    outputs = evaluate(config, design, (config.single_snr_db(),))
+    return TrialOutputs(*(values[0, 0] for values in outputs))
 
 
 def run_scenario(config: ScenarioConfig) -> RunManifest:
     """Run the configured trial budget and aggregate position-wise means.
 
     Singular cluster draws are redrawn under a fresh attempt seed; more
-    redraws than one percent of the budget aborts the run. Means are
-    reduced once, over all trials in index order.
+    redraws than one percent of the budget aborts the run. Each mean is the
+    engine's trial-order sum divided by the trial count, so memory does not
+    grow with the trial count.
     """
     snr = config.single_snr_db()
-    sim = simulate(config, snr)
-    out = sim.outputs
-    means = {name: getattr(out, name).sum(axis=0) / config.trials for name in out._fields}
-    weak_rate, weak_bound = out.rate[..., 1:], out.bound[..., 1:]
-    excess = (weak_bound - weak_rate)[weak_bound > weak_rate]
+    totals = simulate(config, (snr,))
+    means = TrialOutputs(*(values[0, 0] / config.trials for values in totals.sums))
+    weak_pairs = config.trials * config.num_clusters * (config.users_per_cluster - 1)
 
     users = [
         {
             "user_n": n + 1,
             "user_m": m + 1,
-            "rate_mean": float(means["rate"][n, m]),
-            "rate_bound_mean": float(means["bound"][n, m]),
-            "rho_mean": float(means["rho"][n, m]),
-            "intra_mean": float(means["intra"][n, m]),
-            "inter_mean": float(means["inter"][n, m]),
+            "rate_mean": float(means.rate[n, m]),
+            "rate_bound_mean": float(means.bound[n, m]),
+            "rho_mean": float(means.rho[n, m]),
+            "intra_mean": float(means.intra[n, m]),
+            "inter_mean": float(means.inter[n, m]),
         }
         for n in range(config.num_clusters)
         for m in range(config.users_per_cluster)
@@ -105,11 +106,11 @@ def run_scenario(config: ScenarioConfig) -> RunManifest:
         seed=config.seed,
         trials=config.trials,
         version=__version__,
-        singular_redraws=sim.redraws,
-        first_user_demotions=sim.first_user_demotions,
-        sum_rate_mean=float(out.rate.sum(axis=(1, 2)).sum() / config.trials),
-        bound_violation_rate=excess.size / weak_rate.size if weak_rate.size else 0.0,
-        bound_violation_max_excess=float(excess.max(initial=0.0)),
+        singular_redraws=totals.redraws,
+        first_user_demotions=totals.first_user_demotions,
+        sum_rate_mean=sum(user["rate_mean"] for user in users),
+        bound_violation_rate=int(totals.violations[0, 0]) / weak_pairs if weak_pairs else 0.0,
+        bound_violation_max_excess=float(totals.max_excess[0, 0]),
         users=users,
     )
 
@@ -136,25 +137,6 @@ def sweep_grid(start: float, stop: float, step: float) -> list[float]:
             f"sweep step {step} gives more than {MAX_SWEEP_POINTS} points from {start} to {stop}"
         )
     return [start + k * step for k in range(math.floor(steps) + 1)]
-
-
-def _sweep_means(
-    config: ScenarioConfig, grid: Sequence[float], snr_dbs: Sequence[float]
-) -> np.ndarray:
-    """Means of SIC position (1, 2)'s rate, bound and correlation, as
-    (SNRs, 3, points), with config user (1, 2)'s AoD swept over ``grid``.
-
-    Each point's sums run over its trials in index order, as ``run_scenario``
-    reduces its (trials, clusters, users) arrays, so they match its means
-    to the bit.
-    """
-    sums = np.zeros((len(snr_dbs), 3, len(grid)))
-    for block in simulate_blocks(config, snr_dbs, grid):
-        tracked = np.array([(out.rate, out.bound, out.rho) for out in block.outputs])[..., 0, 1]
-        # a cumulative sum adds strictly in trial order
-        running = np.concatenate([sums[..., block.points, None], tracked], axis=-1)
-        sums[..., block.points] = np.cumsum(running, axis=-1)[..., -1]
-    return sums / config.trials
 
 
 def spearman_rank_correlation(x: Sequence[float], y: Sequence[float]) -> float:
@@ -251,13 +233,16 @@ def sweep_fig2(
     per sweep point and SNR. The grid is one batched engine pass: every
     point reuses the same draws (common random numbers), one design serves
     every SNR, and a rejected (point, trial) pair is redrawn at its own next
-    attempt, against that point's redraw cap.
+    attempt, against that point's redraw cap. The means are the trial-order
+    sums ``run_scenario`` divides, so a row matches that point's run to the bit.
     """
     grid = sweep_grid(FIG2_SWEEP_START_DEG, FIG2_SWEEP_STOP_DEG, step_deg)
     config = fig2_config(grid[0], seed, trials, tuple(snr_db_values))
+    sums = simulate(config, snr_db_values, grid).sums
+    tracked = zip(*(values[..., 0, 1] / trials for values in sums[:3]))  # rate, bound, rho
     rows = []
     spearman: dict[float, float] = {}
-    for snr, (rate, bound, rho) in zip(snr_db_values, _sweep_means(config, grid, snr_db_values)):
+    for snr, (rate, bound, rho) in zip(snr_db_values, tracked):
         rows += [
             (aod, float(r), float(m), float(b), snr) for aod, m, b, r in zip(grid, rate, bound, rho)
         ]
@@ -333,5 +318,5 @@ def sweep_fig3(step_deg: float = 0.5, seed: int = 1) -> Fig3Sweep:
     """
     grid = sweep_grid(-90.0, 90.0, step_deg)
     config = fig3_config(grid[0], seed)
-    rho = _sweep_means(config, grid, (config.snr_db,))[0, 2]
+    rho = simulate(config, (config.snr_db,), grid).sums.rho[0, :, 0, 1]  # the mean of one trial
     return Fig3Sweep([(aod, float(r)) for aod, r in zip(grid, rho)], seed=seed, version=__version__)

@@ -35,8 +35,8 @@ from pathlib import Path
 from .errors import ConfigurationError
 from .power import check_intra_fractions, default_intra_fractions
 
-# Largest |large_scale_db|: the effective-channel norms square the amplitude
-# 10**(dB/20), and at +-300 dB that square is 1e+-30, far from under/overflow.
+# Largest |large_scale_db| and |snr_db|: the squared amplitude 10**(dB/20) and
+# the power 10**(dB/10) then lie within 1e-30..1e30, far from under/overflow.
 MAX_ABS_LEVEL_DB = 300.0
 
 _TOP_KEYS = ("bs_antennas", "mu_antennas", "snr_db", "seed", "trials", "intra_fractions")
@@ -120,8 +120,10 @@ class ScenarioConfig:
         if self.trials < 1:
             raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
         snrs = self.snr_db if isinstance(self.snr_db, tuple) else (self.snr_db,)
-        if not snrs or any(not math.isfinite(s) for s in snrs):
-            raise ConfigurationError(f"snr_db must be finite, got {self.snr_db!r}")
+        if not snrs or any(not -MAX_ABS_LEVEL_DB <= s <= MAX_ABS_LEVEL_DB for s in snrs):
+            raise ConfigurationError(
+                f"snr_db must be finite and within +-{MAX_ABS_LEVEL_DB:g} dB, got {self.snr_db!r}"
+            )
         for cluster in self.clusters:
             for user in cluster.users:
                 for angle in (user.aod_deg, user.aoa_deg):

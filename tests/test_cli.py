@@ -4,13 +4,15 @@ import ast
 import json
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hbnoma.cli import main
-from hbnoma.engine import design_trial, evaluate, simulate
+from hbnoma.engine import design_trial, evaluate
+from hbnoma.runner import run_scenario
 from hbnoma.scenario import parse_config_text
 
 from bruteforce import array_response
@@ -187,6 +189,11 @@ class TestSweepCommands:
     def test_fig2_rejects_bad_snr(self, capsys):
         assert main(["fig2", "--snr-db", "five"]) == 2
 
+    def test_fig2_rejects_snr_beyond_the_limit(self, capsys):
+        # 10**(1e6/10) overflows a double
+        assert main(["fig2", "--snr-db", "1e6", "--trials", "2"]) == 2
+        assert "within +-300 dB" in capsys.readouterr().err
+
     def test_fig3_same_seed_identical_bytes(self, tmp_path):
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
@@ -244,9 +251,10 @@ class TestValidateCommand:
 
         config = parse_config_text(text)
         attempt, design = design_trial(config, 0)
-        # the design is trial 0 of `run`
-        run = simulate(config, 5.0).outputs
-        assert np.array_equal(evaluate(config, design, 5.0).rate[0], run.rate[0])
+        # the design is trial 0 of `run`: a one-trial run's means are its outputs
+        run = run_scenario(replace(config, trials=1))
+        rates = evaluate(config, design, (5.0,)).rate[0, 0]
+        assert [user["rate_mean"] for user in run.users] == rates.ravel().tolist()
         # the printed beams are where the object-level replay of that draw steers
         reference = object_trial(config, 0, attempt, np.random.default_rng(0))
         beams = printed(f"design of trial 0 (attempt {attempt}), beams at ")

@@ -10,7 +10,7 @@ import pytest
 from hbnoma import ClusterSpec, ScenarioConfig, SingularClusteringError, UserSpec
 from hbnoma import engine
 from hbnoma.cli import main
-from hbnoma.engine import TrialSampler, design_trial, simulate
+from hbnoma.engine import TrialSampler, design_trial, evaluate
 from hbnoma.runner import run_scenario
 from hbnoma.scenario import parse_config_text
 
@@ -62,14 +62,15 @@ def test_engine_matches_object_pipeline():
             reference, replayed = replay_run(config)
         except SingularClusteringError:
             with pytest.raises(SingularClusteringError, match="redraw cap"):
-                simulate(config, snr)
+                run_scenario(config)
             capped += 1
             continue
-        sim = simulate(config, snr)
-        assert sim.redraws == replayed
+        assert run_scenario(config).singular_redraws == replayed
         redraws += replayed
         for t, ref in enumerate(reference):
             demotions += ref.demotions
+            _, design = design_trial(config, t)
+            outputs = evaluate(config, design, (snr,))
             first = np.stack([ref.effective.vector(u).conj() for u in ref.plan.first_users])
             # relative 1e-12 with an absolute floor of 1e-12 (first users'
             # zero-forced leakage is rounding noise near 1e-27). Both sides
@@ -78,7 +79,7 @@ def test_engine_matches_object_pipeline():
             # exceeds 1e-12, so the tolerance grows with it there
             rel = max(1e-12, 8 * np.linalg.cond(first) * np.finfo(float).eps)
             for k, name in enumerate(FIELDS):
-                ours = getattr(sim.outputs, name)[t]
+                ours = getattr(outputs, name)[0, 0]
                 theirs = ref.values[..., k]
                 tol = rel * np.maximum(np.abs(ours), np.abs(theirs)) + 1e-12
                 assert np.all(np.abs(ours - theirs) <= tol), (case, t, name, ours, theirs)
@@ -95,11 +96,12 @@ def test_engine_precoders_match_bruteforce_oracle():
         config = random_config(rng)
         snr = config.single_snr_db()
         try:
-            rates = simulate(config, snr).outputs.rate
+            run_scenario(config)
         except SingularClusteringError:
             continue
-        for t in range(0, config.trials, 7):
+        for t in range(config.trials):
             attempt, design = design_trial(config, t)
+            rates = evaluate(config, design, (snr,)).rate[0, 0]
             channels, _ = materialize(config, t, attempt, np.random.default_rng(t))
             n, m = config.num_clusters, config.users_per_cluster
             sic = design.sic[0]
@@ -123,7 +125,7 @@ def test_engine_precoders_match_bruteforce_oracle():
             for ci, cluster in enumerate(clusters):
                 for mi, uid in enumerate(cluster):
                     expected = oracle[uid]
-                    assert abs(rates[t, ci, mi] - expected) <= 1e-10 * max(abs(expected), 1e-12)
+                    assert abs(rates[ci, mi] - expected) <= 1e-10 * max(abs(expected), 1e-12)
                     checked += 1
     assert checked > 100
 
@@ -159,17 +161,27 @@ cluster {
 """
 
 
-def test_output_bytes_do_not_depend_on_chunk_size(tmp_path, capsys, monkeypatch):
+def test_output_bytes_do_not_depend_on_block_size(tmp_path, capsys, monkeypatch):
     path = tmp_path / "wide.cfg"
     path.write_text(WIDE)
+    commands = (
+        ["run", "--config", str(path), "--format", "json"],
+        ["fig2", "--trials", "100", "--step", "1", "--format", "json"],  # two trial chunks
+        ["fig2", "--trials", "3", "--step", "0.5", "--format", "json"],  # 2 points per 7 rows
+        ["fig3", "--format", "csv"],
+    )
+
+    def output(argv):
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
     outputs = []
-    for chunk in (1, 7, engine.TRIAL_CHUNK):
-        monkeypatch.setattr(engine, "TRIAL_CHUNK", chunk)
-        assert main(["run", "--config", str(path), "--format", "json"]) == 0
-        outputs.append(capsys.readouterr().out)
+    for rows in (1, 7, engine.BLOCK_ROWS):
+        monkeypatch.setattr(engine, "BLOCK_ROWS", rows)
+        outputs.append([output(argv) for argv in commands])
     assert outputs[0] == outputs[1] == outputs[2]
-    # rejected rows are redrawn inside a chunk
-    assert json.loads(outputs[0])["singular_redraws"] == 2
+    # rejected rows are redrawn inside a block
+    assert json.loads(outputs[0][0])["singular_redraws"] == 2
 
 
 def test_trial_draws_do_not_depend_on_the_batch():

@@ -152,6 +152,16 @@ class TestValidation:
         config = parse_config_text(text)
         assert abs(config.clusters[1].users[1].large_scale_db) == 300.0
 
+    @pytest.mark.parametrize("snr", ["3100", "1e6", "-301", "301", "0,3100"])
+    def test_snr_beyond_the_limit_rejected(self, snr):
+        # above about 3,090 dB the power 10**(snr/10) overflows a double
+        with pytest.raises(ConfigurationError, match=r"within \+-300 dB"):
+            parse_config_text(GOOD.replace("snr_db = 5", f"snr_db = {snr}"))
+
+    @pytest.mark.parametrize("snr", [-300.0, 300.0])
+    def test_snr_at_the_limit_accepted(self, snr):
+        assert parse_config_text(GOOD.replace("snr_db = 5", f"snr_db = {snr}")).snr_db == snr
+
     def test_as_dict_mirrors_fields(self):
         config = parse_config_text(GOOD)
         echo = config.as_dict()
