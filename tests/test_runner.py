@@ -335,6 +335,20 @@ class TestBatchedSweep:
         assert main(argv) == 3
         assert "redraw cap (1 of 30 trials) at sweep point aod_deg=55" in capsys.readouterr().err
 
+    def test_output_bytes_do_not_depend_on_block_size(self, monkeypatch, capsys):
+        commands = (
+            ["fig2", "--trials", "100", "--step", "1", "--format", "json"],  # two trial chunks
+            ["fig2", "--trials", "3", "--step", "0.5", "--format", "json"],  # 2 points per 7 rows
+            ["fig3", "--format", "csv"],
+        )
+        outputs = []
+        for rows in (1, 7, engine.BLOCK_ROWS):
+            monkeypatch.setattr(engine, "BLOCK_ROWS", rows)
+            for argv in commands:
+                assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
+
 
 class TestSweepGrid:
     def test_grid_includes_both_endpoints(self):
