@@ -1,12 +1,12 @@
-"""Batched Monte Carlo engine: one array pipeline over (sweep point, trial,
+"""Batched Monte Carlo engine: one array pipeline over (trial, sweep point,
 cluster, user).
 
-``simulate`` is the one loop. It runs the points of a sweep in blocks of at
-most ``BLOCK_ROWS`` (point, trial) rows; a plain run is a sweep of one
-point. ``TrialSampler`` draws a block's AoDs and gains in one call from a
-counter-based stream keyed by (seed, attempt), at a fixed offset per trial,
-and every point of the block shares them. Everything after the draws is
-array arithmetic over the whole block:
+``simulate`` is the one loop. It walks the (trial, point) grid in
+trial-major rows, ``BLOCK_ROWS`` consecutive rows at a time; a plain run is
+a sweep of one point. ``TrialSampler`` draws a block's AoDs and gains in
+one call from a counter-based stream keyed by (seed, attempt), at a fixed
+offset per trial, and every point of a trial shares them. Everything after
+the draws is array arithmetic over the whole block:
 
 * the analog correlation of two steering vectors is the Dirichlet kernel
   ``K_T(delta) = (1/T) * sum_k exp(-j*pi*k*delta)``, so the effective
@@ -19,9 +19,9 @@ array arithmetic over the whole block:
 The matched receive combiner cancels the AoA from every effective channel,
 so AoAs are never drawn.
 
-Each block is added to running sums in trial order, so totals do not
-depend on the block size or on which rows were redrawn, and memory stays
-flat in the trial and point counts.
+Each block's rows are added to running sums one row at a time, in row
+order, so totals do not depend on the block size or on which rows were
+redrawn, and memory stays flat in the trial and point counts.
 """
 
 from __future__ import annotations
@@ -36,9 +36,8 @@ from .errors import SingularClusteringError
 from .precoding import BEAM_RANK_TOL, MAX_GRAM_CONDITION
 from .scenario import ScenarioConfig
 
-# (sweep point, trial) rows per block: min(trials, BLOCK_ROWS) consecutive
-# trials at as many points as fill BLOCK_ROWS rows, at least one. Fixed, so
-# memory stays flat in the trial and point counts; results do not depend on it.
+# Trial-major (trial, sweep point) rows per block. Fixed, so memory stays
+# flat in the trial and point counts; results do not depend on it.
 BLOCK_ROWS = 64
 
 
@@ -109,8 +108,8 @@ class TrialSampler:
         lowest to the highest trial and keeps the rows asked for.
         """
         rows = len(trials)
-        aod = np.tile(self.aod, (rows, 1))
-        beta = np.tile(self.beta, (rows, 1))
+        aod = np.full((rows, self.aod.size), self.aod)
+        beta = np.full((rows, self.beta.size), self.beta)
         if self.stride:
             first, last = int(trials.min()), int(trials.max())
             bits = np.random.Philox(
@@ -217,10 +216,10 @@ class TrialOutputs(NamedTuple):
     inter: np.ndarray
 
 
-def evaluate(config: ScenarioConfig, design: Design, snr_dbs: Sequence[float]) -> TrialOutputs:
+def evaluate(config: ScenarioConfig, design: Design) -> TrialOutputs:
     """Exact SINR rates and the closed-form bound of every user of every trial
-    at every SNR, each (SNRs, C, N, M); ``rho`` does not depend on the SNR
-    and is (1, C, N, M). Work that does not depend on the SNR is done once.
+    at each SNR of ``config``, each (SNRs, C, N, M); ``rho`` does not depend on
+    the SNR and is (1, C, N, M). Work that does not depend on the SNR is done once.
 
     The same quantities as ``rates.user_rate`` and ``bounds.lower_bound_rate``;
     first users keep their exact rate as their bound and a correlation of 1.
@@ -228,7 +227,7 @@ def evaluate(config: ScenarioConfig, design: Design, snr_dbs: Sequence[float]) -
     n, m = config.num_clusters, config.users_per_cluster
     t_bs, t_mu = config.bs_antennas, config.mu_antennas
     # power scalars in Python floats, one row per SNR, broadcast over (C, N, M)
-    cluster_power = [10.0 ** (snr_db / 10.0) / n for snr_db in snr_dbs]
+    cluster_power = [10.0 ** (snr_db / 10.0) / n for snr_db in config.snr_dbs]
     user_power = [[f * p for f in config.resolved_fractions()] for p in cluster_power]
 
     def per_snr(values):
@@ -264,10 +263,9 @@ def evaluate(config: ScenarioConfig, design: Design, snr_dbs: Sequence[float]) -
             raise ValueError("analog precoder is rank deficient; eta is undefined")
         kappa = lam_max / lam_min
         eta = (0.25 * (kappa + 1.0 / kappa + 2.0))[:, None, None]
-        first_aod = design.aod[..., 0]
-        ks_first = np.sum(fejer_kernel(first_aod[:, :, None] - first_aod[:, None, :], t_bs), axis=1)
-        ks_first = ks_first[..., None]
-        ks_user = np.sum(fejer_kernel(first_aod[:, :, None, None] - design.aod[:, None], t_bs), axis=1)
+        first_aod = design.aod[:, :, None, :1]
+        ks_user = np.sum(fejer_kernel(first_aod - design.aod[:, None], t_bs), axis=1)
+        ks_first = ks_user[..., :1]
         lam = _max_leakage_eigenvalues(design.baseband)[..., None]
         received = t_bs * t_mu * design.gain**2
         rho2 = rho**2
@@ -364,61 +362,50 @@ def design_trial(config: ScenarioConfig, trial: int = 0) -> tuple[int, Design]:
 
 
 class Totals(NamedTuple):
-    """Sums over a run's trials, in trial order, at each SNR and sweep point."""
+    """A run's means (trial-order sums divided once), bound violations and counts."""
 
-    sums: TrialOutputs  # each (SNRs, points, N, M), users in SIC order
+    means: TrialOutputs  # each (SNRs, points, N, M), users in SIC order
     violations: np.ndarray  # (SNRs, points) weak (trial, user) pairs whose bound exceeds the rate
     max_excess: np.ndarray  # (SNRs, points) largest such excess of bound over rate, 0 if none
     redraws: int
     first_user_demotions: int
 
 
-def simulate(
-    config: ScenarioConfig, snr_dbs: Sequence[float], sweep_aod_deg: Sequence[float] | None = None
-) -> Totals:
-    """Run the configured trial budget at every sweep point and total the outputs.
+def simulate(config: ScenarioConfig, sweep_aod_deg: Sequence[float] | None = None) -> Totals:
+    """Run the configured trial budget at every sweep point and SNR of ``config``.
 
     Point p is ``config`` with user (1, 2)'s AoD at ``sweep_aod_deg[p]``;
-    None makes ``config`` the one point. Each (trial, attempt) is drawn once
-    and shared by every point, and one design serves every SNR. Blocks of
-    point-major rows (see ``BLOCK_ROWS``) come in point order, then trial
-    order, and a cumulative sum adds each to the running sums, so every sum
-    runs in trial order whatever the block size.
+    None makes ``config`` the one point. Row r of the (trial, point) grid is
+    trial ``r // points`` at point ``r % points``, and the rows run in blocks
+    of ``BLOCK_ROWS``. A trial's draw at each attempt is shared by its
+    points, and one design serves every SNR. ``np.add.at`` adds a block's
+    rows to the running sums unbuffered and in row order, so every sum runs
+    in trial order whatever the block size.
     """
     swept = None
     if sweep_aod_deg is not None:
         swept = np.array([AngleSpec.from_degrees(a).normalized for a in sweep_aod_deg])
     budget = RedrawBudget(config.trials, sweep_aod_deg)
     sampler = TrialSampler(config)
-    snrs, points_total = len(snr_dbs), budget.used.size
-    shape = (config.num_clusters, config.users_per_cluster)
-    # (field, SNR, point, cluster, user)
-    sums = np.zeros((len(TrialOutputs._fields), snrs, points_total, *shape))
-    violations = np.zeros((snrs, points_total), dtype=int)
-    max_excess = np.zeros((snrs, points_total))
+    points = budget.used.size
+    shape = (len(config.snr_dbs), points, config.num_clusters, config.users_per_cluster)
+    sums = np.zeros((len(TrialOutputs._fields), *shape))  # (field, SNR, point, cluster, user)
+    violations = np.zeros(shape[:2], dtype=int)
+    max_excess = np.zeros(shape[:2])
     demotions = 0
-    chunk = min(config.trials, BLOCK_ROWS)
-    per_block = max(1, BLOCK_ROWS // chunk)
-    for first in range(0, points_total, per_block):
-        points = np.arange(first, min(first + per_block, points_total))
-        at = slice(first, first + len(points))
-        for start in range(0, config.trials, chunk):
-            trials = np.arange(start, min(start + chunk, config.trials))
-            # (field, SNR, point, trial, cluster, user), filled through a row view
-            block = np.empty((*sums.shape[:2], len(points), len(trials), *shape))
-            rows = block.reshape(*block.shape[:2], -1, *shape)
-            row_trials, row_points = np.tile(trials, len(points)), np.repeat(points, len(trials))
-            for done, _, design in accepted_designs(
-                config, sampler, row_trials, row_points, budget, swept
-            ):
-                for into, values in zip(rows, evaluate(config, design, snr_dbs)):
-                    into[:, done] = values
-                demotions += int(np.count_nonzero(design.demoted))
-            rate, bound = block[0, ..., 1:], block[1, ..., 1:]
-            over = bound > rate
-            violations[:, at] += np.count_nonzero(over, axis=(2, 3, 4))
-            excess = np.where(over, bound - rate, 0.0).max(axis=(2, 3, 4), initial=0.0)
-            max_excess[:, at] = np.maximum(max_excess[:, at], excess)
-            running = np.concatenate([sums[:, :, at, None], block], axis=3)
-            sums[:, :, at] = np.cumsum(running, axis=3)[:, :, :, -1]
-    return Totals(TrialOutputs(*sums), violations, max_excess, int(budget.used.sum()), demotions)
+    rows = config.trials * points
+    for first in range(0, rows, BLOCK_ROWS):
+        trials, at = np.divmod(np.arange(first, min(first + BLOCK_ROWS, rows)), points)
+        block = np.empty((*sums.shape[:2], len(trials), *shape[2:]))
+        for done, _, design in accepted_designs(config, sampler, trials, at, budget, swept):
+            for into, values in zip(block, evaluate(config, design)):
+                into[:, done] = values
+            demotions += int(np.count_nonzero(design.demoted))
+        rate, bound = block[0, ..., 1:], block[1, ..., 1:]
+        over = bound > rate
+        np.add.at(violations, np.s_[:, at], np.count_nonzero(over, axis=(2, 3)))
+        excess = np.where(over, bound - rate, 0.0).max(axis=(2, 3), initial=0.0)
+        np.maximum.at(max_excess, np.s_[:, at], excess)
+        np.add.at(sums, np.s_[:, :, at], block)
+    means = TrialOutputs(*(sums / config.trials))
+    return Totals(means, violations, max_excess, int(budget.used.sum()), demotions)

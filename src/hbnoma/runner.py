@@ -6,8 +6,8 @@ execution order and sweeps that share a master seed see common random
 numbers across points. Trials whose cluster geometry defeats zero forcing
 are redrawn at the next attempt, capped at one percent of the trial
 budget, at each sweep point. The trials themselves run through the batched
-engine in ``hbnoma.engine``, a sweep's whole grid in one pass, which totals
-them in trial order; this module turns the totals into means.
+engine in ``hbnoma.engine``, a sweep's whole grid in one pass, which returns
+their means; this module turns the means into reports.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from .scenario import ClusterSpec, ScenarioConfig, UserSpec
 
 @dataclass
 class RunManifest:
-    """Aggregated scenario results: each mean is a trial-order sum divided by
-    the trial count, and ``sum_rate_mean`` is the sum of the users' ``rate_mean``."""
+    """Aggregated scenario results: each mean is the engine's trial-order sum
+    divided once by the trial count; ``sum_rate_mean`` sums the users' ``rate_mean``."""
 
     config: dict
     seed: int
@@ -68,21 +68,21 @@ def run_trial(config: ScenarioConfig, trial: int, attempt: int = 0) -> TrialOutp
         raise SingularClusteringError(
             "first users have near-collinear effective channels; zero forcing rejected"
         )
-    outputs = evaluate(config, design, (config.single_snr_db(),))
-    return TrialOutputs(*(values[0, 0] for values in outputs))
+    config.single_snr_db()  # a trial is rated at one SNR
+    return TrialOutputs(*(values[0, 0] for values in evaluate(config, design)))
 
 
 def run_scenario(config: ScenarioConfig) -> RunManifest:
     """Run the configured trial budget and aggregate position-wise means.
 
     Singular cluster draws are redrawn under a fresh attempt seed; more
-    redraws than one percent of the budget aborts the run. Each mean is the
-    engine's trial-order sum divided by the trial count, so memory does not
-    grow with the trial count.
+    redraws than one percent of the budget aborts the run. The means are the
+    engine's, which keeps running sums, so memory does not grow with the
+    trial count.
     """
     snr = config.single_snr_db()
-    totals = simulate(config, (snr,))
-    means = TrialOutputs(*(values[0, 0] / config.trials for values in totals.sums))
+    totals = simulate(config)
+    means = TrialOutputs(*(values[0, 0] for values in totals.means))
     weak_pairs = config.trials * config.num_clusters * (config.users_per_cluster - 1)
 
     users = [
@@ -145,9 +145,10 @@ def spearman_rank_correlation(x: Sequence[float], y: Sequence[float]) -> float:
     ys = np.asarray(y, dtype=float)
 
     def ranks(values: np.ndarray) -> np.ndarray:
-        # a run of k tied values ending at rank c has average rank c - (k - 1)/2
-        _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-        return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
+        # tied values at sorted positions lo..hi-1 share the average rank (lo + 1 + hi)/2
+        ordered = np.sort(values)
+        lo, hi = (np.searchsorted(ordered, values, side) for side in ("left", "right"))
+        return (lo + 1 + hi) / 2
 
     rx, ry = ranks(xs), ranks(ys)
     sx, sy = rx.std(), ry.std()
@@ -233,13 +234,13 @@ def sweep_fig2(
     per sweep point and SNR. The grid is one batched engine pass: every
     point reuses the same draws (common random numbers), one design serves
     every SNR, and a rejected (point, trial) pair is redrawn at its own next
-    attempt, against that point's redraw cap. The means are the trial-order
-    sums ``run_scenario`` divides, so a row matches that point's run to the bit.
+    attempt, against that point's redraw cap. The means are the ones
+    ``run_scenario`` reads, so a row matches that point's run to the bit.
     """
     grid = sweep_grid(FIG2_SWEEP_START_DEG, FIG2_SWEEP_STOP_DEG, step_deg)
     config = fig2_config(grid[0], seed, trials, tuple(snr_db_values))
-    sums = simulate(config, snr_db_values, grid).sums
-    tracked = zip(*(values[..., 0, 1] / trials for values in sums[:3]))  # rate, bound, rho
+    means = simulate(config, grid).means
+    tracked = zip(*(values[..., 0, 1] for values in means[:3]))  # rate, bound, rho
     rows = []
     spearman: dict[float, float] = {}
     for snr, (rate, bound, rho) in zip(snr_db_values, tracked):
@@ -318,5 +319,5 @@ def sweep_fig3(step_deg: float = 0.5, seed: int = 1) -> Fig3Sweep:
     """
     grid = sweep_grid(-90.0, 90.0, step_deg)
     config = fig3_config(grid[0], seed)
-    rho = simulate(config, (config.snr_db,), grid).sums.rho[0, :, 0, 1]  # the mean of one trial
+    rho = simulate(config, grid).means.rho[0, :, 0, 1]
     return Fig3Sweep([(aod, float(r)) for aod, r in zip(grid, rho)], seed=seed, version=__version__)

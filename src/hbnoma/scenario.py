@@ -96,14 +96,15 @@ class ScenarioConfig:
             return self.intra_fractions
         return default_intra_fractions(self.users_per_cluster)
 
+    @property
+    def snr_dbs(self) -> tuple[float, ...]:
+        """Every SNR of the scenario, in order; one for a single ``snr_db``."""
+        return self.snr_db if isinstance(self.snr_db, tuple) else (self.snr_db,)
+
     def single_snr_db(self) -> float:
-        if isinstance(self.snr_db, tuple):
-            if len(self.snr_db) != 1:
-                raise ConfigurationError(
-                    "this operation needs a single snr_db; got a list"
-                )
-            return self.snr_db[0]
-        return float(self.snr_db)
+        if len(self.snr_dbs) != 1:
+            raise ConfigurationError("this operation needs a single snr_db; got a list")
+        return float(self.snr_dbs[0])
 
     def validate(self) -> None:
         if self.bs_antennas < 1 or self.mu_antennas < 1:
@@ -119,7 +120,7 @@ class ScenarioConfig:
             )
         if self.trials < 1:
             raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
-        snrs = self.snr_db if isinstance(self.snr_db, tuple) else (self.snr_db,)
+        snrs = self.snr_dbs
         if not snrs or any(not -MAX_ABS_LEVEL_DB <= s <= MAX_ABS_LEVEL_DB for s in snrs):
             raise ConfigurationError(
                 f"snr_db must be finite and within +-{MAX_ABS_LEVEL_DB:g} dB, got {self.snr_db!r}"

@@ -13,6 +13,13 @@ def array_response(num_elements, angle_rad):
     return np.exp(-1j * np.pi * k * np.sin(angle_rad)) / np.sqrt(num_elements)
 
 
+def channel_matrix(bs_antennas, mu_antennas, aod_rad, aoa_rad, beta):
+    """The T_MU x T_BS single-path channel sqrt(T_BS*T_MU) * beta * a_mu a_bs^H."""
+    a_mu = array_response(mu_antennas, aoa_rad)
+    a_bs = array_response(bs_antennas, aod_rad)
+    return np.sqrt(bs_antennas * mu_antennas) * beta * np.outer(a_mu, a_bs.conj())
+
+
 def rate_table(bs_antennas, mu_antennas, aod_rad, aoa_rad, beta, clusters, powers, f_rf, f_bb):
     """Per-user achievable rates evaluated directly from the signal model.
 
@@ -24,14 +31,10 @@ def rate_table(bs_antennas, mu_antennas, aod_rad, aoa_rad, beta, clusters, power
     rates = {}
     for n, cluster in enumerate(clusters):
         for m, uid in enumerate(cluster):
-            a_mu = array_response(mu_antennas, aoa_rad[uid])
-            a_bs = array_response(bs_antennas, aod_rad[uid])
-            channel = (
-                np.sqrt(bs_antennas * mu_antennas)
-                * beta[uid]
-                * np.outer(a_mu, a_bs.conj())
+            channel = channel_matrix(
+                bs_antennas, mu_antennas, aod_rad[uid], aoa_rad[uid], beta[uid]
             )
-            combiner = a_mu
+            combiner = array_response(mu_antennas, aoa_rad[uid])
             received_row = combiner.conj() @ channel @ f_rf
             own_power = np.abs(received_row @ f_bb[:, n]) ** 2
             desired = powers[uid] * own_power

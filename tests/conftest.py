@@ -1,10 +1,12 @@
 """Shared builders for randomized pipeline states."""
 
 import math
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from hbnoma import AngleSpec, ArrayGeometry, PathGain, SinglePathChannel, default_intra_fractions
 
@@ -14,6 +16,10 @@ from object_pipeline import assemble
 # property test passes or fails the same way each time.
 settings.register_profile("reproducible", database=None, derandomize=True)
 settings.load_profile("reproducible")
+# hypothesis still caches what it extracts from the source under its home
+# directory; a temporary one, removed at exit, keeps the working tree clean
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 def draw_scenario(

@@ -253,7 +253,7 @@ class TestValidateCommand:
         attempt, design = design_trial(config, 0)
         # the design is trial 0 of `run`: a one-trial run's means are its outputs
         run = run_scenario(replace(config, trials=1))
-        rates = evaluate(config, design, (5.0,)).rate[0, 0]
+        rates = evaluate(config, design).rate[0, 0]
         assert [user["rate_mean"] for user in run.users] == rates.ravel().tolist()
         # the printed beams are where the object-level replay of that draw steers
         reference = object_trial(config, 0, attempt, np.random.default_rng(0))

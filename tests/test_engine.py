@@ -11,10 +11,11 @@ from hbnoma import ClusterSpec, ScenarioConfig, SingularClusteringError, UserSpe
 from hbnoma import engine
 from hbnoma.cli import main
 from hbnoma.engine import TrialSampler, design_trial, evaluate
+from hbnoma.precoding import CONSTRAINT_TOL
 from hbnoma.runner import run_scenario
 from hbnoma.scenario import parse_config_text
 
-from bruteforce import array_response, rate_table
+from bruteforce import array_response, channel_matrix, rate_table
 from object_pipeline import FIELDS, materialize, replay_run
 
 
@@ -57,7 +58,6 @@ def test_engine_matches_object_pipeline():
     redraws = demotions = capped = 0
     for case in range(40):
         config = random_config(rng)
-        snr = config.single_snr_db()
         try:
             reference, replayed = replay_run(config)
         except SingularClusteringError:
@@ -70,7 +70,7 @@ def test_engine_matches_object_pipeline():
         for t, ref in enumerate(reference):
             demotions += ref.demotions
             _, design = design_trial(config, t)
-            outputs = evaluate(config, design, (snr,))
+            outputs = evaluate(config, design)
             first = np.stack([ref.effective.vector(u).conj() for u in ref.plan.first_users])
             # relative 1e-12 with an absolute floor of 1e-12 (first users'
             # zero-forced leakage is rounding noise near 1e-27). Both sides
@@ -90,6 +90,8 @@ def test_engine_matches_object_pipeline():
 
 
 def test_engine_precoders_match_bruteforce_oracle():
+    # each design also meets the hybrid precoder's constraints, checked on
+    # F_rf and the channels rebuilt by the oracle
     rng = np.random.default_rng(32)
     checked = 0
     for _ in range(12):
@@ -101,7 +103,7 @@ def test_engine_precoders_match_bruteforce_oracle():
             continue
         for t in range(config.trials):
             attempt, design = design_trial(config, t)
-            rates = evaluate(config, design, (snr,)).rate[0, 0]
+            rates = evaluate(config, design).rate[0, 0]
             channels, _ = materialize(config, t, attempt, np.random.default_rng(t))
             n, m = config.num_clusters, config.users_per_cluster
             sic = design.sic[0]
@@ -111,16 +113,32 @@ def test_engine_precoders_match_bruteforce_oracle():
             f_rf = np.column_stack(
                 [array_response(config.bs_antennas, math.asin(x)) for x in design.beam_aod[0]]
             )
+            f_bb = design.baseband[0]
+            modulus = np.abs(np.abs(f_rf) - 1.0 / math.sqrt(config.bs_antennas))
+            assert np.all(modulus <= CONSTRAINT_TOL)
+            beam_power = np.sum(np.abs(f_rf @ f_bb) ** 2, axis=0)
+            assert np.all(np.abs(beam_power - 1.0) <= CONSTRAINT_TOL)
+            aod = {u: ch.aod.physical_rad for u, ch in channels.items()}
+            aoa = {u: ch.aoa.physical_rad for u, ch in channels.items()}
+            beta = {u: ch.gain.beta for u, ch in channels.items()}
+            for ci, cluster in enumerate(clusters):
+                # |h_n^H f_j| / ||h_n|| of the SIC-first user n on every other beam j
+                first = cluster[0]
+                h = array_response(config.mu_antennas, aoa[first]).conj() @ channel_matrix(
+                    config.bs_antennas, config.mu_antennas, aod[first], aoa[first], beta[first]
+                ) @ f_rf
+                leakage = np.abs(h @ f_bb) / np.linalg.norm(h)
+                assert np.all(np.delete(leakage, ci) <= 1e-9)
             oracle = rate_table(
                 bs_antennas=config.bs_antennas,
                 mu_antennas=config.mu_antennas,
-                aod_rad={u: ch.aod.physical_rad for u, ch in channels.items()},
-                aoa_rad={u: ch.aoa.physical_rad for u, ch in channels.items()},
-                beta={u: ch.gain.beta for u, ch in channels.items()},
+                aod_rad=aod,
+                aoa_rad=aoa,
+                beta=beta,
                 clusters=clusters,
                 powers={u: fractions[k] * cluster_power for c in clusters for k, u in enumerate(c)},
                 f_rf=f_rf,
-                f_bb=design.baseband[0],
+                f_bb=f_bb,
             )
             for ci, cluster in enumerate(clusters):
                 for mi, uid in enumerate(cluster):
@@ -162,16 +180,16 @@ cluster {
 
 
 def test_output_bytes_do_not_depend_on_chunk_size(tmp_path, capsys, monkeypatch):
-    # a run's trial chunk is min(trials, BLOCK_ROWS)
+    # a run's block is min(trials, BLOCK_ROWS) trials; at 4096 one block holds them all
     path = tmp_path / "wide.cfg"
     path.write_text(WIDE)
     outputs = []
-    for rows in (1, 7, engine.BLOCK_ROWS):
+    for rows in (1, 7, engine.BLOCK_ROWS, 4096):
         monkeypatch.setattr(engine, "BLOCK_ROWS", rows)
         assert main(["run", "--config", str(path), "--format", "json"]) == 0
         outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1] == outputs[2]
-    # rejected rows are redrawn inside a chunk
+    assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
+    # rejected rows are redrawn inside a block
     assert json.loads(outputs[0])["singular_redraws"] == 2
 
 

@@ -265,7 +265,7 @@ class TestBatchedSweep:
 
     def _force_rejects(self, monkeypatch, pairs):
         """Reject the (point, trial) pairs in the first zero-forcing test; with
-        the grid in one block, it sees every pair, in point-major rows."""
+        the grid in one block, it sees every pair, in trial-major rows."""
         monkeypatch.setattr(engine, "BLOCK_ROWS", len(self.GRID) * self.TRIALS)
         true_rejects = engine.zero_forcing_rejects
         calls = []
@@ -275,7 +275,7 @@ class TestBatchedSweep:
             if not calls:
                 assert len(first_rows) == len(self.GRID) * self.TRIALS
                 for point, trial in pairs:
-                    mask[point * self.TRIALS + trial] = True
+                    mask[trial * len(self.GRID) + point] = True
             calls.append(len(first_rows))
             return mask
 
@@ -337,17 +337,17 @@ class TestBatchedSweep:
 
     def test_output_bytes_do_not_depend_on_block_size(self, monkeypatch, capsys):
         commands = (
-            ["fig2", "--trials", "100", "--step", "1", "--format", "json"],  # two trial chunks
-            ["fig2", "--trials", "3", "--step", "0.5", "--format", "json"],  # 2 points per 7 rows
+            ["fig2", "--trials", "100", "--step", "1", "--format", "json"],  # 1,100 rows
+            ["fig2", "--trials", "3", "--step", "0.5", "--format", "json"],  # 21 points per trial
             ["fig3", "--format", "csv"],
         )
         outputs = []
-        for rows in (1, 7, engine.BLOCK_ROWS):
+        for rows in (1, 7, engine.BLOCK_ROWS, 4096):  # 4096: one block holds a whole grid
             monkeypatch.setattr(engine, "BLOCK_ROWS", rows)
             for argv in commands:
                 assert main(argv) == 0
             outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
 
 
 class TestSweepGrid:
