@@ -14,6 +14,7 @@ abort, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -33,6 +34,7 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hbnoma",

@@ -37,8 +37,9 @@ from .precoding import BEAM_RANK_TOL, MAX_GRAM_CONDITION
 from .scenario import ScenarioConfig
 
 # Trial-major (trial, sweep point) rows per block. Fixed, so memory stays
-# flat in the trial and point counts; results do not depend on it.
-BLOCK_ROWS = 64
+# flat in the trial and point counts; results do not depend on it. Chosen by
+# timing the benchmark workloads at 64 to 1,024 rows (CHANGES.md).
+BLOCK_ROWS = 512
 
 
 def _kernel_ratio(delta: np.ndarray, num_elements: int) -> tuple[np.ndarray, np.ndarray]:
@@ -150,12 +151,14 @@ class Design(NamedTuple):
 
 def zero_forcing_rejects(first_rows: np.ndarray) -> np.ndarray:
     """Trials whose first users' rows, scaled to unit norm, have a squared
-    condition number above MAX_GRAM_CONDITION."""
+    condition number above MAX_GRAM_CONDITION.
+
+    The squared condition number is lambda_max / lambda_min of the rows'
+    N x N Gram matrix. The test is written so that a NaN eigenvalue rejects.
+    """
     unit = first_rows / np.linalg.norm(first_rows, axis=-1, keepdims=True)
-    singvals = np.linalg.svd(unit, compute_uv=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = singvals[:, 0] / singvals[:, -1]
-    return (singvals[:, -1] == 0.0) | (ratio**2 > MAX_GRAM_CONDITION)
+    eigen = np.linalg.eigvalsh(unit @ unit.conj().swapaxes(-1, -2))
+    return ~(eigen[:, 0] * MAX_GRAM_CONDITION >= eigen[:, -1])
 
 
 def design_trials(
@@ -174,23 +177,23 @@ def design_trials(
     beam_user = np.argmax(gain, axis=2)
     beam_aod = np.take_along_axis(aod, beam_user[..., None], axis=2)[..., 0]
     scale = math.sqrt(t_bs * config.mu_antennas)
-    rows = scale * beta[..., None] * dirichlet_kernel(
-        beam_aod[:, None, None, :] - aod[..., None], t_bs
-    )
+    kernel = dirichlet_kernel(beam_aod[:, None, None, :] - aod[..., None], t_bs)
+    rows = scale * beta[..., None] * kernel
+    # row i of F_rf^H F_rf is the kernel row of beam i's own user
+    gram = np.take_along_axis(kernel, beam_user[..., None, None], axis=2)[:, :, 0]
     norm = np.sqrt(np.sum(rows.real**2 + rows.imag**2, axis=-1))
     sic = np.argsort(-norm, axis=2, kind="stable")
     aod, gain, norm = (np.take_along_axis(a, sic, axis=2) for a in (aod, gain, norm))
     rows = np.take_along_axis(rows, sic[..., None], axis=2)
     accepted = ~zero_forcing_rejects(rows[:, :, 0])
     if not accepted.all():
-        aod, gain, beam_aod, rows, norm, sic, beam_user = (
-            a[accepted] for a in (aod, gain, beam_aod, rows, norm, sic, beam_user)
+        aod, gain, beam_aod, rows, norm, sic, beam_user, gram = (
+            a[accepted] for a in (aod, gain, beam_aod, rows, norm, sic, beam_user, gram)
         )
     first_rows = rows[:, :, 0]
     n = config.num_clusters
     # LU solve of first_rows @ F0 = I; explicit inversion loses digits at T_BS = 64
     raw = np.linalg.solve(first_rows, np.broadcast_to(np.eye(n, dtype=complex), first_rows.shape))
-    gram = dirichlet_kernel(beam_aod[:, None, :] - beam_aod[:, :, None], t_bs)
     gram_raw = np.sum(gram[..., None] * raw[:, None, :, :], axis=2)
     radiated = np.sqrt(np.sum(raw.conj() * gram_raw, axis=1).real)
     return accepted, Design(

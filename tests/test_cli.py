@@ -186,6 +186,16 @@ class TestSweepCommands:
         assert lines[0] == "aod_deg,rho,rate_sim_bps_hz,rate_bound_bps_hz,snr_db"
         assert len(lines) == 4
 
+    def test_defaults_do_not_leak_between_calls(self, capsys):
+        # the parser is built once per process; a call's options must not stick
+        sweep = ["fig2", "--snr-db", "5", "--step", "5", "--format", "json"]
+        assert main([*sweep, "--trials", "5", "--seed", "3"]) == 0
+        first = json.loads(capsys.readouterr().out)
+        assert main(sweep) == 0
+        second = json.loads(capsys.readouterr().out)
+        assert (first["trials"], first["seed"]) == (5, 3)
+        assert (second["trials"], second["seed"]) == (1000, 1)
+
     def test_fig2_rejects_bad_snr(self, capsys):
         assert main(["fig2", "--snr-db", "five"]) == 2
 

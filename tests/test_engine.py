@@ -11,7 +11,8 @@ from hbnoma import ClusterSpec, ScenarioConfig, SingularClusteringError, UserSpe
 from hbnoma import engine
 from hbnoma.cli import main
 from hbnoma.engine import TrialSampler, design_trial, evaluate
-from hbnoma.precoding import CONSTRAINT_TOL
+from hbnoma.precoding import CONSTRAINT_TOL, MAX_GRAM_CONDITION, AnalogPrecoder
+from hbnoma.precoding import zero_forcing_precoder
 from hbnoma.runner import run_scenario
 from hbnoma.scenario import parse_config_text
 
@@ -247,3 +248,96 @@ def test_demotions_counted_not_logged(caplog):
     expected = sum(ref.demotions for ref in replay_run(config)[0])
     assert expected > 0
     assert manifest.first_user_demotions == expected
+
+
+def _rows_with_condition(cond, n, rng):
+    """A (n, n) set of rows whose unit-norm Gram has squared condition number ``cond``.
+
+    Rows 0 and 1 have |<r0, r1>| = c = (cond - 1) / (cond + 1), so their Gram
+    has eigenvalues 1 - c and 1 + c; the others are orthonormal to both. Row
+    scales, row phases and a unitary rotation leave that spectrum unchanged.
+    """
+    c = (cond - 1.0) / (cond + 1.0)
+    rows = np.eye(n, dtype=complex)
+    rows[1, :2] = [c, math.sqrt((1.0 - c) * (1.0 + c))]
+    unitary, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    scale = rng.uniform(0.5, 2.0, (n, 1)) * np.exp(2j * np.pi * rng.random((n, 1)))
+    return scale * rows @ unitary
+
+
+def _svd_rejects(first_rows):
+    """The object pipeline's decision: does ``zero_forcing_precoder`` refuse these rows?"""
+    n = len(first_rows)
+    try:
+        zero_forcing_precoder(list(first_rows.conj()), AnalogPrecoder(np.eye(n, dtype=complex)))
+    except SingularClusteringError:
+        return True
+    return False
+
+
+def test_zero_forcing_rejects_by_the_squared_condition_number():
+    rng = np.random.default_rng(34)
+    for n in (2, 3, 4):
+        below = np.stack([_rows_with_condition(1e11, n, rng) for _ in range(20)])
+        above = np.stack([_rows_with_condition(1e13, n, rng) for _ in range(20)])
+        assert not engine.zero_forcing_rejects(below).any()
+        assert engine.zero_forcing_rejects(above).all()
+        # exactly collinear: row 1 is row 0 times 2j, which rounds nothing
+        collinear = rng.standard_normal((20, n, n)) + 1j * rng.standard_normal((20, n, n))
+        collinear[:, 1] = 2j * collinear[:, 0]
+        assert engine.zero_forcing_rejects(collinear).all()
+
+
+def test_zero_forcing_rejects_agrees_with_the_svd_criterion(monkeypatch):
+    rng = np.random.default_rng(35)
+    true_rejects = engine.zero_forcing_rejects
+    seen = []
+
+    def record(first_rows):
+        seen.extend(first_rows.copy())
+        return true_rejects(first_rows)
+
+    monkeypatch.setattr(engine, "zero_forcing_rejects", record)
+    coincident = UserSpec(aod_deg=10.0, aoa_deg=0.0, large_scale_db=0.0, small_scale=1 + 0j)
+    configs = [random_config(rng) for _ in range(40)]
+    configs.append(
+        ScenarioConfig(
+            bs_antennas=16,
+            mu_antennas=4,
+            clusters=(ClusterSpec((coincident,)), ClusterSpec((coincident,))),
+            seed=3,
+        )
+    )
+    for config in configs:
+        aod, beta = TrialSampler(config).draw(np.arange(config.trials), 0)
+        engine.design_trials(config, aod, beta)
+    # and sets on both sides of the threshold, clear of its rounding band
+    for exponent in rng.uniform(10.0, 14.0, 200):
+        if abs(exponent - math.log10(MAX_GRAM_CONDITION)) > 0.01:
+            seen.append(_rows_with_condition(10.0**exponent, int(rng.integers(2, 5)), rng))
+    ours = [bool(true_rejects(rows[None])[0]) for rows in seen]
+    assert ours == [_svd_rejects(rows) for rows in seen]
+    assert 0 < sum(ours) < len(ours)
+
+
+def test_beam_gram_is_the_kernel_of_the_beam_offsets():
+    # design_trials reads F_rf^H F_rf out of the steering kernel; it must
+    # equal the kernel of the beam offsets to the bit
+    rng = np.random.default_rng(36)
+    configs = [random_config(rng) for _ in range(30)]
+    weak = UserSpec(aod_deg=None, aoa_deg=None, large_scale_db=-10.0)
+    for edge in (90.0, -90.0):
+        strong = UserSpec(aod_deg=edge, aoa_deg=0.0, large_scale_db=0.0, small_scale=10 + 0j)
+        clusters = (ClusterSpec((strong, weak)), ClusterSpec((weak, weak)))
+        configs.append(ScenarioConfig(bs_antennas=16, mu_antennas=4, clusters=clusters, seed=8))
+    demoted = edges = 0
+    for config in configs:
+        aod, beta = TrialSampler(config).draw(np.arange(64), 0)
+        _, design = engine.design_trials(config, aod, beta)
+        offsets = design.beam_aod[:, None, :] - design.beam_aod[:, :, None]
+        expected = engine.dirichlet_kernel(offsets, config.bs_antennas)
+        assert np.ascontiguousarray(design.gram).tobytes() == expected.tobytes()
+        demoted += int(np.count_nonzero(design.demoted))
+        edges += int(np.count_nonzero(np.abs(design.beam_aod) == 1.0))
+    assert demoted > 0
+    assert edges > 0

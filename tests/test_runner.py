@@ -173,7 +173,7 @@ class TestRedrawPolicy:
         def reject_trial_two_once(first_rows):
             mask = true_rejects(first_rows)
             calls["count"] += 1
-            if calls["count"] == 1:  # the first round of the first chunk: trials 0..63
+            if calls["count"] == 1:  # the first round of the first block, which holds trial 2
                 mask[2] = True
             return mask
 
