@@ -12,7 +12,10 @@ the draws is array arithmetic over the whole block:
   ``K_T(delta) = (1/T) * sum_k exp(-j*pi*k*delta)``, so the effective
   channels, the beam Gram matrix and the radiated power of a beam come
   from closed forms, and no T_MU x T_BS channel matrix is built;
-* zero forcing is one stacked ``np.linalg.solve`` over the accepted trials;
+* the matrix work of a design (the zero-forcing reject test, the stacked
+  ``np.linalg.solve``, the beam Gram's and the leakage eigenvalues) is done
+  once per run of consecutive rows that share first users and beams, as the
+  points of a sweep mostly do, and gathered back to every row of the run;
 * rates and the rate bound are masked sums over the cluster axis, at every
   SNR of one design.
 
@@ -147,6 +150,27 @@ class Design(NamedTuple):
     demoted: np.ndarray  # (C, N) the beam's user lost first place in the SIC order
     gram: np.ndarray  # (C, N, N) F_rf^H F_rf
     baseband: np.ndarray  # (C, N, N) zero-forcing precoder, unit power per beam
+    run: np.ndarray  # (C,) index of the row's run of equal first rows and beams
+
+
+def _runs(*arrays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First row of each run of consecutive rows that agree bit for bit in
+    every array, and the run of each row.
+
+    Rows are compared as raw bits, so -0.0 and +0.0 differ and a NaN equals
+    itself. LAPACK returns the same bits for the same matrix in any batch, so
+    work done once per run and gathered back equals work done per row.
+    """
+    keys = np.concatenate(
+        [
+            np.ascontiguousarray(a).reshape(len(a), math.prod(a.shape[1:])).view(np.uint64)
+            for a in arrays
+        ],
+        axis=1,
+    )
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+    return np.flatnonzero(new), np.cumsum(new) - 1
 
 
 def zero_forcing_rejects(first_rows: np.ndarray) -> np.ndarray:
@@ -155,10 +179,13 @@ def zero_forcing_rejects(first_rows: np.ndarray) -> np.ndarray:
 
     The squared condition number is lambda_max / lambda_min of the rows'
     N x N Gram matrix. The test is written so that a NaN eigenvalue rejects.
+    Each run of equal consecutive rows is tested once.
     """
+    starts, run = _runs(first_rows)
+    first_rows = first_rows[starts]
     unit = first_rows / np.linalg.norm(first_rows, axis=-1, keepdims=True)
     eigen = np.linalg.eigvalsh(unit @ unit.conj().swapaxes(-1, -2))
-    return ~(eigen[:, 0] * MAX_GRAM_CONDITION >= eigen[:, -1])
+    return ~(eigen[:, 0] * MAX_GRAM_CONDITION >= eigen[:, -1])[run]
 
 
 def design_trials(
@@ -190,11 +217,14 @@ def design_trials(
         aod, gain, beam_aod, rows, norm, sic, beam_user, gram = (
             a[accepted] for a in (aod, gain, beam_aod, rows, norm, sic, beam_user, gram)
         )
-    first_rows = rows[:, :, 0]
+    # the precoder depends on the first rows and the beam Gram, which is a
+    # function of the beam AoDs alone, so one run of rows shares one precoder
+    starts, run = _runs(rows[:, :, 0], beam_aod)
+    first_rows = rows[starts, :, 0]
     n = config.num_clusters
     # LU solve of first_rows @ F0 = I; explicit inversion loses digits at T_BS = 64
     raw = np.linalg.solve(first_rows, np.broadcast_to(np.eye(n, dtype=complex), first_rows.shape))
-    gram_raw = np.sum(gram[..., None] * raw[:, None, :, :], axis=2)
+    gram_raw = np.sum(gram[starts, ..., None] * raw[:, None, :, :], axis=2)
     radiated = np.sqrt(np.sum(raw.conj() * gram_raw, axis=1).real)
     return accepted, Design(
         aod=aod,
@@ -205,7 +235,8 @@ def design_trials(
         sic=sic,
         demoted=sic[..., 0] != beam_user,
         gram=gram,
-        baseband=raw / radiated[:, None, :],
+        baseband=(raw / radiated[:, None, :])[run],
+        run=run,
     )
 
 
@@ -260,16 +291,18 @@ def evaluate(config: ScenarioConfig, design: Design) -> TrialOutputs:
 
     bound = rate.copy()
     if m > 1:
-        eigen = np.linalg.eigvalsh(design.gram)
+        # the beam Gram and the precoder are shared by a run: solve each run once
+        starts = np.flatnonzero(np.diff(design.run, prepend=-1))
+        eigen = np.linalg.eigvalsh(design.gram[starts])
         lam_min, lam_max = eigen[:, 0], eigen[:, -1]
         if np.any(lam_min <= lam_max * BEAM_RANK_TOL):
             raise ValueError("analog precoder is rank deficient; eta is undefined")
         kappa = lam_max / lam_min
-        eta = (0.25 * (kappa + 1.0 / kappa + 2.0))[:, None, None]
+        eta = (0.25 * (kappa + 1.0 / kappa + 2.0))[design.run, None, None]
         first_aod = design.aod[:, :, None, :1]
         ks_user = np.sum(fejer_kernel(first_aod - design.aod[:, None], t_bs), axis=1)
         ks_first = ks_user[..., :1]
-        lam = _max_leakage_eigenvalues(design.baseband)[..., None]
+        lam = _max_leakage_eigenvalues(design.baseband[starts])[design.run, :, None]
         received = t_bs * t_mu * design.gain**2
         rho2 = rho**2
         zeta_intra = stronger * rho2 * received
@@ -374,6 +407,17 @@ class Totals(NamedTuple):
     first_user_demotions: int
 
 
+def _normalized_from_degrees(aod_deg: Sequence[float]) -> np.ndarray:
+    """``AngleSpec.from_degrees(a).normalized`` of every angle, to the bit, in one
+    call; the first angle outside [-90, 90] degrees raises AngleSpec's ValueError."""
+    degrees = np.asarray(aod_deg, dtype=float)
+    physical = np.radians(degrees)
+    outside = ~((-math.pi / 2 <= physical) & (physical <= math.pi / 2))
+    if outside.any():
+        AngleSpec.from_degrees(float(degrees[outside][0]))
+    return np.sin(physical)
+
+
 def simulate(config: ScenarioConfig, sweep_aod_deg: Sequence[float] | None = None) -> Totals:
     """Run the configured trial budget at every sweep point and SNR of ``config``.
 
@@ -387,7 +431,7 @@ def simulate(config: ScenarioConfig, sweep_aod_deg: Sequence[float] | None = Non
     """
     swept = None
     if sweep_aod_deg is not None:
-        swept = np.array([AngleSpec.from_degrees(a).normalized for a in sweep_aod_deg])
+        swept = _normalized_from_degrees(sweep_aod_deg)
     budget = RedrawBudget(config.trials, sweep_aod_deg)
     sampler = TrialSampler(config)
     points = budget.used.size

@@ -13,7 +13,7 @@ their means; this module turns the means into reports.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -46,7 +46,9 @@ class RunManifest:
         return [tuple(u[column] for column in self.CSV_HEADER) for u in self.users]
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        # shallow, sharing the config echo and user entries: dataclasses.asdict
+        # deep-copies them on every render, for the same JSON
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def user_entry(self, user_n: int, user_m: int) -> dict:
         for entry in self.users:

@@ -7,13 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from hbnoma import ClusterSpec, ScenarioConfig, SingularClusteringError, UserSpec
+from hbnoma import AngleSpec, ClusterSpec, ScenarioConfig, SingularClusteringError, UserSpec
 from hbnoma import engine
 from hbnoma.cli import main
-from hbnoma.engine import TrialSampler, design_trial, evaluate
+from hbnoma.engine import TrialSampler, design_trial, evaluate, simulate
 from hbnoma.precoding import CONSTRAINT_TOL, MAX_GRAM_CONDITION, AnalogPrecoder
 from hbnoma.precoding import zero_forcing_precoder
-from hbnoma.runner import run_scenario
+from hbnoma.runner import fig2_config, fig3_config, run_scenario, sweep_fig3, sweep_grid
 from hbnoma.scenario import parse_config_text
 
 from bruteforce import array_response, channel_matrix, rate_table
@@ -341,3 +341,108 @@ def test_beam_gram_is_the_kernel_of_the_beam_offsets():
         edges += int(np.count_nonzero(np.abs(design.beam_aod) == 1.0))
     assert demoted > 0
     assert edges > 0
+
+
+def test_engine_norms_meet_the_effective_norm_identity():
+    # criterion 2's identity on the oracle test's designs: Design.norm is
+    # ||a_mu^H H F_rf|| of the channel the oracle rebuilds, to criterion 2's 1e-10
+    rng = np.random.default_rng(32)
+    checked, worst = 0, 0.0
+    for _ in range(12):
+        config = random_config(rng)
+        try:
+            run_scenario(config)
+        except SingularClusteringError:
+            continue
+        t_bs, t_mu = config.bs_antennas, config.mu_antennas
+        for t in range(config.trials):
+            attempt, design = design_trial(config, t)
+            channels, _ = materialize(config, t, attempt, np.random.default_rng(t))
+            f_rf = np.column_stack([array_response(t_bs, math.asin(x)) for x in design.beam_aod[0]])
+            for (ci, mi), u in np.ndenumerate(design.sic[0]):
+                ch = channels[ci * config.users_per_cluster + int(u)]
+                aod, aoa = ch.aod.physical_rad, ch.aoa.physical_rad
+                a_mu = array_response(t_mu, aoa)
+                h = a_mu.conj() @ channel_matrix(t_bs, t_mu, aod, aoa, ch.gain.beta) @ f_rf
+                expected = np.linalg.norm(h)
+                worst = max(worst, abs(design.norm[0, ci, mi] - expected) / expected)
+                checked += 1
+    assert checked > 1000
+    assert worst <= 1e-10
+
+
+def test_rows_of_one_run_share_a_design_equal_to_each_row_alone():
+    # fig3's grid is one run; at seed 4 some fig2 trials steer cluster one's
+    # beam at the swept user, so each of their rows is a run of its own
+    cases = (
+        (fig3_config(0.0, seed=1), sweep_grid(-90.0, 90.0, 0.5), 1),
+        (fig2_config(50.0, seed=4, trials=8, snr_db=(0.0, 5.0)), sweep_grid(50.0, 60.0, 0.25), 8),
+    )
+    runs = []
+    for config, grid, trials in cases:
+        # every trial-major (trial, point) row, drawn as simulate draws attempt 0
+        trial, point = np.divmod(np.arange(trials * len(grid)), len(grid))
+        aod, beta = TrialSampler(config).draw(trial, 0)
+        aod[:, 0, 1] = engine._normalized_from_degrees(grid)[point]
+        accepted, design = engine.design_trials(config, aod, beta)
+        assert accepted.all()
+        outputs = evaluate(config, design)
+        for i in range(len(aod)):
+            accepted, alone = engine.design_trials(config, aod[i : i + 1], beta[i : i + 1])
+            assert accepted[0]
+            for name in engine.Design._fields:
+                if name != "run":
+                    row = np.ascontiguousarray(getattr(design, name)[i : i + 1])
+                    assert row.tobytes() == getattr(alone, name).tobytes(), (i, name)
+            for ours, theirs in zip(outputs, evaluate(config, alone)):
+                assert np.ascontiguousarray(ours[:, i]).tobytes() == theirs[:, 0].tobytes()
+        runs.append((int(design.run[-1]) + 1, len(aod)))
+    assert runs[0] == (1, 361)
+    assert 8 < runs[1][0] < runs[1][1] == 328
+
+
+def test_a_block_with_every_row_rejected():
+    coincident = UserSpec(aod_deg=10.0, aoa_deg=0.0, large_scale_db=0.0, small_scale=1 + 0j)
+    clusters = (ClusterSpec((coincident,)), ClusterSpec((coincident,)))
+    config = ScenarioConfig(bs_antennas=16, mu_antennas=4, clusters=clusters, seed=3)
+    aod, beta = TrialSampler(config).draw(np.arange(5), 0)
+    accepted, design = engine.design_trials(config, aod, beta)
+    assert not accepted.any()
+    assert all(len(values) == 0 for values in design)
+
+
+def test_rows_differing_only_in_the_sign_of_a_zero_are_not_merged():
+    # cluster one's beam user sits at 0 degrees; row 1 steers it at -0.0
+    config = fig3_config(20.0, seed=1)
+    aod, beta = TrialSampler(config).draw(np.arange(3), 0)
+    assert aod[1, 0, 0] == 0.0 and not np.signbit(aod[1, 0, 0])
+    aod[1, 0, 0] = -0.0
+    _, design = engine.design_trials(config, aod, beta)
+    assert np.signbit(design.beam_aod[:, 0]).tolist() == [False, True, False]
+    assert design.run.tolist() == [0, 1, 2]
+
+
+def test_fig3_sweep_solves_its_one_design_once(monkeypatch):
+    # 361 rows, one run: the reject, beam-Gram and leakage eigensolves and
+    # the zero-forcing solve each see one design
+    batches = {"eigvalsh": [], "solve": []}
+    for name, seen in batches.items():
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _original=original, _seen=seen, **kwargs):
+            _seen.append(len(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    assert len(sweep_fig3().rows) == 361
+    assert batches == {"eigvalsh": [1, 1, 1], "solve": [1]}
+
+
+def test_swept_angles_convert_as_angle_spec_does():
+    for grid in (sweep_grid(50.0, 60.0, 0.25), sweep_grid(-90.0, 90.0, 0.5)):  # fig2, fig3
+        expected = np.array([AngleSpec.from_degrees(a).normalized for a in grid])
+        assert engine._normalized_from_degrees(grid).tobytes() == expected.tobytes()
+    config = fig3_config(0.0, seed=1)
+    for outside in (90.5, -91.0, math.nan):
+        with pytest.raises(ValueError, match=r"physical angle must lie in \[-pi/2, pi/2\]"):
+            simulate(config, [0.0, outside])
