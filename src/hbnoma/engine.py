@@ -44,6 +44,10 @@ from .scenario import ScenarioConfig
 # timing the benchmark workloads at 64 to 1,024 rows (CHANGES.md).
 BLOCK_ROWS = 512
 
+# Gershgorin lower bound on lambda_min above which zero_forcing_rejects
+# accepts a unit-row set without an eigensolve
+_GERSHGORIN_ACCEPT = 1e-3
+
 
 def _kernel_ratio(delta: np.ndarray, num_elements: int) -> tuple[np.ndarray, np.ndarray]:
     """Reduced offset r in [-1, 1] and the real ratio sin(pi*T*r/2) / (T*sin(pi*r/2))."""
@@ -57,6 +61,15 @@ def _kernel_ratio(delta: np.ndarray, num_elements: int) -> tuple[np.ndarray, np.
     return reduced, np.where(singular, 1.0, ratio)
 
 
+def _kernels(delta: np.ndarray, num_elements: int) -> tuple[np.ndarray, np.ndarray]:
+    """``dirichlet_kernel`` and ``fejer_kernel`` of ``delta`` from one reduction."""
+    reduced, ratio = _kernel_ratio(delta, num_elements)
+    return (
+        ratio * np.exp(-0.5j * np.pi * (num_elements - 1) * reduced),
+        np.minimum(ratio**2, 1.0),
+    )
+
+
 def dirichlet_kernel(delta: np.ndarray, num_elements: int) -> np.ndarray:
     """Inner product a(x)^H a(x + delta) of two unit ULA steering vectors.
 
@@ -64,13 +77,12 @@ def dirichlet_kernel(delta: np.ndarray, num_elements: int) -> np.ndarray:
     offset r reduced to [-1, 1]; its squared magnitude is
     ``arrays.fejer_correlation``.
     """
-    reduced, ratio = _kernel_ratio(delta, num_elements)
-    return ratio * np.exp(-0.5j * np.pi * (num_elements - 1) * reduced)
+    return _kernels(delta, num_elements)[0]
 
 
 def fejer_kernel(delta: np.ndarray, num_elements: int) -> np.ndarray:
     """Elementwise ``arrays.fejer_correlation``."""
-    return np.minimum(_kernel_ratio(delta, num_elements)[1] ** 2, 1.0)
+    return _kernels(delta, num_elements)[1]
 
 
 class TrialSampler:
@@ -149,6 +161,7 @@ class Design(NamedTuple):
     sic: np.ndarray  # (C, N, M) config index of each SIC position
     demoted: np.ndarray  # (C, N) the beam's user lost first place in the SIC order
     gram: np.ndarray  # (C, N, N) F_rf^H F_rf
+    fejer: np.ndarray  # (C, N, M, N) |a(aod)^H a(beam_aod)|^2, the squared magnitude of rows' kernel
     baseband: np.ndarray  # (C, N, N) zero-forcing precoder, unit power per beam
     run: np.ndarray  # (C,) index of the row's run of equal first rows and beams
 
@@ -180,12 +193,28 @@ def zero_forcing_rejects(first_rows: np.ndarray) -> np.ndarray:
     The squared condition number is lambda_max / lambda_min of the rows'
     N x N Gram matrix. The test is written so that a NaN eigenvalue rejects.
     Each run of equal consecutive rows is tested once.
+
+    Gershgorin's discs decide most sets without an eigensolve: with r the
+    largest absolute row sum of the Gram less its smallest |diagonal|
+    (about 1), lambda_min >= 1 - r and lambda_max <= 1 + r. A set with
+    1 - r >= ``_GERSHGORIN_ACCEPT`` has a squared condition number of at
+    most about 2,000, so far below the threshold that the eigenvalue test,
+    rounding included, accepts it too. A set whose Gram holds a NaN is
+    rejected without an eigensolve, which may not converge on it.
     """
     starts, run = _runs(first_rows)
     first_rows = first_rows[starts]
     unit = first_rows / np.linalg.norm(first_rows, axis=-1, keepdims=True)
-    eigen = np.linalg.eigvalsh(unit @ unit.conj().swapaxes(-1, -2))
-    return ~(eigen[:, 0] * MAX_GRAM_CONDITION >= eigen[:, -1])[run]
+    gram = unit @ unit.conj().swapaxes(-1, -2)
+    spread = np.abs(gram).sum(axis=-1).max(axis=-1) - np.abs(
+        np.diagonal(gram, axis1=-2, axis2=-1)
+    ).min(axis=-1)
+    rejects = np.isnan(spread)
+    unsure = 1.0 - spread < _GERSHGORIN_ACCEPT
+    if unsure.any():
+        eigen = np.linalg.eigvalsh(gram[unsure])
+        rejects[unsure] = ~(eigen[:, 0] * MAX_GRAM_CONDITION >= eigen[:, -1])
+    return rejects[run]
 
 
 def design_trials(
@@ -204,18 +233,18 @@ def design_trials(
     beam_user = np.argmax(gain, axis=2)
     beam_aod = np.take_along_axis(aod, beam_user[..., None], axis=2)[..., 0]
     scale = math.sqrt(t_bs * config.mu_antennas)
-    kernel = dirichlet_kernel(beam_aod[:, None, None, :] - aod[..., None], t_bs)
+    kernel, fejer = _kernels(beam_aod[:, None, None, :] - aod[..., None], t_bs)
     rows = scale * beta[..., None] * kernel
     # row i of F_rf^H F_rf is the kernel row of beam i's own user
     gram = np.take_along_axis(kernel, beam_user[..., None, None], axis=2)[:, :, 0]
     norm = np.sqrt(np.sum(rows.real**2 + rows.imag**2, axis=-1))
     sic = np.argsort(-norm, axis=2, kind="stable")
     aod, gain, norm = (np.take_along_axis(a, sic, axis=2) for a in (aod, gain, norm))
-    rows = np.take_along_axis(rows, sic[..., None], axis=2)
+    rows, fejer = (np.take_along_axis(a, sic[..., None], axis=2) for a in (rows, fejer))
     accepted = ~zero_forcing_rejects(rows[:, :, 0])
     if not accepted.all():
-        aod, gain, beam_aod, rows, norm, sic, beam_user, gram = (
-            a[accepted] for a in (aod, gain, beam_aod, rows, norm, sic, beam_user, gram)
+        aod, gain, beam_aod, rows, norm, sic, beam_user, gram, fejer = (
+            a[accepted] for a in (aod, gain, beam_aod, rows, norm, sic, beam_user, gram, fejer)
         )
     # the precoder depends on the first rows and the beam Gram, which is a
     # function of the beam AoDs alone, so one run of rows shares one precoder
@@ -235,6 +264,7 @@ def design_trials(
         sic=sic,
         demoted=sic[..., 0] != beam_user,
         gram=gram,
+        fejer=fejer,
         baseband=(raw / radiated[:, None, :])[run],
         run=run,
     )
@@ -285,9 +315,10 @@ def evaluate(config: ScenarioConfig, design: Design) -> TrialOutputs:
     inter = total * leaked
     rate = np.log2(1.0 + desired / (intra + inter + 1.0))
 
-    inner = np.abs(np.sum(rows * rows[:, :, :1].conj(), axis=-1))
-    rho = np.minimum(inner / (design.norm * design.norm[..., :1]), 1.0)
-    rho[..., 0] = 1.0
+    # first users keep rho = 1 and their rate as the bound: only weak users' are computed
+    rho = np.ones(design.norm.shape)
+    inner = np.abs(np.sum(rows[:, :, 1:] * rows[:, :, :1].conj(), axis=-1))
+    rho[..., 1:] = np.minimum(inner / (design.norm[..., 1:] * design.norm[..., :1]), 1.0)
 
     bound = rate.copy()
     if m > 1:
@@ -299,18 +330,25 @@ def evaluate(config: ScenarioConfig, design: Design) -> TrialOutputs:
             raise ValueError("analog precoder is rank deficient; eta is undefined")
         kappa = lam_max / lam_min
         eta = (0.25 * (kappa + 1.0 / kappa + 2.0))[design.run, None, None]
-        first_aod = design.aod[:, :, None, :1]
-        ks_user = np.sum(fejer_kernel(first_aod - design.aod[:, None], t_bs), axis=1)
+        # F_T(first user n's AoD - user (c, m)'s AoD) at [n, c, m]: a beam that
+        # is not demoted is steered at its first user, so the design's kernel
+        # holds it; rows with a demoted cluster are evaluated afresh
+        fejer = np.moveaxis(design.fejer, 3, 1).copy()
+        fresh = design.demoted.any(axis=1)
+        if fresh.any():
+            first_aod = design.aod[fresh, :, None, :1]
+            fejer[fresh] = fejer_kernel(first_aod - design.aod[fresh, None], t_bs)
+        ks_user = np.sum(fejer, axis=1)
         ks_first = ks_user[..., :1]
         lam = _max_leakage_eigenvalues(design.baseband[starts])[design.run, :, None]
-        received = t_bs * t_mu * design.gain**2
-        rho2 = rho**2
-        zeta_intra = stronger * rho2 * received
+        gain2 = design.gain[..., 1:] ** 2
+        received = t_bs * t_mu * gain2
+        rho2 = rho[..., 1:] ** 2
+        zeta_intra = stronger[..., 1:] * rho2 * received
         zeta_inter = per_snr(cluster_power) * (1.0 - rho2) * received * lam * eta * ks_first
-        zeta_noise = eta * ks_first / ks_user
-        numerator = powers * rho2 * t_bs * t_mu * design.gain**2
-        weak = np.log2(1.0 + numerator / (zeta_intra + zeta_inter + zeta_noise))
-        bound[..., 1:] = weak[..., 1:]
+        zeta_noise = eta * ks_first / ks_user[..., 1:]
+        numerator = powers[..., 1:] * rho2 * t_bs * t_mu * gain2
+        bound[..., 1:] = np.log2(1.0 + numerator / (zeta_intra + zeta_inter + zeta_noise))
     return TrialOutputs(rate=rate, bound=bound, rho=rho[None], intra=intra, inter=inter)
 
 

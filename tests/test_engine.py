@@ -320,6 +320,86 @@ def test_zero_forcing_rejects_agrees_with_the_svd_criterion(monkeypatch):
     assert 0 < sum(ours) < len(ours)
 
 
+def _eigenvalue_rejects(first_rows):
+    """The reject test with an eigensolve for every set, as before the Gershgorin pre-test."""
+    unit = first_rows / np.linalg.norm(first_rows, axis=-1, keepdims=True)
+    eigen = np.linalg.eigvalsh(unit @ unit.conj().swapaxes(-1, -2))
+    return ~(eigen[:, 0] * MAX_GRAM_CONDITION >= eigen[:, -1])
+
+
+def _first_rows(config, trials):
+    """The SIC-first rows ``design_trials`` tests for ``trials`` at attempt 0."""
+    seen = []
+
+    def record(first_rows):
+        seen.append(first_rows.copy())
+        return np.zeros(len(first_rows), dtype=bool)
+
+    aod, beta = TrialSampler(config).draw(trials, 0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "zero_forcing_rejects", record)
+        engine.design_trials(config, aod, beta)
+    return seen[0]
+
+
+def test_gershgorin_pre_test_keeps_every_eigenvalue_decision():
+    rng = np.random.default_rng(37)
+    sets = [_first_rows(parse_config_text(WIDE), np.arange(20000))]
+    # squared condition numbers 1e2 to 1e14, the threshold 1e12 included
+    for n in (2, 3, 4):
+        for cond in np.logspace(2.0, 14.0, 49):
+            sets.append(np.stack([_rows_with_condition(cond, n, rng) for _ in range(4)]))
+        # a NaN rejects; eigvalsh rejects it at N = 2 and does not converge on it above
+        nan = rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
+        nan[0, 0, 0], nan[1, 1, 1], nan[2] = np.nan, complex(0.0, np.nan), np.nan
+        nan[3, 0] = 0.0
+        with np.errstate(invalid="ignore"):
+            assert engine.zero_forcing_rejects(nan).all()
+            if n == 2:
+                sets.append(nan)
+    rejected = 0
+    for rows in sets:
+        with np.errstate(invalid="ignore"):
+            expected = _eigenvalue_rejects(rows)
+            assert engine.zero_forcing_rejects(rows).tolist() == expected.tolist()
+        rejected += int(expected.sum())
+    assert 0 < rejected < sum(len(rows) for rows in sets)
+
+
+def test_gershgorin_pre_test_spares_most_eigensolves(monkeypatch):
+    config = parse_config_text(WIDE)
+    first_rows = _first_rows(config, np.arange(engine.BLOCK_ROWS))
+    seen = []
+    original = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        seen.append(len(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    engine.zero_forcing_rejects(first_rows)
+    assert 0 < sum(seen) <= 0.2 * engine.BLOCK_ROWS
+
+
+def test_design_kernel_gives_the_bound_the_fresh_kernel_gives():
+    # evaluate reads a beam's Fejer values from the design's kernel unless its
+    # cluster is demoted; marking every cluster demoted forces fresh kernels
+    rng = np.random.default_rng(38)
+    demoted = shared = 0
+    for _ in range(40):
+        config = random_config(rng)
+        aod, beta = TrialSampler(config).draw(np.arange(64), 0)
+        _, design = engine.design_trials(config, aod, beta)
+        fresh = design._replace(demoted=np.ones_like(design.demoted))
+        for ours, theirs in zip(evaluate(config, design), evaluate(config, fresh)):
+            assert ours.tobytes() == theirs.tobytes()
+        if config.users_per_cluster > 1:
+            demoted += int(np.count_nonzero(design.demoted))
+            shared += int(np.count_nonzero(~design.demoted.any(axis=1)))
+    assert demoted > 0
+    assert shared > 0
+
+
 def test_beam_gram_is_the_kernel_of_the_beam_offsets():
     # design_trials reads F_rf^H F_rf out of the steering kernel; it must
     # equal the kernel of the beam offsets to the bit
@@ -423,8 +503,9 @@ def test_rows_differing_only_in_the_sign_of_a_zero_are_not_merged():
 
 
 def test_fig3_sweep_solves_its_one_design_once(monkeypatch):
-    # 361 rows, one run: the reject, beam-Gram and leakage eigensolves and
-    # the zero-forcing solve each see one design
+    # 361 rows, one run: the beam-Gram and leakage eigensolves and the
+    # zero-forcing solve each see one design, and the reject test's
+    # Gershgorin pre-test accepts it without an eigensolve
     batches = {"eigvalsh": [], "solve": []}
     for name, seen in batches.items():
         original = getattr(np.linalg, name)
@@ -435,7 +516,7 @@ def test_fig3_sweep_solves_its_one_design_once(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     assert len(sweep_fig3().rows) == 361
-    assert batches == {"eigvalsh": [1, 1, 1], "solve": [1]}
+    assert batches == {"eigvalsh": [1, 1], "solve": [1]}
 
 
 def test_swept_angles_convert_as_angle_spec_does():
