@@ -19,17 +19,10 @@ class Emittable(Protocol):
     def as_dict(self) -> dict: ...
 
 
-def format_value(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
 def render_csv(payload: Emittable) -> str:
-    lines = [",".join(payload.CSV_HEADER)]
-    for row in payload.csv_rows():
-        lines.append(",".join(format_value(v) for v in row))
-    return "\n".join(lines) + "\n"
+    # every column is numeric; %.17g prints an int (a user index) as str does
+    row = ",".join(["%.17g"] * len(payload.CSV_HEADER)) + "\n"
+    return ",".join(payload.CSV_HEADER) + "\n" + "".join(row % r for r in payload.csv_rows())
 
 
 def render_json(payload: Emittable) -> str:
