@@ -11,13 +11,17 @@ the draws is array arithmetic over the whole block:
 * the analog correlation of two steering vectors is the Dirichlet kernel
   ``K_T(delta) = (1/T) * sum_k exp(-j*pi*k*delta)``, so the effective
   channels, the beam Gram matrix and the radiated power of a beam come
-  from closed forms, and no T_MU x T_BS channel matrix is built;
+  from closed forms, and no T_MU x T_BS channel matrix is built; the
+  design keeps the kernel's squared magnitude, the Fejer kernel, and the
+  bound reads its Fejer sums from it except in rows with a demoted beam;
 * the matrix work of a design (the zero-forcing reject test, the stacked
   ``np.linalg.solve``, the beam Gram's and the leakage eigenvalues) is done
   once per run of consecutive rows that share first users and beams, as the
   points of a sweep mostly do, and gathered back to every row of the run;
+  a Gershgorin pre-test decides most reject tests without an eigensolve;
 * rates and the rate bound are masked sums over the cluster axis, at every
-  SNR of one design.
+  SNR of one design; the bound and the correlation are computed for weak
+  users only.
 
 The matched receive combiner cancels the AoA from every effective channel,
 so AoAs are never drawn.
@@ -186,6 +190,21 @@ def _runs(*arrays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(new), np.cumsum(new) - 1
 
 
+def _take_users(index: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
+    """Each (C, N, M, ...) array at the user positions ``index`` (C, N, K).
+
+    Equals ``np.take_along_axis(a, index, axis=2)`` with ``index`` broadcast
+    over the trailing axes, as one ``np.take`` of flat positions.
+    """
+    c, n, k = index.shape
+    m = arrays[0].shape[2]
+    flat = (np.arange(c * n).reshape(c, n, 1) * m + index).ravel()
+    return [
+        np.take(a.reshape(c * n * m, *a.shape[3:]), flat, axis=0).reshape(c, n, k, *a.shape[3:])
+        for a in arrays
+    ]
+
+
 def zero_forcing_rejects(first_rows: np.ndarray) -> np.ndarray:
     """Trials whose first users' rows, scaled to unit norm, have a squared
     condition number above MAX_GRAM_CONDITION.
@@ -206,9 +225,10 @@ def zero_forcing_rejects(first_rows: np.ndarray) -> np.ndarray:
     first_rows = first_rows[starts]
     unit = first_rows / np.linalg.norm(first_rows, axis=-1, keepdims=True)
     gram = unit @ unit.conj().swapaxes(-1, -2)
-    spread = np.abs(gram).sum(axis=-1).max(axis=-1) - np.abs(
-        np.diagonal(gram, axis1=-2, axis2=-1)
-    ).min(axis=-1)
+    magnitude = np.abs(gram)
+    spread = magnitude.sum(axis=-1).max(axis=-1) - np.diagonal(magnitude, axis1=-2, axis2=-1).min(
+        axis=-1
+    )
     rejects = np.isnan(spread)
     unsure = 1.0 - spread < _GERSHGORIN_ACCEPT
     if unsure.any():
@@ -231,16 +251,15 @@ def design_trials(
     t_bs = config.bs_antennas
     gain = np.abs(beta)
     beam_user = np.argmax(gain, axis=2)
-    beam_aod = np.take_along_axis(aod, beam_user[..., None], axis=2)[..., 0]
+    beam_aod = _take_users(beam_user[..., None], aod)[0][..., 0]
     scale = math.sqrt(t_bs * config.mu_antennas)
     kernel, fejer = _kernels(beam_aod[:, None, None, :] - aod[..., None], t_bs)
     rows = scale * beta[..., None] * kernel
     # row i of F_rf^H F_rf is the kernel row of beam i's own user
-    gram = np.take_along_axis(kernel, beam_user[..., None, None], axis=2)[:, :, 0]
+    gram = _take_users(beam_user[..., None], kernel)[0][:, :, 0]
     norm = np.sqrt(np.sum(rows.real**2 + rows.imag**2, axis=-1))
     sic = np.argsort(-norm, axis=2, kind="stable")
-    aod, gain, norm = (np.take_along_axis(a, sic, axis=2) for a in (aod, gain, norm))
-    rows, fejer = (np.take_along_axis(a, sic[..., None], axis=2) for a in (rows, fejer))
+    aod, gain, norm, rows, fejer = _take_users(sic, aod, gain, norm, rows, fejer)
     accepted = ~zero_forcing_rejects(rows[:, :, 0])
     if not accepted.all():
         aod, gain, beam_aod, rows, norm, sic, beam_user, gram, fejer = (
