@@ -53,8 +53,9 @@ BLOCK_ROWS = 512
 _GERSHGORIN_ACCEPT = 1e-3
 
 
-def _kernel_ratio(delta: np.ndarray, num_elements: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced offset r in [-1, 1] and the real ratio sin(pi*T*r/2) / (T*sin(pi*r/2))."""
+def _kernels(delta: np.ndarray, num_elements: int) -> tuple[np.ndarray, np.ndarray]:
+    """``dirichlet_kernel`` and ``fejer_kernel`` of ``delta``, from one offset r
+    reduced to [-1, 1] and one real ratio sin(pi*T*r/2) / (T*sin(pi*r/2))."""
     # IEEE remainder mod 2; exact, because |delta| <= 2
     reduced = delta - 2.0 * np.rint(0.5 * delta)
     half = np.sin(np.pi * reduced / 2.0)
@@ -62,16 +63,8 @@ def _kernel_ratio(delta: np.ndarray, num_elements: int) -> tuple[np.ndarray, np.
     ratio = np.sin(np.pi * num_elements * reduced / 2.0) / (
         num_elements * np.where(singular, 1.0, half)
     )
-    return reduced, np.where(singular, 1.0, ratio)
-
-
-def _kernels(delta: np.ndarray, num_elements: int) -> tuple[np.ndarray, np.ndarray]:
-    """``dirichlet_kernel`` and ``fejer_kernel`` of ``delta`` from one reduction."""
-    reduced, ratio = _kernel_ratio(delta, num_elements)
-    return (
-        ratio * np.exp(-0.5j * np.pi * (num_elements - 1) * reduced),
-        np.minimum(ratio**2, 1.0),
-    )
+    ratio = np.where(singular, 1.0, ratio)
+    return ratio * np.exp(-0.5j * np.pi * (num_elements - 1) * reduced), np.minimum(ratio**2, 1.0)
 
 
 def dirichlet_kernel(delta: np.ndarray, num_elements: int) -> np.ndarray:
@@ -165,7 +158,7 @@ class Design(NamedTuple):
     sic: np.ndarray  # (C, N, M) config index of each SIC position
     demoted: np.ndarray  # (C, N) the beam's user lost first place in the SIC order
     gram: np.ndarray  # (C, N, N) F_rf^H F_rf
-    fejer: np.ndarray  # (C, N, M, N) |a(aod)^H a(beam_aod)|^2, the squared magnitude of rows' kernel
+    fejer: np.ndarray  # (C, N, M, N) |a(aod)^H a(beam_aod)|^2, the squared kernel of rows
     baseband: np.ndarray  # (C, N, N) zero-forcing precoder, unit power per beam
     run: np.ndarray  # (C,) index of the row's run of equal first rows and beams
 
@@ -226,9 +219,8 @@ def zero_forcing_rejects(first_rows: np.ndarray) -> np.ndarray:
     unit = first_rows / np.linalg.norm(first_rows, axis=-1, keepdims=True)
     gram = unit @ unit.conj().swapaxes(-1, -2)
     magnitude = np.abs(gram)
-    spread = magnitude.sum(axis=-1).max(axis=-1) - np.diagonal(magnitude, axis1=-2, axis2=-1).min(
-        axis=-1
-    )
+    diagonal = np.diagonal(magnitude, axis1=-2, axis2=-1)
+    spread = magnitude.sum(axis=-1).max(axis=-1) - diagonal.min(axis=-1)
     rejects = np.isnan(spread)
     unsure = 1.0 - spread < _GERSHGORIN_ACCEPT
     if unsure.any():
