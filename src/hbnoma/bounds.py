@@ -205,4 +205,4 @@ def lower_bound_rate(
     )
     numerator = user_power * rho**2 * bs_antennas * mu_antennas * gain_magnitude**2
     denominator = components.zeta_intra + components.zeta_inter + components.zeta_noise
-    return math.log2(1.0 + numerator / denominator)
+    return math.log1p(numerator / denominator) / math.log(2.0)

@@ -115,7 +115,9 @@ def _cmd_validate(args) -> int:
     attempt, design = design_trial(config, 0)
     bs = ArrayGeometry(config.bs_antennas)
     beams = [AngleSpec.from_normalized(float(x)) for x in design.beam_aod[0]]
-    precoder = AnalogPrecoder(np.column_stack([steering_vector(a, bs) for a in beams]))
+    # centred beams, the basis of the design's baseband: F_rf F_bb is what `run` simulates
+    centring = np.exp(0.5j * math.pi * (config.bs_antennas - 1) * design.beam_aod[0])
+    precoder = AnalogPrecoder(np.column_stack([steering_vector(a, bs) for a in beams]) * centring)
     baseband = design.baseband[0]
     report = power_constraint_check(precoder, BasebandPrecoder(baseband))
     first = design.rows[0, :, 0]

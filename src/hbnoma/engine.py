@@ -8,12 +8,13 @@ one call from a counter-based stream keyed by (seed, attempt), at a fixed
 offset per trial, and every point of a trial shares them. Everything after
 the draws is array arithmetic over the whole block:
 
-* the analog correlation of two steering vectors is the Dirichlet kernel
-  ``K_T(delta) = (1/T) * sum_k exp(-j*pi*k*delta)``, so the effective
-  channels, the beam Gram matrix and the radiated power of a beam come
-  from closed forms, and no T_MU x T_BS channel matrix is built; the
-  design keeps the kernel's squared magnitude, the Fejer kernel, and the
-  bound reads its Fejer sums from it except in rows with a demoted beam;
+* no output changes when a user's effective channel or a beam is multiplied
+  by a unit phase, so the design drops every gain and steering phase: it
+  uses |beta| and centred steering vectors, whose correlation is the real
+  Dirichlet kernel. The effective channels, the beam Gram matrix and the
+  radiated power of a beam are closed forms in float64, and no T_MU x T_BS
+  channel matrix is built; the design keeps the kernel's square, the Fejer
+  kernel, for the bound's Fejer sums except in rows with a demoted beam;
 * the matrix work of a design (the zero-forcing reject test, the stacked
   ``np.linalg.solve``, the beam Gram's and the leakage eigenvalues) is done
   once per run of consecutive rows that share first users and beams, as the
@@ -54,32 +55,29 @@ _GERSHGORIN_ACCEPT = 1e-3
 
 
 def _kernels(delta: np.ndarray, num_elements: int) -> tuple[np.ndarray, np.ndarray]:
-    """``dirichlet_kernel`` and ``fejer_kernel`` of ``delta``, from one offset r
-    reduced to [-1, 1] and one real ratio sin(pi*T*r/2) / (T*sin(pi*r/2))."""
-    # IEEE remainder mod 2; exact, because |delta| <= 2
-    reduced = delta - 2.0 * np.rint(0.5 * delta)
+    """``dirichlet_kernel`` of ``delta`` and its square, ``arrays.fejer_correlation``, from
+    one offset r reduced to [-1, 1] and one ratio sin(pi*T*r/2) / (T*sin(pi*r/2))."""
+    # delta = 2*periods + reduced: an IEEE remainder mod 2, exact because |delta| <= 2
+    periods = np.rint(0.5 * delta)
+    reduced = delta - 2.0 * periods
     half = np.sin(np.pi * reduced / 2.0)
     singular = np.abs(half) < _KERNEL_SINGULARITY_TOL
     ratio = np.sin(np.pi * num_elements * reduced / 2.0) / (
         num_elements * np.where(singular, 1.0, half)
     )
     ratio = np.where(singular, 1.0, ratio)
-    return ratio * np.exp(-0.5j * np.pi * (num_elements - 1) * reduced), np.minimum(ratio**2, 1.0)
+    if num_elements % 2 == 0:
+        # each period of delta flips the sign; integer parity, as a float % is slow
+        ratio = ratio * (1 - 2 * (periods.astype(np.int64) & 1))
+    return ratio, np.minimum(ratio**2, 1.0)
 
 
 def dirichlet_kernel(delta: np.ndarray, num_elements: int) -> np.ndarray:
-    """Inner product a(x)^H a(x + delta) of two unit ULA steering vectors.
-
-    Equals exp(-j*pi*(T-1)*r/2) * sin(pi*T*r/2) / (T*sin(pi*r/2)) for the
-    offset r reduced to [-1, 1]; its squared magnitude is
-    ``arrays.fejer_correlation``.
-    """
+    """Inner product c(x)^H c(x + delta) of two unit centred ULA steering vectors,
+    c(x) = exp(j*pi*(T-1)*x/2) * ``arrays.steering_vector`` a(x): the real
+    sin(pi*T*delta/2) / (T*sin(pi*delta/2)). a(x)^H a(x + delta) is
+    exp(-j*pi*(T-1)*delta/2) times it."""
     return _kernels(delta, num_elements)[0]
-
-
-def fejer_kernel(delta: np.ndarray, num_elements: int) -> np.ndarray:
-    """Elementwise ``arrays.fejer_correlation``."""
-    return _kernels(delta, num_elements)[1]
 
 
 class TrialSampler:
@@ -147,19 +145,20 @@ class Design(NamedTuple):
 
     Arrays lead with the trial axis; every user axis is in SIC order
     (strongest first), and ``sic`` maps each SIC position back to the
-    user's index in the config.
+    user's index in the config. ``rows``, ``gram`` and ``baseband`` are float64,
+    in the centred-array basis (``dirichlet_kernel``) and without gain phases.
     """
 
     aod: np.ndarray  # (C, N, M) normalized AoD
     gain: np.ndarray  # (C, N, M) |beta|
     beam_aod: np.ndarray  # (C, N) normalized AoD each analog beam is steered at
-    rows: np.ndarray  # (C, N, M, N) conjugated effective channels, h^H = w^H H F_rf
+    rows: np.ndarray  # (C, N, M, N) effective channels |beta| * sqrt(T_BS T_MU) * c(aod)^H F_rf
     norm: np.ndarray  # (C, N, M) effective-channel norms
     sic: np.ndarray  # (C, N, M) config index of each SIC position
     demoted: np.ndarray  # (C, N) the beam's user lost first place in the SIC order
-    gram: np.ndarray  # (C, N, N) F_rf^H F_rf
-    fejer: np.ndarray  # (C, N, M, N) |a(aod)^H a(beam_aod)|^2, the squared kernel of rows
-    baseband: np.ndarray  # (C, N, N) zero-forcing precoder, unit power per beam
+    gram: np.ndarray  # (C, N, N) F_rf^H F_rf, F_rf's columns the centred c(beam_aod)
+    fejer: np.ndarray  # (C, N, M, N) (c(aod)^H c(beam_aod))^2, the squared kernel of rows
+    baseband: np.ndarray  # (C, N, N) zero-forcing precoder for rows, unit power per beam
     run: np.ndarray  # (C,) index of the row's run of equal first rows and beams
 
 
@@ -246,10 +245,10 @@ def design_trials(
     beam_aod = _take_users(beam_user[..., None], aod)[0][..., 0]
     scale = math.sqrt(t_bs * config.mu_antennas)
     kernel, fejer = _kernels(beam_aod[:, None, None, :] - aod[..., None], t_bs)
-    rows = scale * beta[..., None] * kernel
+    rows = scale * gain[..., None] * kernel
     # row i of F_rf^H F_rf is the kernel row of beam i's own user
     gram = _take_users(beam_user[..., None], kernel)[0][:, :, 0]
-    norm = np.sqrt(np.sum(rows.real**2 + rows.imag**2, axis=-1))
+    norm = np.sqrt(np.sum(rows**2, axis=-1))
     sic = np.argsort(-norm, axis=2, kind="stable")
     aod, gain, norm, rows, fejer = _take_users(sic, aod, gain, norm, rows, fejer)
     accepted = ~zero_forcing_rejects(rows[:, :, 0])
@@ -263,9 +262,9 @@ def design_trials(
     first_rows = rows[starts, :, 0]
     n = config.num_clusters
     # LU solve of first_rows @ F0 = I; explicit inversion loses digits at T_BS = 64
-    raw = np.linalg.solve(first_rows, np.broadcast_to(np.eye(n, dtype=complex), first_rows.shape))
+    raw = np.linalg.solve(first_rows, np.broadcast_to(np.eye(n), first_rows.shape))
     gram_raw = np.sum(gram[starts, ..., None] * raw[:, None, :, :], axis=2)
-    radiated = np.sqrt(np.sum(raw.conj() * gram_raw, axis=1).real)
+    radiated = np.sqrt(np.sum(raw * gram_raw, axis=1))
     return accepted, Design(
         aod=aod,
         gain=gain,
@@ -318,18 +317,19 @@ def evaluate(config: ScenarioConfig, design: Design) -> TrialOutputs:
     coupling = rows[..., 0, None] * baseband[..., 0, :]
     for k in range(1, n):
         coupling = coupling + rows[..., k, None] * baseband[..., k, :]
-    beam_gain = coupling.real**2 + coupling.imag**2  # (C, N, M, beam)
+    beam_gain = coupling**2  # (C, N, M, beam)
     own = np.diagonal(beam_gain, axis1=1, axis2=3).transpose(0, 2, 1)
     leaked = np.sum(np.where(np.eye(n, dtype=bool)[:, None, :], 0.0, beam_gain), axis=-1)
     desired = powers * own
     intra = stronger * own
     inter = total * leaked
-    rate = np.log2(1.0 + desired / (intra + inter + 1.0))
+    rate = np.log1p(desired / (intra + inter + 1.0)) / math.log(2.0)
 
     # first users keep rho = 1 and their rate as the bound: only weak users' are computed
     rho = np.ones(design.norm.shape)
-    inner = np.abs(np.sum(rows[:, :, 1:] * rows[:, :, :1].conj(), axis=-1))
-    rho[..., 1:] = np.minimum(inner / (design.norm[..., 1:] * design.norm[..., :1]), 1.0)
+    weak, first = rows[:, :, 1:], rows[:, :, :1]
+    inner = np.sum(weak * first, axis=-1)
+    rho[..., 1:] = np.minimum(np.abs(inner) / (design.norm[..., 1:] * design.norm[..., :1]), 1.0)
 
     bound = rate.copy()
     if m > 1:
@@ -348,18 +348,23 @@ def evaluate(config: ScenarioConfig, design: Design) -> TrialOutputs:
         fresh = design.demoted.any(axis=1)
         if fresh.any():
             first_aod = design.aod[fresh, :, None, :1]
-            fejer[fresh] = fejer_kernel(first_aod - design.aod[fresh, None], t_bs)
+            fejer[fresh] = _kernels(first_aod - design.aod[fresh, None], t_bs)[1]
         ks_user = np.sum(fejer, axis=1)
         ks_first = ks_user[..., :1]
         lam = _max_leakage_eigenvalues(design.baseband[starts])[design.run, :, None]
         gain2 = design.gain[..., 1:] ** 2
         received = t_bs * t_mu * gain2
         rho2 = rho[..., 1:] ** 2
+        # 1 - rho^2 as the weak row's squared residual off its first row: near rho = 1,
+        # 1 - rho2 cancels to a rounding error that lam * eta (up to cond^2) multiplies
+        projection = (inner / design.norm[..., :1] ** 2)[..., None] * first
+        across = np.sum((weak - projection) ** 2, axis=-1) / design.norm[..., 1:] ** 2
         zeta_intra = stronger[..., 1:] * rho2 * received
-        zeta_inter = per_snr(cluster_power) * (1.0 - rho2) * received * lam * eta * ks_first
+        zeta_inter = per_snr(cluster_power) * across * received * lam * eta * ks_first
         zeta_noise = eta * ks_first / ks_user[..., 1:]
         numerator = powers[..., 1:] * rho2 * t_bs * t_mu * gain2
-        bound[..., 1:] = np.log2(1.0 + numerator / (zeta_intra + zeta_inter + zeta_noise))
+        sinr = numerator / (zeta_intra + zeta_inter + zeta_noise)
+        bound[..., 1:] = np.log1p(sinr) / math.log(2.0)
     return TrialOutputs(rate=rate, bound=bound, rho=rho[None], intra=intra, inter=inter)
 
 
@@ -372,7 +377,7 @@ def _max_leakage_eigenvalues(baseband: np.ndarray) -> np.ndarray:
     c, n, _ = baseband.shape
     if n == 1:
         return np.zeros((c, 1))
-    gram = np.sum(baseband.conj()[..., None] * baseband[:, :, None, :], axis=1)
+    gram = np.sum(baseband[..., None] * baseband[:, :, None, :], axis=1)
     others = np.array([[j for j in range(n) if j != k] for k in range(n)])
     return np.linalg.eigvalsh(gram[:, others[:, :, None], others[:, None, :]])[..., -1]
 

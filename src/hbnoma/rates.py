@@ -91,7 +91,8 @@ def user_rate(
     desired = powers.power_of(uid) * beam_gain(effective, uid, baseband, cluster_idx)
     intra = intra_interference(cluster_idx, sic_idx, plan, effective, baseband, powers)
     inter = inter_interference(cluster_idx, sic_idx, plan, effective, baseband, powers)
-    rate = math.log2(1.0 + desired / (intra + inter + 1.0))
+    # log1p keeps the relative accuracy of rates far below one bit
+    rate = math.log1p(desired / (intra + inter + 1.0)) / math.log(2.0)
     return RateBreakdown(
         desired_power=desired,
         intra_interference=intra,

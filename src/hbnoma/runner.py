@@ -172,23 +172,14 @@ FIG2_SWEEP_STOP_DEG = 60.0
 def fig2_config(
     swept_aod_deg: float, seed: int, trials: int, snr_db: float | tuple[float, ...]
 ) -> ScenarioConfig:
+    clusters = tuple(
+        ClusterSpec(tuple(UserSpec(aod, None, db) for aod, db in zip(aods, (0.0, -10.0))))
+        for aods in ((FIG2_FIRST_AOD_DEG, swept_aod_deg), FIG2_OTHER_CLUSTER_AODS)
+    )
     return ScenarioConfig(
         bs_antennas=16,
         mu_antennas=4,
-        clusters=(
-            ClusterSpec(
-                (
-                    UserSpec(aod_deg=FIG2_FIRST_AOD_DEG, aoa_deg=None, large_scale_db=0.0),
-                    UserSpec(aod_deg=swept_aod_deg, aoa_deg=None, large_scale_db=-10.0),
-                )
-            ),
-            ClusterSpec(
-                (
-                    UserSpec(aod_deg=FIG2_OTHER_CLUSTER_AODS[0], aoa_deg=None, large_scale_db=0.0),
-                    UserSpec(aod_deg=FIG2_OTHER_CLUSTER_AODS[1], aoa_deg=None, large_scale_db=-10.0),
-                )
-            ),
-        ),
+        clusters=clusters,
         snr_db=snr_db,
         intra_fractions=(0.25, 0.75),
         seed=seed,

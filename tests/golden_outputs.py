@@ -9,11 +9,17 @@ which runs every command of ``COMMANDS`` in-process, writes its standard
 output to ``tests/golden/<name>``, and records in
 ``tests/golden/environment.json`` the numpy, BLAS and SIMD build that made
 them. Regenerate only with a version bump and a ``CHANGES.md`` entry that
-lists each changed file.
+lists each changed file. Before regenerating,
+
+    PYTHONPATH=src python tests/golden_outputs.py --compare
+
+writes nothing and prints, for each file, how many of its numbers the
+current code changes and the largest relative change.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -52,8 +58,12 @@ COMMANDS = {
 }
 
 # a number as the CLI prints one: CSV's %.17g, JSON floats and integers,
-# validate's %g/%.3e, and non-finite values
-_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:NaN|nan|-?Infinity|-?inf)\b")
+# validate's %g/%.3e, and non-finite values; a dotted version such as 0.4.0
+# is text
+_NUMBER = re.compile(
+    r"(?<![\d.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\d.])"
+    r"|\b(?:NaN|nan|-?Infinity|-?inf)\b"
+)
 REL_TOL = 1e-12
 ABS_TOL = 1e-12
 
@@ -94,6 +104,30 @@ def value_mismatch(text: str, golden: str) -> str | None:
     return None
 
 
+def changes(text: str, golden: str) -> str:
+    """How the numbers of ``text`` differ from those of ``golden``, in one line."""
+    pairs = [(float(a), float(b)) for a, b in zip(_NUMBER.findall(text), _NUMBER.findall(golden))]
+    changed = [(a, b) for a, b in pairs if a != b and not (a != a and b != b)]
+    # relative changes of numbers above the absolute floor; absolute changes below it
+    relative = max((abs(a - b) / abs(b) for a, b in changed if abs(b) > ABS_TOL), default=0.0)
+    floor = max((abs(a - b) for a, b in changed if abs(b) <= ABS_TOL), default=0.0)
+    # the text with every number as #, and the first line where it differs
+    skeletons = ("#".join(_NUMBER.split(t)).splitlines() for t in (text, golden))
+    moved = [line for line, was in zip(*skeletons) if line != was][:1]
+    return (
+        f"{len(changed)} of {len(pairs)} numbers changed, largest relative change "
+        f"{relative:.2g}, largest change of a number below {ABS_TOL:g}: {floor:.2g}; "
+        + (f"text changed at {moved[0].strip()!r}" if moved else "text unchanged")
+    )
+
+
+def compare() -> None:
+    """Print, for each golden file, how the current output differs from it."""
+    for name, argv in COMMANDS.items():
+        text, golden = render(argv), (GOLDEN / name).read_text()
+        print(f"{name}: {'identical' if text == golden else changes(text, golden)}")
+
+
 def regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in COMMANDS.items():
@@ -104,4 +138,11 @@ def regenerate() -> None:
 
 
 if __name__ == "__main__":
-    regenerate()
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--compare", action="store_true", help="compare with the golden files; write nothing"
+    )
+    if parser.parse_args().compare:
+        compare()
+    else:
+        regenerate()

@@ -276,9 +276,14 @@ class TestValidateCommand:
             [array_response(config.bs_antennas, math.asin(x)) for x in design.beam_aod[0]]
         )
         assert np.allclose(f_rf, reference.precoder.matrix, rtol=0, atol=1e-12)
-        powers = np.linalg.norm(f_rf @ design.baseband[0], axis=0)
+        # the design's baseband is in the centred-array basis: centre each beam
+        # j by exp(j*pi*(T-1)*x_j/2), and the effective channels h with it
+        centring = np.exp(0.5j * np.pi * (config.bs_antennas - 1) * design.beam_aod[0])
+        powers = np.linalg.norm(f_rf * centring @ design.baseband[0], axis=0)
         assert ast.literal_eval(printed("per-beam radiated power: ")) == [f"{p:.12g}" for p in powers]
-        first = [reference.effective.vector(u) for u in reference.plan.first_users]
+        first = [
+            reference.effective.vector(u) * centring.conj() for u in reference.plan.first_users
+        ]
         leakage = max(
             abs(np.vdot(h, design.baseband[0][:, j])) / np.linalg.norm(h)
             for n, h in enumerate(first)

@@ -1,11 +1,14 @@
 """Batched engine against the object-level pipeline and the brute-force oracle."""
 
+import cmath
 import json
 import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hbnoma import AngleSpec, ClusterSpec, ScenarioConfig, SingularClusteringError, UserSpec
 from hbnoma import engine
@@ -16,8 +19,15 @@ from hbnoma.precoding import zero_forcing_precoder
 from hbnoma.runner import fig2_config, fig3_config, run_scenario, sweep_fig3, sweep_grid
 from hbnoma.scenario import parse_config_text
 
-from bruteforce import array_response, channel_matrix, rate_table
-from object_pipeline import FIELDS, materialize, replay_run
+from bruteforce import (
+    array_response,
+    bound_table,
+    centred_response,
+    channel_matrix,
+    effective_row,
+    rate_table,
+)
+from object_pipeline import FIELDS, materialize, object_trial, replay_run
 
 
 def random_config(rng):
@@ -92,7 +102,8 @@ def test_engine_matches_object_pipeline():
 
 def test_engine_precoders_match_bruteforce_oracle():
     # each design also meets the hybrid precoder's constraints, checked on
-    # F_rf and the channels rebuilt by the oracle
+    # F_rf and the channels rebuilt by the oracle; the design's baseband is
+    # in the centred-array basis, so F_rf's columns are centred steering vectors
     rng = np.random.default_rng(32)
     checked = 0
     for _ in range(12):
@@ -112,7 +123,7 @@ def test_engine_precoders_match_bruteforce_oracle():
             cluster_power = 10.0 ** (snr / 10.0) / n
             fractions = config.resolved_fractions()
             f_rf = np.column_stack(
-                [array_response(config.bs_antennas, math.asin(x)) for x in design.beam_aod[0]]
+                [centred_response(config.bs_antennas, x) for x in design.beam_aod[0]]
             )
             f_bb = design.baseband[0]
             modulus = np.abs(np.abs(f_rf) - 1.0 / math.sqrt(config.bs_antennas))
@@ -402,7 +413,7 @@ def test_design_kernel_gives_the_bound_the_fresh_kernel_gives():
 
 def test_beam_gram_is_the_kernel_of_the_beam_offsets():
     # design_trials reads F_rf^H F_rf out of the steering kernel; it must
-    # equal the kernel of the beam offsets to the bit
+    # equal the real centred kernel R of the beam offsets to the bit
     rng = np.random.default_rng(36)
     configs = [random_config(rng) for _ in range(30)]
     weak = UserSpec(aod_deg=None, aoa_deg=None, large_scale_db=-10.0)
@@ -421,6 +432,117 @@ def test_beam_gram_is_the_kernel_of_the_beam_offsets():
         edges += int(np.count_nonzero(np.abs(design.beam_aod) == 1.0))
     assert demoted > 0
     assert edges > 0
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 15, 16, 63, 64])
+def test_phased_kernel_is_the_steering_inner_product(t):
+    # a(x)^H a(x + delta) = exp(-j*pi*(T-1)*delta/2) * R(delta) over [-2, 2]:
+    # a grid, the ends +-2 and the kernel's singular points 0 and +-2 (with
+    # offsets inside its singularity tolerance), and its nulls 2k/T
+    singular = [-2.0, -2.0 + 1e-10, -1e-10, 0.0, 1e-10, 2.0 - 1e-10, 2.0]
+    nulls = 2.0 * np.arange(-t, t + 1) / t
+    delta = np.concatenate([np.linspace(-2.0, 2.0, 401), singular, nulls])
+    # steer at -delta/2 and delta/2; the offset is what the oracle's sines realize
+    low, high = np.arcsin(-delta / 2.0), np.arcsin(delta / 2.0)
+    offset = np.sin(high) - np.sin(low)
+    expected = [np.vdot(array_response(t, a), array_response(t, b)) for a, b in zip(low, high)]
+    phased = np.exp(-0.5j * np.pi * (t - 1) * offset) * engine.dirichlet_kernel(offset, t)
+    assert np.all(np.abs(phased - expected) <= 1e-12)
+    assert engine.dirichlet_kernel(np.array([-2.0, 2.0]), t).tolist() == [(-1.0) ** (t - 1)] * 2
+
+
+def _engine_matches_the_oracle(config):
+    """Trial 0 of ``config``, whose angles and gains are all fixed: the engine
+    rejects it exactly when the object pipeline does, and otherwise its
+    rates, rho and bound equal the brute-force oracle's, which rebuilds every
+    channel with uncentred complex steering vectors and complex gains and
+    zero-forces those."""
+    accepted, design = engine.design_trials(config, *TrialSampler(config).draw(np.zeros(1, int), 0))
+    try:
+        object_trial(config, 0, 0, np.random.default_rng(0))
+    except SingularClusteringError:
+        assert not accepted[0]
+        return
+    assert accepted[0]
+    outputs = evaluate(config, design)
+    assert not any(np.iscomplexobj(a) for a in (*design, *outputs))
+
+    t_bs, t_mu = config.bs_antennas, config.mu_antennas
+    n, m = config.num_clusters, config.users_per_cluster
+    specs = [spec for cluster in config.clusters for spec in cluster.users]
+    aod = {u: math.radians(spec.aod_deg) for u, spec in enumerate(specs)}
+    aoa = {u: math.radians(spec.aoa_deg) for u, spec in enumerate(specs)}
+    beta = {u: spec.small_scale for u, spec in enumerate(specs)}
+    groups = [[ci * m + int(u) for u in design.sic[0, ci]] for ci in range(n)]
+    f_rf = np.column_stack([array_response(t_bs, math.asin(x)) for x in design.beam_aod[0]])
+    first = np.stack([effective_row(t_bs, t_mu, aod, aoa, beta, g[0], f_rf) for g in groups])
+    raw = np.linalg.solve(first, np.eye(n))
+    f_bb = raw / np.linalg.norm(f_rf @ raw, axis=0)
+    cluster_power = 10.0 ** (config.single_snr_db() / 10.0) / n
+    fractions = config.resolved_fractions()
+    powers = {u: fractions[k] * cluster_power for g in groups for k, u in enumerate(g)}
+    oracle = bound_table(t_bs, t_mu, aod, aoa, beta, groups, powers, cluster_power, f_rf, f_bb)
+    rates = rate_table(t_bs, t_mu, aod, aoa, beta, groups, powers, f_rf, f_bb)
+    # the oracle test's tolerance
+    for ci, group in enumerate(groups):
+        for mi, uid in enumerate(group):
+            expected = {"rate": rates[uid], "rho": oracle[uid][0], "bound": oracle[uid][1]}
+            for name, theirs in expected.items():
+                ours = getattr(outputs, name)[0, 0, ci, mi]
+                assert abs(ours - theirs) <= 1e-10 * max(abs(theirs), 1e-12), (name, ci, mi)
+
+
+# angles in millidegrees: float strategies crowd around a few simple values
+_ANGLE = st.integers(-90_000, 90_000).map(lambda millidegrees: millidegrees / 1000.0)
+_END_FIRE = st.sampled_from([-90.0, 90.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    t_bs=st.integers(1, 64),
+    t_mu=st.integers(1, 8),
+    n=st.sampled_from([2, 3, 1]),  # mostly beams to zero-force
+    m=st.integers(1, 3),
+    snr_db=st.sampled_from([0.0, 10.0, 30.0]),
+    data=st.data(),
+)
+def test_centred_engine_matches_the_uncentred_oracle(t_bs, t_mu, n, m, snr_db, data):
+    # beam users sit at end-fire, anywhere, or on an earlier beam (coincident
+    # beams, which zero forcing rejects); weak users at end-fire or anywhere
+    clusters, beams = [], []
+    for _ in range(n):
+        coincident = [st.sampled_from(beams)] if beams else []
+        beams.append(data.draw(st.one_of(_ANGLE, _END_FIRE, *coincident)))
+        users = []
+        for k in range(m):
+            # the largest gain steers the beam at user 0
+            magnitude = 2.0 if k == 0 else data.draw(st.floats(0.05, 1.95))
+            gain = cmath.rect(magnitude, data.draw(_ANGLE))
+            aod = beams[-1] if k == 0 else data.draw(st.one_of(_ANGLE, _END_FIRE))
+            users.append(UserSpec(aod, data.draw(_ANGLE), large_scale_db=0.0, small_scale=gain))
+        clusters.append(ClusterSpec(tuple(users)))
+    _engine_matches_the_oracle(
+        ScenarioConfig(
+            bs_antennas=t_bs, mu_antennas=t_mu, clusters=tuple(clusters), snr_db=snr_db, seed=1
+        )
+    )
+
+
+def test_bound_of_a_weak_user_aliased_onto_its_first_user():
+    # cluster two's weak user at -90 degrees has the steering vector of its
+    # first user at +90, so rho = 1, and the beams at 87.96 and 90 degrees
+    # make lam * eta about 2.8e8: a 1 - rho^2 that cancels to one rounding
+    # error put the bound 8.4e-10 (relative) off the oracle's
+    def user(aod_deg, aoa_deg, magnitude, phase):
+        return UserSpec(aod_deg, aoa_deg, 0.0, small_scale=cmath.rect(magnitude, phase))
+
+    clusters = (
+        ClusterSpec((user(87.96, 0.003, 2.0, 0.0), user(0.0, -0.462, 1.0, 0.009))),
+        ClusterSpec((user(90.0, 0.0, 2.0, 0.009), user(-90.0, 0.015, 1.0, -0.006))),
+    )
+    _engine_matches_the_oracle(
+        ScenarioConfig(bs_antennas=16, mu_antennas=1, clusters=clusters, snr_db=10.0, seed=1)
+    )
 
 
 def test_engine_norms_meet_the_effective_norm_identity():

@@ -13,6 +13,7 @@ from golden_outputs import (
     COMMANDS,
     ENVIRONMENT,
     GOLDEN,
+    ROOT,
     environment,
     render,
     value_mismatch,
@@ -32,6 +33,12 @@ def test_output_matches_golden(name):
         assert value_mismatch(text, golden) is None, value_mismatch(text, golden)
 
 
+def test_committed_fig2_table_is_the_default_fig2_output():
+    # scripts/run_fig2.py writes it; the value rule, because it is kept without a build record
+    committed = (ROOT / "results" / "fig2.csv").read_text()
+    assert value_mismatch(render(["fig2"]), committed) is None
+
+
 def test_value_rule_tolerances():
     golden = "rate,1.2345678901234567\nleakage: 7.242e-18\nname x86 -3,NaN\n"
     assert value_mismatch(golden, golden) is None
@@ -43,3 +50,7 @@ def test_value_rule_tolerances():
     assert value_mismatch(golden.replace("-3", "-4"), golden)
     assert value_mismatch(golden.replace("NaN", "0.0"), golden)
     assert value_mismatch(golden.replace("leakage", "leakages"), golden)
+    # a dotted version is text, not numbers
+    assert value_mismatch('"version": "0.4.0"', '"version": "0.3.1"') == (
+        "the text around the numbers differs"
+    )
