@@ -19,7 +19,9 @@ the draws is array arithmetic over the whole block:
   ``np.linalg.solve``, the beam Gram's and the leakage eigenvalues) is done
   once per run of consecutive rows that share first users and beams, as the
   points of a sweep mostly do, and gathered back to every row of the run;
-  a Gershgorin pre-test decides most reject tests without an eigensolve;
+  a Gershgorin pre-test decides most reject tests without an eigensolve, and
+  at four clusters a closed form gives each 3 x 3 leakage Gram's top
+  eigenvalue, with ``eigvalsh`` only near a double top eigenvalue;
 * rates and the rate bound are masked sums over the cluster axis, at every
   SNR of one design; the bound and the correlation are computed for weak
   users only.
@@ -52,6 +54,9 @@ BLOCK_ROWS = 512
 # Gershgorin lower bound on lambda_min above which zero_forcing_rejects
 # accepts a unit-row set without an eigensolve
 _GERSHGORIN_ACCEPT = 1e-3
+
+# r = det B / (2p^3) below -1 plus this goes to eigvalsh in _max_leakage_eigenvalues
+_DOUBLE_TOP_FALLBACK = 1e-3
 
 
 def _kernels(delta: np.ndarray, num_elements: int) -> tuple[np.ndarray, np.ndarray]:
@@ -351,7 +356,9 @@ def evaluate(config: ScenarioConfig, design: Design) -> TrialOutputs:
             fejer[fresh] = _kernels(first_aod - design.aod[fresh, None], t_bs)[1]
         ks_user = np.sum(fejer, axis=1)
         ks_first = ks_user[..., :1]
-        lam = _max_leakage_eigenvalues(design.baseband[starts])[design.run, :, None]
+        baseband = design.baseband[starts]
+        leakage = np.sum(baseband[..., None] * baseband[:, :, None, :], axis=1)
+        lam = _max_leakage_eigenvalues(leakage)[design.run, :, None]
         gain2 = design.gain[..., 1:] ** 2
         received = t_bs * t_mu * gain2
         rho2 = rho[..., 1:] ** 2
@@ -368,18 +375,41 @@ def evaluate(config: ScenarioConfig, design: Design) -> TrialOutputs:
     return TrialOutputs(rate=rate, bound=bound, rho=rho[None], intra=intra, inter=inter)
 
 
-def _max_leakage_eigenvalues(baseband: np.ndarray) -> np.ndarray:
-    """(C, N): largest eigenvalue of the outer product of the baseband columns other than n.
+def _max_leakage_eigenvalues(gram: np.ndarray) -> np.ndarray:
+    """(C, N): largest eigenvalue of the outer product of the baseband columns other
+    than n: that of A, their (C, N, N) ``gram`` less row and column n.
 
-    Its nonzero spectrum is that of the columns' Gram matrix with row and
-    column n deleted.
+    At N = 4, A is 3 x 3, and (Smith, Commun. ACM 4(4):168, 1961) lambda_max =
+    q + 2p cos(phi / 3), with q = tr A / 3, B = A - qI, p^2 = tr B^2 / 6 and phi =
+    arccos(det B / (2p^3)) = arccos r. B's entries are off by about eps * lambda_max,
+    so |dr| <~ c * eps * lambda_max / p, and lambda_max by (2p/3) sin(phi/3) |dr| /
+    sqrt(1 - r^2). ``eigvalsh`` takes the A with r < -1 + ``_DOUBLE_TOP_FALLBACK``
+    (near a double top eigenvalue) or a NaN r (p = 0); the rest have sqrt(1 - r^2) >=
+    0.045 and, as lambda_max >= q + p >= p for positive semidefinite A, a relative
+    error of at most about 22 * c * eps. Near r = +1 (double bottom) dlambda/dr <= 2p/9.
     """
-    c, n, _ = baseband.shape
+    c, n, _ = gram.shape
     if n == 1:
         return np.zeros((c, 1))
-    gram = np.sum(baseband[..., None] * baseband[:, :, None, :], axis=1)
     others = np.array([[j for j in range(n) if j != k] for k in range(n)])
-    return np.linalg.eigvalsh(gram[:, others[:, :, None], others[:, None, :]])[..., -1]
+    if n - 1 != 3:
+        return np.linalg.eigvalsh(gram[:, others[:, :, None], others[:, None, :]])[..., -1]
+    i, j = others.T, np.roll(others.T, -1, axis=0)  # (3, 4): index a of A, and index a + 1 mod 3
+    a00, a11, a22, a01, a12, a20 = np.moveaxis(gram[:, np.vstack([i, i]), np.vstack([i, j])], 1, 0)
+    q = (a00 + a11 + a22) / 3.0
+    b0, b1, b2 = a00 - q, a11 - q, a22 - q
+    p2 = (b0**2 + b1**2 + b2**2 + 2.0 * (a01**2 + a12**2 + a20**2)) / 6.0
+    det = b0 * (b1 * b2 - a12**2) - a01 * (a01 * b2 - a12 * a20) + a20 * (a01 * a12 - b1 * a20)
+    p = np.sqrt(p2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = det / (2.0 * p2 * p)
+    lam = q + 2.0 * p * np.cos(np.arccos(np.clip(r, -1.0, 1.0)) / 3.0)
+    near = ~(r >= -1.0 + _DOUBLE_TOP_FALLBACK)
+    if near.any():
+        row, k = np.nonzero(near)
+        sub = gram[row[:, None, None], others[k, :, None], others[k, None, :]]
+        lam[near] = np.linalg.eigvalsh(sub)[:, -1]
+    return lam
 
 
 class RedrawBudget:

@@ -392,6 +392,115 @@ def test_gershgorin_pre_test_spares_most_eigensolves(monkeypatch):
     assert 0 < sum(seen) <= 0.2 * engine.BLOCK_ROWS
 
 
+def _leakage_grams(config, trials):
+    """The baseband Gram matrices ``evaluate`` hands the leakage step for ``trials`` at attempt 0."""
+    seen = []
+    original = engine._max_leakage_eigenvalues
+
+    def record(gram):
+        seen.append(gram.copy())
+        return original(gram)
+
+    _, design = engine.design_trials(config, *TrialSampler(config).draw(trials, 0))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_max_leakage_eigenvalues", record)
+        evaluate(config, design)
+    return seen[0]
+
+
+def _adversarial_psd(rng, count):
+    """``count`` positive semidefinite 3 x 3 matrices V diag(w) V^T, a quarter each with
+    top gaps 1e-16 to 1, a double bottom eigenvalue, near-scalar and generic spectra,
+    at scales 1e-6 to 1e6."""
+    k = count // 4
+    gap = 10.0 ** rng.uniform(-16.0, 0.0, k)
+    bottom = rng.uniform(0.0, 1.0, k)
+    bottom[::4] = 0.0
+    spread = 10.0 ** rng.uniform(-16.0, -8.0, (k, 2))
+    spectra = np.concatenate(
+        [
+            np.column_stack([np.ones(k), 1.0 - gap, rng.uniform(0.0, 1.0 - gap)]),
+            np.column_stack([np.ones(k), bottom, bottom]),
+            np.column_stack([np.ones(k), 1.0 - spread]),
+            rng.uniform(0.0, 1.0, (k, 3)),
+        ]
+    ) * 10.0 ** rng.uniform(-6.0, 6.0, (4 * k, 1))
+    v = np.linalg.qr(rng.standard_normal((4 * k, 3, 3)))[0]
+    a = (v * spectra[:, None, :]) @ v.swapaxes(1, 2)
+    return (a + a.swapaxes(1, 2)) / 2.0
+
+
+def _top_eigenvalues_and_fallback(leakage):
+    """``_max_leakage_eigenvalues`` of each 3 x 3 matrix, and which of them went to ``eigvalsh``.
+
+    Each matrix is the top-left block of a 4 x 4 Gram whose fourth row and column are
+    (0, 0, 0, 1), so it is the Gram less row and column 3.
+    """
+    gram = np.zeros((len(leakage), 4, 4))
+    gram[:, :3, :3] = leakage
+    gram[:, 3, 3] = 1.0
+    routed = []
+    original = np.linalg.eigvalsh
+
+    def record(a, *args, **kwargs):
+        routed.extend(m.tobytes() for m in a)
+        return original(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "eigvalsh", record)
+        lam = engine._max_leakage_eigenvalues(gram)[:, 3]
+    routed = set(routed)
+    return lam, np.array([a.tobytes() in routed for a in leakage], dtype=bool)
+
+
+def test_leakage_closed_form_is_accurate_to_forty_digits():
+    mpmath = pytest.importorskip("mpmath")
+    config = parse_config_text(WIDE)
+    gram = _leakage_grams(config, np.arange(engine.BLOCK_ROWS))
+    others = np.array([[j for j in range(4) if j != k] for k in range(4)])
+    wide = gram[:, others[:, :, None], others[:, None, :]].reshape(-1, 3, 3)
+    assert len(wide) >= 2000
+    # the six-entry gather reads the same matrices as the (C, N, 3, 3) one
+    assert engine._max_leakage_eigenvalues(gram).ravel().tolist() == (
+        _top_eigenvalues_and_fallback(wide)[0].tolist()
+    )
+    leakage = np.concatenate([wide, _adversarial_psd(np.random.default_rng(39), 2000)])
+    lam, fallback = _top_eigenvalues_and_fallback(leakage)
+    with mpmath.workdps(40):
+        exact = np.array(
+            [float(max(mpmath.eigsy(mpmath.matrix(a.tolist()), eigvals_only=True))) for a in leakage]
+        )
+    assert np.max(np.abs(lam - exact) / exact) <= 1e-14
+    # matrices near a double top eigenvalue keep eigvalsh's answer to the bit
+    assert fallback.any() and not fallback.all()
+    assert lam[fallback].tolist() == np.linalg.eigvalsh(leakage[fallback])[:, -1].tolist()
+
+
+def test_leakage_closed_form_edge_cases():
+    scalar = 2.5 * np.eye(3)  # p = 0, so r is NaN
+    double_top = np.diag([1.0, 1.0, 0.5])  # r = -1
+    diagonal = np.diag([3.0, 1.0, 2.0])  # r = 0
+    lam, fallback = _top_eigenvalues_and_fallback(np.stack([scalar, double_top, diagonal]))
+    assert fallback.tolist() == [True, True, False]
+    assert lam[:2].tolist() == [2.5, 1.0]
+    assert abs(lam[2] - 3.0) <= 4.0 * np.finfo(float).eps * 3.0
+
+
+def test_leakage_step_spares_most_eigensolves(monkeypatch):
+    # one 512-row wide block has 2,048 3 x 3 leakage Grams
+    gram = _leakage_grams(parse_config_text(WIDE), np.arange(engine.BLOCK_ROWS))
+    seen = []
+    original = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        seen.append(len(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    engine._max_leakage_eigenvalues(gram)
+    assert sum(seen) <= 0.01 * gram.shape[0] * gram.shape[1]
+
+
 def test_design_kernel_gives_the_bound_the_fresh_kernel_gives():
     # evaluate reads a beam's Fejer values from the design's kernel unless its
     # cluster is demoted; marking every cluster demoted forces fresh kernels
@@ -501,7 +610,7 @@ _END_FIRE = st.sampled_from([-90.0, 90.0])
 @given(
     t_bs=st.integers(1, 64),
     t_mu=st.integers(1, 8),
-    n=st.sampled_from([2, 3, 1]),  # mostly beams to zero-force
+    n=st.sampled_from([2, 3, 1, 4]),  # mostly beams to zero-force
     m=st.integers(1, 3),
     snr_db=st.sampled_from([0.0, 10.0, 30.0]),
     data=st.data(),
@@ -526,6 +635,35 @@ def test_centred_engine_matches_the_uncentred_oracle(t_bs, t_mu, n, m, snr_db, d
             bs_antennas=t_bs, mu_antennas=t_mu, clusters=tuple(clusters), snr_db=snr_db, seed=1
         )
     )
+
+
+def test_four_cluster_engine_matches_the_uncentred_oracle():
+    # the property test's four-beam sets are all rejected (few elements, or
+    # beams at or near a shared end-fire), so here four spread beams take the
+    # 3 x 3 leakage closed form to the oracle
+    rng = np.random.default_rng(40)
+    for _ in range(40):
+        beams = rng.permutation([-60.0, -20.0, 20.0, 60.0]) + rng.uniform(-10.0, 10.0, 4)
+        m = int(rng.integers(2, 4))
+        clusters = []
+        for beam in beams:
+            aods = [float(beam), *rng.uniform(-90.0, 90.0, m - 1)]
+            magnitudes = [2.0, *rng.uniform(0.05, 1.95, m - 1)]
+            users = [
+                UserSpec(aod, float(rng.uniform(-90.0, 90.0)), large_scale_db=0.0,
+                         small_scale=cmath.rect(g, float(rng.uniform(-math.pi, math.pi))))
+                for aod, g in zip(aods, magnitudes)
+            ]
+            clusters.append(ClusterSpec(tuple(users)))
+        config = ScenarioConfig(
+            bs_antennas=int(rng.choice([16, 64])),
+            mu_antennas=int(rng.choice([1, 4])),
+            clusters=tuple(clusters),
+            snr_db=float(rng.choice([0.0, 10.0, 30.0])),
+            seed=1,
+        )
+        assert engine.design_trials(config, *TrialSampler(config).draw(np.zeros(1, int), 0))[0][0]
+        _engine_matches_the_oracle(config)
 
 
 def test_bound_of_a_weak_user_aliased_onto_its_first_user():
