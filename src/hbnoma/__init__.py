@@ -2,7 +2,7 @@
 
 from importlib import import_module
 
-__version__ = "0.4.1"
+__version__ = "0.4.2"
 
 # Public names by submodule. A submodule loads when one of its names is
 # first used, so a command imports (and compiles) only the modules it needs.

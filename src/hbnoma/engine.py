@@ -66,11 +66,9 @@ def _kernels(delta: np.ndarray, num_elements: int) -> tuple[np.ndarray, np.ndarr
     periods = np.rint(0.5 * delta)
     reduced = delta - 2.0 * periods
     half = np.sin(np.pi * reduced / 2.0)
-    singular = np.abs(half) < _KERNEL_SINGULARITY_TOL
-    ratio = np.sin(np.pi * num_elements * reduced / 2.0) / (
-        num_elements * np.where(singular, 1.0, half)
-    )
-    ratio = np.where(singular, 1.0, ratio)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.sin(np.pi * num_elements * reduced / 2.0) / (num_elements * half)
+    ratio[np.abs(half) < _KERNEL_SINGULARITY_TOL] = 1.0
     if num_elements % 2 == 0:
         # each period of delta flips the sign; integer parity, as a float % is slow
         ratio = ratio * (1 - 2 * (periods.astype(np.int64) & 1))
@@ -94,8 +92,11 @@ class TrialSampler:
     which trial t reads the ``stride`` uniforms from counter
     t * stride / 4 on (a counter step gives four). So a trial's draws do not
     depend on the other trials drawn with it. A random AoD takes one uniform
-    u, as sin(-pi/2 + pi*u); a random gain takes two, a Box-Muller circular
-    Gaussian times the level's amplitude. AoAs are not drawn.
+    u, as sin(-pi/2 + pi*u); a random gain takes two, the radius and the
+    phase of a Box-Muller circular Gaussian times the level's amplitude. No
+    output depends on a gain's phase, so only the magnitude |beta| is kept,
+    and a fixed gain is stored as its |beta|; the phase uniform still takes
+    its place in the stride. AoAs are not drawn.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -103,12 +104,12 @@ class TrialSampler:
         self.shape = (config.num_clusters, config.users_per_cluster)
         self.seed = config.seed % 2**64
         self.aod = np.zeros(len(specs))
-        self.beta = np.zeros(len(specs), dtype=complex)
+        self.gain = np.zeros(len(specs))
         for uid, spec in enumerate(specs):
             if spec.aod_deg is not None:
                 self.aod[uid] = AngleSpec.from_degrees(spec.aod_deg).normalized
             if spec.small_scale is not None:
-                self.beta[uid] = PathGain(spec.small_scale, spec.large_scale_db).beta
+                self.gain[uid] = abs(PathGain(spec.small_scale, spec.large_scale_db).beta)
         self._aod_users = np.flatnonzero([spec.aod_deg is None for spec in specs])
         self._gain_users = np.flatnonzero([spec.small_scale is None for spec in specs])
         self._gain_amplitude = np.array(
@@ -118,14 +119,14 @@ class TrialSampler:
         self.stride = 4 * math.ceil((self._aod_users.size + 2 * self._gain_users.size) / 4)
 
     def draw(self, trials: np.ndarray, attempt: int) -> tuple[np.ndarray, np.ndarray]:
-        """Normalized AoDs and complex gains of ``trials`` at one attempt.
+        """Normalized AoDs and gain magnitudes |beta| of ``trials`` at one attempt.
 
         Each is (trials, clusters, users). One call draws the span from the
         lowest to the highest trial and keeps the rows asked for.
         """
         rows = len(trials)
         aod = np.full((rows, self.aod.size), self.aod)
-        beta = np.full((rows, self.beta.size), self.beta)
+        gain = np.full((rows, self.gain.size), self.gain)
         if self.stride:
             first, last = int(trials.min()), int(trials.max())
             bits = np.random.Philox(
@@ -135,14 +136,12 @@ class TrialSampler:
             span = np.random.Generator(bits).random((last - first + 1, self.stride))
             na, ng = self._aod_users.size, self._gain_users.size
             columns = [na, na + ng, na + 2 * ng]  # AoDs, gain radii, gain phases, padding
-            angle, radius, phase, _ = np.split(span[trials - first], columns, axis=1)
+            angle, radius, _, _ = np.split(span[trials - first], columns, axis=1)
             aod[:, self._aod_users] = np.sin(-math.pi / 2 + math.pi * angle)
             # Box-Muller with 1 - u in (0, 1]: sqrt(-ln(1 - u)) * exp(2j*pi*v) is CN(0, 1)
-            beta[:, self._gain_users] = (
-                self._gain_amplitude * np.sqrt(-np.log1p(-radius)) * np.exp(2j * math.pi * phase)
-            )
+            gain[:, self._gain_users] = self._gain_amplitude * np.sqrt(-np.log1p(-radius))
         shape = (rows, *self.shape)
-        return aod.reshape(shape), beta.reshape(shape)
+        return aod.reshape(shape), gain.reshape(shape)
 
 
 class Design(NamedTuple):
@@ -234,10 +233,11 @@ def zero_forcing_rejects(first_rows: np.ndarray) -> np.ndarray:
 
 
 def design_trials(
-    config: ScenarioConfig, aod: np.ndarray, beta: np.ndarray
+    config: ScenarioConfig, aod: np.ndarray, gain: np.ndarray
 ) -> tuple[np.ndarray, Design]:
     """Steer, reorder and zero-force a batch of drawn trials.
 
+    ``gain`` is each user's |beta|, as ``TrialSampler.draw`` returns it.
     Returns the acceptance mask and the design of the accepted trials. Beams
     are steered at each cluster's largest-|beta| user (ties to the lower
     index); every per-user array is then put in SIC order, by descending
@@ -245,7 +245,6 @@ def design_trials(
     ``power.reorder_by_effective_norm`` and ``precoding.zero_forcing_precoder`` do.
     """
     t_bs = config.bs_antennas
-    gain = np.abs(beta)
     beam_user = np.argmax(gain, axis=2)
     beam_aod = _take_users(beam_user[..., None], aod)[0][..., 0]
     scale = math.sqrt(t_bs * config.mu_antennas)
@@ -268,7 +267,7 @@ def design_trials(
     n = config.num_clusters
     # LU solve of first_rows @ F0 = I; explicit inversion loses digits at T_BS = 64
     raw = np.linalg.solve(first_rows, np.broadcast_to(np.eye(n), first_rows.shape))
-    gram_raw = np.sum(gram[starts, ..., None] * raw[:, None, :, :], axis=2)
+    gram_raw = gram[starts] @ raw
     radiated = np.sqrt(np.sum(raw * gram_raw, axis=1))
     return accepted, Design(
         aod=aod,
@@ -317,14 +316,12 @@ def evaluate(config: ScenarioConfig, design: Design) -> TrialOutputs:
     total = per_snr([sum(up) for up in user_power])
 
     rows = design.rows
-    # h^H f_j for every user and beam j, summed over the beam axis in order
-    baseband = design.baseband[:, None, None]  # (C, 1, 1, N, N)
-    coupling = rows[..., 0, None] * baseband[..., 0, :]
-    for k in range(1, n):
-        coupling = coupling + rows[..., k, None] * baseband[..., k, :]
-    beam_gain = coupling**2  # (C, N, M, beam)
-    own = np.diagonal(beam_gain, axis1=1, axis2=3).transpose(0, 2, 1)
-    leaked = np.sum(np.where(np.eye(n, dtype=bool)[:, None, :], 0.0, beam_gain), axis=-1)
+    # h^H f_j for every user and beam j
+    beam_gain = (rows @ design.baseband[:, None]) ** 2  # (C, N, M, beam)
+    beams = np.arange(n)
+    own = beam_gain[:, beams, :, beams].transpose(1, 0, 2)  # a copy: (C, N, M)
+    beam_gain[:, beams, :, beams] = 0.0
+    leaked = np.sum(beam_gain, axis=-1)
     desired = powers * own
     intra = stronger * own
     inter = total * leaked
@@ -333,7 +330,7 @@ def evaluate(config: ScenarioConfig, design: Design) -> TrialOutputs:
     # first users keep rho = 1 and their rate as the bound: only weak users' are computed
     rho = np.ones(design.norm.shape)
     weak, first = rows[:, :, 1:], rows[:, :, :1]
-    inner = np.sum(weak * first, axis=-1)
+    inner = (weak @ first.swapaxes(-1, -2))[..., 0]
     rho[..., 1:] = np.minimum(np.abs(inner) / (design.norm[..., 1:] * design.norm[..., :1]), 1.0)
 
     bound = rate.copy()
@@ -346,19 +343,18 @@ def evaluate(config: ScenarioConfig, design: Design) -> TrialOutputs:
             raise ValueError("analog precoder is rank deficient; eta is undefined")
         kappa = lam_max / lam_min
         eta = (0.25 * (kappa + 1.0 / kappa + 2.0))[design.run, None, None]
-        # F_T(first user n's AoD - user (c, m)'s AoD) at [n, c, m]: a beam that
+        # sum over first users j of F_T(j's AoD - user (c, m)'s AoD): a beam that
         # is not demoted is steered at its first user, so the design's kernel
         # holds it; rows with a demoted cluster are evaluated afresh
-        fejer = np.moveaxis(design.fejer, 3, 1).copy()
+        ks_user = np.sum(design.fejer, axis=-1)
         fresh = design.demoted.any(axis=1)
         if fresh.any():
-            first_aod = design.aod[fresh, :, None, :1]
-            fejer[fresh] = _kernels(first_aod - design.aod[fresh, None], t_bs)[1]
-        ks_user = np.sum(fejer, axis=1)
+            first_aod = design.aod[fresh, None, None, :, 0]
+            fejer = _kernels(first_aod - design.aod[fresh, ..., None], t_bs)[1]
+            ks_user[fresh] = np.sum(fejer, axis=-1)
         ks_first = ks_user[..., :1]
         baseband = design.baseband[starts]
-        leakage = np.sum(baseband[..., None] * baseband[:, :, None, :], axis=1)
-        lam = _max_leakage_eigenvalues(leakage)[design.run, :, None]
+        lam = _max_leakage_eigenvalues(baseband.swapaxes(-1, -2) @ baseband)[design.run, :, None]
         gain2 = design.gain[..., 1:] ** 2
         received = t_bs * t_mu * gain2
         rho2 = rho[..., 1:] ** 2
@@ -458,10 +454,10 @@ def accepted_designs(
     pending = np.arange(len(trials))
     attempt = 0
     while pending.size:
-        aod, beta = sampler.draw(trials[pending], attempt)
+        aod, gain = sampler.draw(trials[pending], attempt)
         if swept is not None:
             aod[:, 0, 1] = swept[points[pending]]
-        accepted, design = design_trials(config, aod, beta)
+        accepted, design = design_trials(config, aod, gain)
         if accepted.any():
             yield pending[accepted], attempt, design
         pending = pending[~accepted]

@@ -226,19 +226,21 @@ def test_draws_have_the_configured_distributions():
     config = ScenarioConfig(
         bs_antennas=4, mu_antennas=1, clusters=(ClusterSpec((user,)),), seed=5
     )
-    aod, beta = (a.ravel() for a in TrialSampler(config).draw(np.arange(40000), 0))
+    aod, gain = (a.ravel() for a in TrialSampler(config).draw(np.arange(40000), 0))
     # six standard errors of 40,000 draws
     tol = 6.0 / math.sqrt(40000)
     # the physical AoD is uniform on [-pi/2, pi/2]: mean 0, variance pi^2/12
     physical = np.arcsin(aod) / math.pi
     assert abs(physical.mean()) < tol * math.sqrt(1 / 12)
     assert abs(np.mean(physical**2) - 1 / 12) < tol * math.sqrt(1 / 80 - 1 / 144)
-    # the gain is circular Gaussian with power 10**(-10/10): |g|^2 is exponential
-    g = beta / math.sqrt(0.1)
-    power = np.abs(g) ** 2
+    # the draw keeps the magnitude of a circular Gaussian with power 10**(-10/10)
+    assert not np.iscomplexobj(gain) and np.all(gain >= 0.0)
+    # |g|^2 is exponential
+    power = gain**2 / 0.1
     assert abs(power.mean() - 1.0) < tol
     assert abs(np.mean(power > 1.0) - math.exp(-1.0)) < tol * 0.5
-    assert abs(g.mean()) < tol and abs(np.mean(g**2)) < tol
+    # |g| is Rayleigh: mean sqrt(pi * 0.1) / 2, variance 0.1 * (1 - pi / 4)
+    assert abs(gain.mean() - math.sqrt(math.pi * 0.1) / 2) < tol * math.sqrt(0.1 * (1 - math.pi / 4))
 
 
 def test_demotions_counted_not_logged(caplog):
@@ -606,6 +608,14 @@ _ANGLE = st.integers(-90_000, 90_000).map(lambda millidegrees: millidegrees / 10
 _END_FIRE = st.sampled_from([-90.0, 90.0])
 
 
+def _spread(k, n):
+    """Angles in the middle half of the k-th of n equal slots of [-90, 90] degrees,
+    so that n beams drawn from their own slots stay apart."""
+    width = 180_000 // n
+    low = -90_000 + k * width
+    return st.integers(low + width // 4, low + 3 * width // 4).map(lambda md: md / 1000.0)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     t_bs=st.integers(1, 64),
@@ -613,15 +623,19 @@ _END_FIRE = st.sampled_from([-90.0, 90.0])
     n=st.sampled_from([2, 3, 1, 4]),  # mostly beams to zero-force
     m=st.integers(1, 3),
     snr_db=st.sampled_from([0.0, 10.0, 30.0]),
+    spread=st.booleans(),
     data=st.data(),
 )
-def test_centred_engine_matches_the_uncentred_oracle(t_bs, t_mu, n, m, snr_db, data):
+def test_centred_engine_matches_the_uncentred_oracle(t_bs, t_mu, n, m, snr_db, spread, data):
     # beam users sit at end-fire, anywhere, or on an earlier beam (coincident
-    # beams, which zero forcing rejects); weak users at end-fire or anywhere
+    # beams, which zero forcing rejects), or, in some examples, each in its
+    # own slot of the angle range (spread beams, which three and four
+    # clusters need to pass zero forcing); weak users at end-fire or anywhere
     clusters, beams = [], []
     for _ in range(n):
         coincident = [st.sampled_from(beams)] if beams else []
-        beams.append(data.draw(st.one_of(_ANGLE, _END_FIRE, *coincident)))
+        anywhere = st.one_of(_ANGLE, _END_FIRE, *coincident)
+        beams.append(data.draw(_spread(len(beams), n) if spread else anywhere))
         users = []
         for k in range(m):
             # the largest gain steers the beam at user 0
@@ -638,9 +652,8 @@ def test_centred_engine_matches_the_uncentred_oracle(t_bs, t_mu, n, m, snr_db, d
 
 
 def test_four_cluster_engine_matches_the_uncentred_oracle():
-    # the property test's four-beam sets are all rejected (few elements, or
-    # beams at or near a shared end-fire), so here four spread beams take the
-    # 3 x 3 leakage closed form to the oracle
+    # four spread beams take the 3 x 3 leakage closed form to the oracle on
+    # more designs than the property test's spread examples give
     rng = np.random.default_rng(40)
     for _ in range(40):
         beams = rng.permutation([-60.0, -20.0, 20.0, 60.0]) + rng.uniform(-10.0, 10.0, 4)
@@ -739,6 +752,38 @@ def test_rows_of_one_run_share_a_design_equal_to_each_row_alone():
         runs.append((int(design.run[-1]) + 1, len(aod)))
     assert runs[0] == (1, 361)
     assert 8 < runs[1][0] < runs[1][1] == 328
+
+
+def test_a_row_gives_the_same_bits_at_any_offset_of_a_block():
+    # the contractions are BLAS matmuls, whose kernels may take paths that
+    # depend on alignment; the run sharing and the block-size byte tests
+    # need a row's outputs not to depend on where in a block it sits
+    config = parse_config_text(WIDE)
+    block = engine.BLOCK_ROWS
+    aod, gain = TrialSampler(config).draw(np.arange(block + 2048), 0)
+    accepted, _ = engine.design_trials(config, aod, gain)
+    aod, gain = aod[accepted], gain[accepted]
+    # rows past the block: one with a demoted beam, whose Fejer sums are
+    # evaluated afresh, and one without
+    demoted = engine.design_trials(config, aod[block:], gain[block:])[1].demoted.any(axis=1)
+    tested = [int(np.argmax(demoted)), int(np.argmin(demoted))]
+    assert demoted[tested].tolist() == [True, False]
+    for i in tested:
+        row = slice(block + i, block + i + 1)
+        accepted, alone = engine.design_trials(config, aod[row], gain[row])
+        assert accepted.all()
+        expected = evaluate(config, alone)
+        for offset in (0, 1, 7, block - 1):
+            rows_aod, rows_gain = aod[:block].copy(), gain[:block].copy()
+            rows_aod[offset], rows_gain[offset] = aod[row][0], gain[row][0]
+            accepted, design = engine.design_trials(config, rows_aod, rows_gain)
+            assert accepted.all()
+            for name in engine.Design._fields:
+                if name != "run":
+                    ours = np.ascontiguousarray(getattr(design, name)[offset : offset + 1])
+                    assert ours.tobytes() == getattr(alone, name).tobytes(), (i, offset, name)
+            for ours, theirs in zip(evaluate(config, design), expected):
+                assert np.ascontiguousarray(ours[:, offset]).tobytes() == theirs[:, 0].tobytes()
 
 
 def test_a_block_with_every_row_rejected():
