@@ -17,9 +17,9 @@ a call nested in another stage counts to the inner stage only. The stages:
 * leakage: ``_max_leakage_eigenvalues``;
 * rates and bound: the rest of ``evaluate`` (couplings, correlations, the
   leakage Gram, the rate and bound arithmetic);
-* spend + aggregation: ``RedrawBudget.spend`` and ``simulate``'s own code
-  (the redraw loop, ``np.add.at`` into the running sums, the violation
-  counts).
+* spend: ``RedrawBudget.spend``, the redraw cap's ``bincount`` and check;
+* aggregation: ``simulate``'s own code (the redraw loop, the block's
+  bookkeeping, the bound violations and the running sums).
 
 ``total`` is the best instrumented run and ``untimed`` the best run with no
 wrapper, so their difference is the timers' own cost. The script changes
@@ -59,7 +59,8 @@ STAGES = (
     "η eigvalsh",
     "leakage",
     "rates and bound",
-    "spend + aggregation",
+    "spend",
+    "aggregation",
 )
 
 
@@ -120,7 +121,7 @@ def instrumented(timer: StageTimer):
         (np.linalg, "eigvalsh", "η eigvalsh", "rates and bound"),
         (engine, "_max_leakage_eigenvalues", "leakage", None),
         (engine, "evaluate", "rates and bound", None),
-        (engine.RedrawBudget, "spend", "spend + aggregation", None),
+        (engine.RedrawBudget, "spend", "spend", None),
     ]
     saved = [(owner, name, getattr(owner, name)) for owner, name, _, _ in targets]
     try:
@@ -142,7 +143,7 @@ def measure(config, grid, repeats: int) -> dict[str, float]:
         best["untimed"] = min(best["untimed"], time.perf_counter() - start)
         timer = StageTimer()
         with instrumented(timer):
-            timer.call("spend + aggregation", engine.simulate, config, grid)
+            timer.call("aggregation", engine.simulate, config, grid)
         for stage in STAGES:
             best[stage] = min(best[stage], timer.totals[stage])
         best["total"] = min(best["total"], sum(timer.totals.values()))

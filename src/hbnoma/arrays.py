@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# |sin(pi*delta/2)| below this is treated as the removable singularity of
-# the correlation kernel (delta congruent to 0 mod 2, identical beams).
-_KERNEL_SINGULARITY_TOL = 1e-9
+from .engine import _KERNEL_SINGULARITY_TOL
 
 
 @dataclass(frozen=True)

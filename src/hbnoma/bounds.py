@@ -17,24 +17,26 @@ from typing import Sequence
 import numpy as np
 
 from .arrays import fejer_correlation
-from .precoding import BEAM_RANK_TOL, AnalogPrecoder, BasebandPrecoder
+from .engine import BEAM_RANK_TOL
+from .precoding import AnalogPrecoder, BasebandPrecoder
 
 _ALIGNMENT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class CorrelationReport:
-    """Correlation rho, pseudo-angle, and unit residual of a channel pair.
+    """Correlation rho, pseudo-angle, unit residual and 1 - rho^2 of a channel pair.
 
     ``residual`` spans the part of the weaker user's direction orthogonal
     to the first user's; it is the all-zeros sentinel when the two are
-    aligned (rho = 1 within tolerance), making downstream (1 - rho^2)
-    terms exactly zero.
+    aligned (rho = 1 within tolerance). ``across`` is 1 - rho^2 as that
+    part's squared norm, which does not cancel near rho = 1 as 1 - rho**2 does.
     """
 
     rho: float
     pseudo_angle: float
     residual: np.ndarray
+    across: float
 
     @property
     def aligned(self) -> bool:
@@ -65,12 +67,11 @@ def hermitian_correlation(hm: np.ndarray, h1: np.ndarray) -> CorrelationReport:
     inner = complex(np.vdot(hm_t, h1_t))  # rho * exp(j * pseudo_angle)
     rho = min(abs(inner), 1.0)
     pseudo = math.atan2(inner.imag, inner.real)
+    residual = hm_t - complex(np.vdot(h1_t, hm_t)) * h1_t
+    across = float(np.vdot(residual, residual).real)
     if rho >= 1.0 - _ALIGNMENT_TOL:
-        return CorrelationReport(rho=rho, pseudo_angle=pseudo, residual=np.zeros_like(hm_t))
-    projection = complex(np.vdot(h1_t, hm_t)) * h1_t
-    residual = hm_t - projection
-    residual = residual / np.linalg.norm(residual)
-    return CorrelationReport(rho=rho, pseudo_angle=pseudo, residual=residual)
+        return CorrelationReport(rho, pseudo, np.zeros_like(hm_t), across)
+    return CorrelationReport(rho, pseudo, residual / np.linalg.norm(residual), across)
 
 
 def decompose_effective_channel(
@@ -89,7 +90,7 @@ def decompose_effective_channel(
     rebuilt = report.rho * np.exp(1j * np.angle(along)) * h1_t
     if not report.aligned:
         across = complex(np.vdot(report.residual, hm_t))
-        rebuilt = rebuilt + math.sqrt(max(0.0, 1.0 - report.rho**2)) * np.exp(
+        rebuilt = rebuilt + math.sqrt(report.across) * np.exp(
             1j * np.angle(across)
         ) * report.residual
     return float(np.linalg.norm(hm_t - rebuilt))
@@ -150,10 +151,13 @@ def bound_components(
     first_user_aods: Sequence[float],
     first_user_aod: float,
     user_aod: float,
+    across: float | None = None,
 ) -> BoundComponents:
-    """Assemble the three denominator terms of the rate lower bound."""
+    """Assemble the three denominator terms of the rate lower bound. ``across`` is 1 - rho^2,
+    best as ``CorrelationReport.across``: the default 1.0 - rho**2 cancels near rho = 1."""
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got {rho!r}")
+    across = 1.0 - rho**2 if across is None else across
     array_gain = bs_antennas * mu_antennas
     received = array_gain * gain_magnitude**2
     eta = eta_factor(precoder)
@@ -161,7 +165,7 @@ def bound_components(
     ks_user = kernel_sum(first_user_aods, user_aod, bs_antennas)
     lam = max_leakage_eigenvalue(baseband, cluster_idx)
     zeta_intra = sum(stronger_powers) * rho**2 * received
-    zeta_inter = cluster_power * (1.0 - rho**2) * received * lam * eta * ks_first
+    zeta_inter = cluster_power * across * received * lam * eta * ks_first
     zeta_noise = eta * ks_first / ks_user
     return BoundComponents(zeta_intra=zeta_intra, zeta_inter=zeta_inter, zeta_noise=zeta_noise)
 
@@ -180,6 +184,7 @@ def lower_bound_rate(
     cluster_idx: int,
     first_user_aods: Sequence[float],
     user_aod: float,
+    across: float | None = None,
 ) -> float:
     """Closed-form lower bound on the rate of a non-first user.
 
@@ -202,6 +207,7 @@ def lower_bound_rate(
         first_user_aods=first_user_aods,
         first_user_aod=first_user_aods[cluster_idx],
         user_aod=user_aod,
+        across=across,
     )
     numerator = user_power * rho**2 * bs_antennas * mu_antennas * gain_magnitude**2
     denominator = components.zeta_intra + components.zeta_inter + components.zeta_noise

@@ -20,10 +20,8 @@ import sys
 
 import numpy as np
 
-from .arrays import AngleSpec, ArrayGeometry, steering_vector
 from .engine import design_trial
 from .errors import ConfigurationError, SingularClusteringError
-from .precoding import AnalogPrecoder, BasebandPrecoder, power_constraint_check
 from .results import emit_results, render
 from .runner import run_scenario, sweep_fig2, sweep_fig3
 from .scenario import load_config
@@ -110,6 +108,9 @@ def _cmd_fig3(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    # the object-level modules load only here: no other command uses them
+    from .arrays import AngleSpec, ArrayGeometry, steering_vector
+    from .precoding import AnalogPrecoder, BasebandPrecoder, power_constraint_check
     config = load_config(args.config)
     config.single_snr_db()  # `run` needs one SNR, so a valid config has one
     attempt, design = design_trial(config, 0)

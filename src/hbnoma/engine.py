@@ -29,9 +29,10 @@ the draws is array arithmetic over the whole block:
 The matched receive combiner cancels the AoA from every effective channel,
 so AoAs are never drawn.
 
-Each block's rows are added to running sums one row at a time, in row
-order, so totals do not depend on the block size or on which rows were
-redrawn, and memory stays flat in the trial and point counts.
+Each block's rows are added to per-point running sums trial by trial, through
+one reduce over a leading trial axis, and every short sum runs left to right,
+as ``np.sum`` adds it. So totals do not depend on the block size or on which
+rows were redrawn, and memory stays flat in the trial and point counts.
 """
 
 from __future__ import annotations
@@ -41,10 +42,17 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .arrays import _KERNEL_SINGULARITY_TOL, AngleSpec, PathGain
 from .errors import SingularClusteringError
-from .precoding import BEAM_RANK_TOL, MAX_GRAM_CONDITION
 from .scenario import ScenarioConfig
+
+# Squared condition number of the first users' unit-norm rows above which zero
+# forcing rejects the geometry; column normalization makes F_bb independent of
+# the rows' scale, so a gain gap between clusters is not bad geometry.
+MAX_GRAM_CONDITION = 1e12
+# Relative eigenvalue floor of the analog beams' Gram below which eta is undefined.
+BEAM_RANK_TOL = 1e-14
+# |sin(pi*delta/2)| below this is the kernel's removable singularity (delta = 0 mod 2).
+_KERNEL_SINGULARITY_TOL = 1e-9
 
 # Trial-major (trial, sweep point) rows per block. Fixed, so memory stays
 # flat in the trial and point counts; results do not depend on it. Chosen by
@@ -57,6 +65,20 @@ _GERSHGORIN_ACCEPT = 1e-3
 
 # r = det B / (2p^3) below -1 plus this goes to eigvalsh in _max_leakage_eigenvalues
 _DOUBLE_TOP_FALLBACK = 1e-3
+
+
+def _sum_last(a: np.ndarray) -> np.ndarray:
+    """``np.sum(a, axis=-1)`` to the bit: numpy adds fewer than 8 terms left to right
+    from +0.0 (pairwise summation starts at 8), but far slower than slice adds do."""
+    return _fold_last(np.add, a, 0.0) if 0 < a.shape[-1] < 8 else np.sum(a, axis=-1)
+
+
+def _fold_last(ufunc: np.ufunc, a: np.ndarray, start) -> np.ndarray:
+    """``ufunc`` applied from ``start`` across the last axis of ``a``, slice by slice."""
+    out = ufunc(start, a[..., 0])
+    for k in range(1, a.shape[-1]):
+        ufunc(out, a[..., k], out=out)
+    return out
 
 
 def _kernels(delta: np.ndarray, num_elements: int) -> tuple[np.ndarray, np.ndarray]:
@@ -106,10 +128,11 @@ class TrialSampler:
         self.aod = np.zeros(len(specs))
         self.gain = np.zeros(len(specs))
         for uid, spec in enumerate(specs):
+            # arrays.AngleSpec's normalized angle and PathGain's |beta|, to the bit
             if spec.aod_deg is not None:
-                self.aod[uid] = AngleSpec.from_degrees(spec.aod_deg).normalized
+                self.aod[uid] = math.sin(math.radians(spec.aod_deg))
             if spec.small_scale is not None:
-                self.gain[uid] = abs(PathGain(spec.small_scale, spec.large_scale_db).beta)
+                self.gain[uid] = abs(spec.small_scale * 10.0 ** (spec.large_scale_db / 20.0))
         self._aod_users = np.flatnonzero([spec.aod_deg is None for spec in specs])
         self._gain_users = np.flatnonzero([spec.small_scale is None for spec in specs])
         self._gain_amplitude = np.array(
@@ -174,13 +197,8 @@ def _runs(*arrays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     itself. LAPACK returns the same bits for the same matrix in any batch, so
     work done once per run and gathered back equals work done per row.
     """
-    keys = np.concatenate(
-        [
-            np.ascontiguousarray(a).reshape(len(a), math.prod(a.shape[1:])).view(np.uint64)
-            for a in arrays
-        ],
-        axis=1,
-    )
+    flat = [np.ascontiguousarray(a).reshape(len(a), math.prod(a.shape[1:])) for a in arrays]
+    keys = np.concatenate(flat, axis=1).view(np.uint64)
     new = np.ones(len(keys), dtype=bool)
     new[1:] = np.any(keys[1:] != keys[:-1], axis=1)
     return np.flatnonzero(new), np.cumsum(new) - 1
@@ -219,11 +237,13 @@ def zero_forcing_rejects(first_rows: np.ndarray) -> np.ndarray:
     """
     starts, run = _runs(first_rows)
     first_rows = first_rows[starts]
-    unit = first_rows / np.linalg.norm(first_rows, axis=-1, keepdims=True)
+    # the norm as np.linalg.norm forms it, also for complex sets
+    unit = first_rows / np.sqrt(_sum_last((first_rows * first_rows.conj()).real))[..., None]
     gram = unit @ unit.conj().swapaxes(-1, -2)
     magnitude = np.abs(gram)
     diagonal = np.diagonal(magnitude, axis1=-2, axis2=-1)
-    spread = magnitude.sum(axis=-1).max(axis=-1) - diagonal.min(axis=-1)
+    widest = _fold_last(np.maximum, _sum_last(magnitude), -np.inf)
+    spread = widest - _fold_last(np.minimum, diagonal, np.inf)
     rejects = np.isnan(spread)
     unsure = 1.0 - spread < _GERSHGORIN_ACCEPT
     if unsure.any():
@@ -252,7 +272,7 @@ def design_trials(
     rows = scale * gain[..., None] * kernel
     # row i of F_rf^H F_rf is the kernel row of beam i's own user
     gram = _take_users(beam_user[..., None], kernel)[0][:, :, 0]
-    norm = np.sqrt(np.sum(rows**2, axis=-1))
+    norm = np.sqrt(_sum_last(rows**2))
     sic = np.argsort(-norm, axis=2, kind="stable")
     aod, gain, norm, rows, fejer = _take_users(sic, aod, gain, norm, rows, fejer)
     accepted = ~zero_forcing_rejects(rows[:, :, 0])
@@ -268,7 +288,7 @@ def design_trials(
     # LU solve of first_rows @ F0 = I; explicit inversion loses digits at T_BS = 64
     raw = np.linalg.solve(first_rows, np.broadcast_to(np.eye(n), first_rows.shape))
     gram_raw = gram[starts] @ raw
-    radiated = np.sqrt(np.sum(raw * gram_raw, axis=1))
+    radiated = np.sqrt(_sum_last((raw * gram_raw).swapaxes(1, 2)))
     return accepted, Design(
         aod=aod,
         gain=gain,
@@ -321,7 +341,7 @@ def evaluate(config: ScenarioConfig, design: Design) -> TrialOutputs:
     beams = np.arange(n)
     own = beam_gain[:, beams, :, beams].transpose(1, 0, 2)  # a copy: (C, N, M)
     beam_gain[:, beams, :, beams] = 0.0
-    leaked = np.sum(beam_gain, axis=-1)
+    leaked = _sum_last(beam_gain)
     desired = powers * own
     intra = stronger * own
     inter = total * leaked
@@ -346,12 +366,12 @@ def evaluate(config: ScenarioConfig, design: Design) -> TrialOutputs:
         # sum over first users j of F_T(j's AoD - user (c, m)'s AoD): a beam that
         # is not demoted is steered at its first user, so the design's kernel
         # holds it; rows with a demoted cluster are evaluated afresh
-        ks_user = np.sum(design.fejer, axis=-1)
-        fresh = design.demoted.any(axis=1)
+        ks_user = _sum_last(design.fejer)
+        fresh = _fold_last(np.logical_or, design.demoted, False)
         if fresh.any():
             first_aod = design.aod[fresh, None, None, :, 0]
             fejer = _kernels(first_aod - design.aod[fresh, ..., None], t_bs)[1]
-            ks_user[fresh] = np.sum(fejer, axis=-1)
+            ks_user[fresh] = _sum_last(fejer)
         ks_first = ks_user[..., :1]
         baseband = design.baseband[starts]
         lam = _max_leakage_eigenvalues(baseband.swapaxes(-1, -2) @ baseband)[design.run, :, None]
@@ -361,7 +381,7 @@ def evaluate(config: ScenarioConfig, design: Design) -> TrialOutputs:
         # 1 - rho^2 as the weak row's squared residual off its first row: near rho = 1,
         # 1 - rho2 cancels to a rounding error that lam * eta (up to cond^2) multiplies
         projection = (inner / design.norm[..., :1] ** 2)[..., None] * first
-        across = np.sum((weak - projection) ** 2, axis=-1) / design.norm[..., 1:] ** 2
+        across = _sum_last((weak - projection) ** 2) / design.norm[..., 1:] ** 2
         zeta_intra = stronger[..., 1:] * rho2 * received
         zeta_inter = per_snr(cluster_power) * across * received * lam * eta * ks_first
         zeta_noise = eta * ks_first / ks_user[..., 1:]
@@ -472,8 +492,7 @@ def design_trial(config: ScenarioConfig, trial: int = 0) -> tuple[int, Design]:
     """
     budget = RedrawBudget(config.trials)
     trials, points = np.array([trial]), np.zeros(1, dtype=int)
-    rounds = accepted_designs(config, TrialSampler(config), trials, points, budget)
-    _, attempt, design = next(rounds)
+    _, attempt, design = next(accepted_designs(config, TrialSampler(config), trials, points, budget))
     return attempt, design
 
 
@@ -489,12 +508,13 @@ class Totals(NamedTuple):
 
 def _normalized_from_degrees(aod_deg: Sequence[float]) -> np.ndarray:
     """``AngleSpec.from_degrees(a).normalized`` of every angle, to the bit, in one
-    call; the first angle outside [-90, 90] degrees raises AngleSpec's ValueError."""
+    call; the first angle outside [-90, 90] degrees raises the ValueError AngleSpec raises."""
     degrees = np.asarray(aod_deg, dtype=float)
     physical = np.radians(degrees)
     outside = ~((-math.pi / 2 <= physical) & (physical <= math.pi / 2))
     if outside.any():
-        AngleSpec.from_degrees(float(degrees[outside][0]))
+        bad = math.radians(float(degrees[outside][0]))
+        raise ValueError(f"physical angle must lie in [-pi/2, pi/2], got {bad!r}")
     return np.sin(physical)
 
 
@@ -505,34 +525,48 @@ def simulate(config: ScenarioConfig, sweep_aod_deg: Sequence[float] | None = Non
     None makes ``config`` the one point. Row r of the (trial, point) grid is
     trial ``r // points`` at point ``r % points``, and the rows run in blocks
     of ``BLOCK_ROWS``. A trial's draw at each attempt is shared by its
-    points, and one design serves every SNR. ``np.add.at`` adds a block's
-    rows to the running sums unbuffered and in row order, so every sum runs
-    in trial order whatever the block size.
+    points, and one design serves every SNR. ``_accumulate`` adds a block's
+    rows to the running sums trial by trial, so every sum runs in trial
+    order whatever the block size.
     """
-    swept = None
-    if sweep_aod_deg is not None:
-        swept = _normalized_from_degrees(sweep_aod_deg)
+    swept = None if sweep_aod_deg is None else _normalized_from_degrees(sweep_aod_deg)
     budget = RedrawBudget(config.trials, sweep_aod_deg)
     sampler = TrialSampler(config)
     points = budget.used.size
-    shape = (len(config.snr_dbs), points, config.num_clusters, config.users_per_cluster)
-    sums = np.zeros((len(TrialOutputs._fields), *shape))  # (field, SNR, point, cluster, user)
-    violations = np.zeros(shape[:2], dtype=int)
-    max_excess = np.zeros(shape[:2])
+    shape = (points, len(config.snr_dbs), config.num_clusters, config.users_per_cluster)
+    fields = (len(TrialOutputs._fields), *shape[1:])
+    sums = np.zeros((points, *fields))  # (point, field, SNR, cluster, user)
+    violations, max_excess = np.zeros(shape, dtype=int), np.zeros(shape)  # per user
     demotions = 0
     rows = config.trials * points
     for first in range(0, rows, BLOCK_ROWS):
         trials, at = np.divmod(np.arange(first, min(first + BLOCK_ROWS, rows)), points)
-        block = np.empty((*sums.shape[:2], len(trials), *shape[2:]))
+        block = np.empty((len(trials), *fields))
         for done, _, design in accepted_designs(config, sampler, trials, at, budget, swept):
-            for into, values in zip(block, evaluate(config, design)):
-                into[:, done] = values
+            for k, values in enumerate(evaluate(config, design)):
+                block[done, k] = values.swapaxes(0, 1)
             demotions += int(np.count_nonzero(design.demoted))
-        rate, bound = block[0, ..., 1:], block[1, ..., 1:]
+        # a first user's bound is its rate, so only weak users can exceed
+        rate, bound = block[:, 0], block[:, 1]
         over = bound > rate
-        np.add.at(violations, np.s_[:, at], np.count_nonzero(over, axis=(2, 3)))
-        excess = np.where(over, bound - rate, 0.0).max(axis=(2, 3), initial=0.0)
-        np.maximum.at(max_excess, np.s_[:, at], excess)
-        np.add.at(sums, np.s_[:, :, at], block)
-    means = TrialOutputs(*(sums / config.trials))
+        _accumulate(np.add, violations, over, first)
+        _accumulate(np.maximum, max_excess, np.where(over, bound - rate, 0.0), first)
+        _accumulate(np.add, sums, block, first)
+    means = TrialOutputs(*(sums / config.trials).transpose(1, 2, 0, 3, 4))
+    violations, max_excess = violations.sum(axis=(2, 3)).T, max_excess.max(axis=(2, 3)).T
     return Totals(means, violations, max_excess, int(budget.used.sum()), demotions)
+
+
+def _accumulate(ufunc: np.ufunc, totals: np.ndarray, rows: np.ndarray, first: int) -> None:
+    """Fold rows ``first``, ``first + 1``, ... of the trial-major (trial, point) grid
+    into the per-point ``totals``, in trial order. Whole trials go in one ``ufunc.reduce``
+    over the leading axis of [totals, trial, ...], which numpy applies row after row when
+    a row holds at least 2 elements; the trials cut by the block's ends go in as slices."""
+    points, start = len(totals), first % len(totals)
+    head = min(len(rows), -start % points)
+    trials = (len(rows) - head) // points
+    tail = rows[head + trials * points :]
+    ufunc(totals[start : start + head], rows[:head], out=totals[start : start + head])
+    whole = rows[head : head + trials * points].reshape(trials, *totals.shape)
+    ufunc.reduce(np.concatenate([totals[None], whole]), axis=0, out=totals)
+    ufunc(totals[: len(tail)], tail, out=totals[: len(tail)])

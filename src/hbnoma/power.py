@@ -12,12 +12,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import ConfigurationError
+from .scenario import check_intra_fractions, default_intra_fractions  # noqa: F401 (re-export)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .precoding import EffectiveChannelSet
-
-# Allowed distance of the intra fractions' sum from one.
-_FRACTION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -90,37 +88,6 @@ def reorder_by_effective_norm(effective: "EffectiveChannelSet", plan: ClusterPla
             for cluster in plan.assignments
         )
     )
-
-
-def default_intra_fractions(users_per_cluster: int) -> tuple[float, ...]:
-    """Geometric intra-cluster power split with ratio 3.
-
-    Fraction m is 2*3**(m-1)/(3**M - 1); for two users this is (1/4, 3/4).
-    """
-    if users_per_cluster < 1:
-        raise ConfigurationError("users_per_cluster must be >= 1")
-    m = users_per_cluster
-    denom = 3**m - 1
-    return tuple(2 * 3**k / denom for k in range(m))
-
-
-def check_intra_fractions(fractions: Sequence[float], users_per_cluster: int) -> None:
-    """Raise ConfigurationError unless ``fractions`` is a valid intra-cluster split.
-
-    A valid split has one fraction per SIC position; the fractions are
-    positive, sum to one, and are nondecreasing so stronger users get less
-    power.
-    """
-    if len(fractions) != users_per_cluster:
-        raise ConfigurationError(
-            f"{len(fractions)} intra fractions for {users_per_cluster} users per cluster"
-        )
-    if any(f <= 0 for f in fractions):
-        raise ConfigurationError(f"intra fractions must be positive, got {fractions}")
-    if abs(sum(fractions) - 1.0) > _FRACTION_TOL:
-        raise ConfigurationError(f"intra fractions must sum to 1, got sum {sum(fractions)!r}")
-    if any(b < a for a, b in zip(fractions, fractions[1:])):
-        raise ConfigurationError(f"intra fractions must be nondecreasing, got {fractions}")
 
 
 def allocate_power(

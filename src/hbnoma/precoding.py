@@ -15,18 +15,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .arrays import SinglePathChannel, channel_matrix, steering_vector
+from .engine import MAX_GRAM_CONDITION
 from .errors import SingularClusteringError
 from .power import ClusterPlan
 
-# Condition number of the Gram matrix of the first users' effective channels,
-# each scaled to unit norm, beyond which the cluster geometry is rejected
-# instead of regularized; zero forcing presumes distinct beams. Column
-# normalization makes F_bb independent of the rows' scale, so a gain gap
-# between clusters is not bad geometry.
-MAX_GRAM_CONDITION = 1e12
-# Relative eigenvalue floor of the analog beams' Gram matrix below which the
-# beam set counts as rank deficient.
-BEAM_RANK_TOL = 1e-14
 # Allowed deviation of the radiated power (relative, floored at one) and of
 # each analog modulus from their targets.
 CONSTRAINT_TOL = 1e-9

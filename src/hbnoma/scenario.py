@@ -31,16 +31,48 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 from .errors import ConfigurationError
-from .power import check_intra_fractions, default_intra_fractions
 
 # Largest |large_scale_db| and |snr_db|: the squared amplitude 10**(dB/20) and
 # the power 10**(dB/10) then lie within 1e-30..1e30, far from under/overflow.
 MAX_ABS_LEVEL_DB = 300.0
 
+# Allowed distance of the intra fractions' sum from one.
+_FRACTION_TOL = 1e-9
+
 _TOP_KEYS = ("bs_antennas", "mu_antennas", "snr_db", "seed", "trials", "intra_fractions")
 _USER_KEYS = ("aod_deg", "aoa_deg", "large_scale_db", "gain")
+
+
+def default_intra_fractions(users_per_cluster: int) -> tuple[float, ...]:
+    """Geometric intra-cluster power split with ratio 3.
+
+    Fraction m is 2*3**(m-1)/(3**M - 1); for two users this is (1/4, 3/4).
+    """
+    if users_per_cluster < 1:
+        raise ConfigurationError("users_per_cluster must be >= 1")
+    return tuple(2 * 3**k / (3**users_per_cluster - 1) for k in range(users_per_cluster))
+
+
+def check_intra_fractions(fractions: Sequence[float], users_per_cluster: int) -> None:
+    """Raise ConfigurationError unless ``fractions`` is a valid intra-cluster split.
+
+    A valid split has one fraction per SIC position; the fractions are
+    positive, sum to one, and are nondecreasing so stronger users get less
+    power.
+    """
+    if len(fractions) != users_per_cluster:
+        raise ConfigurationError(
+            f"{len(fractions)} intra fractions for {users_per_cluster} users per cluster"
+        )
+    if any(f <= 0 for f in fractions):
+        raise ConfigurationError(f"intra fractions must be positive, got {fractions}")
+    if abs(sum(fractions) - 1.0) > _FRACTION_TOL:
+        raise ConfigurationError(f"intra fractions must sum to 1, got sum {sum(fractions)!r}")
+    if any(b < a for a, b in zip(fractions, fractions[1:])):
+        raise ConfigurationError(f"intra fractions must be nondecreasing, got {fractions}")
 
 
 @dataclass(frozen=True)

@@ -82,12 +82,14 @@ class PipelineState:
                 rb = user_rate(ci, mi, plan, self.effective, self.baseband, powers)
                 rho, bound = 1.0, rb.rate_bps_hz
                 if mi > 0:
-                    rho = hermitian_correlation(
+                    report = hermitian_correlation(
                         self.effective.vector(uid), self.effective.vector(cluster[0])
-                    ).rho
+                    )
+                    rho = report.rho
                     bound = lower_bound_rate(
                         sic_idx=mi,
                         rho=rho,
+                        across=report.across,
                         user_power=powers.power_of(uid),
                         stronger_powers=[powers.power_of(cluster[k]) for k in range(mi)],
                         cluster_power=powers.cluster_power[0],

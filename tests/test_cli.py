@@ -3,6 +3,9 @@
 import ast
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -18,7 +21,8 @@ from hbnoma.scenario import parse_config_text
 from bruteforce import array_response
 from object_pipeline import object_trial
 
-DEMO = Path(__file__).resolve().parents[1] / "scenarios" / "two_cluster_demo.cfg"
+ROOT = Path(__file__).resolve().parents[1]
+DEMO = ROOT / "scenarios" / "two_cluster_demo.cfg"
 
 CONFIG = """
 bs_antennas = 16
@@ -298,3 +302,26 @@ class TestValidateCommand:
         path = tmp_path / "singular.cfg"
         path.write_text(SINGULAR_CONFIG)
         assert main(["validate", "--config", str(path)]) == 3
+
+
+def test_cli_start_up_loads_no_object_level_module():
+    # run, fig2 and fig3 need only the engine: the object-level modules load
+    # in validate alone, so a fresh process does not pay for them
+    code = (
+        "import sys, hbnoma.cli\n"
+        "from hbnoma.scenario import load_config\n"
+        f"load_config({str(ROOT / 'perfbench' / 'wide.cfg')!r})\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    loaded = set(done.stdout.split())
+    assert "hbnoma.engine" in loaded
+    for name in ("arrays", "precoding", "power", "bounds", "rates"):
+        assert f"hbnoma.{name}" not in loaded

@@ -4,6 +4,7 @@ import cmath
 import json
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from bruteforce import (
     effective_row,
     rate_table,
 )
+from add_at_totals import add_at_totals
 from object_pipeline import FIELDS, materialize, object_trial, replay_run
 
 
@@ -203,6 +205,102 @@ def test_output_bytes_do_not_depend_on_chunk_size(tmp_path, capsys, monkeypatch)
     assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
     # rejected rows are redrawn inside a block
     assert json.loads(outputs[0])["singular_redraws"] == 2
+
+
+def _spanning(rng, shape):
+    """Magnitudes from e^-30 to e^30 with random signs, and in a few rows -0.0,
+    +-inf or NaN."""
+    values = rng.choice([-1.0, 1.0], size=shape) * np.exp(rng.uniform(-30.0, 30.0, size=shape))
+    special = rng.random(shape) < 0.02
+    values[special] = rng.choice([-0.0, math.inf, -math.inf, math.nan], size=special.sum())
+    values[:3] = -0.0  # rows of only -0.0, whose np.sum is +0.0
+    return values
+
+
+@np.errstate(invalid="ignore")  # inf - inf in the spanning values
+def test_short_sums_add_left_to_right_as_np_sum_does():
+    # _sum_last relies on numpy adding fewer than 8 terms of a last-axis sum
+    # from +0.0, left to right; pairwise summation takes over at 8
+    rng = np.random.default_rng(20)
+    for length in range(1, 11):
+        # the last one strided, as design_trials reads the radiated power
+        for a in (
+            _spanning(rng, (200, length)),
+            _spanning(rng, (40, 4, 3, length)),
+            _spanning(rng, (50, length, 3)).swapaxes(1, 2),
+        ):
+            assert engine._sum_last(a).tobytes() == np.sum(a, axis=-1).tobytes(), (
+                f"numpy's sum of {length} terms no longer matches engine._sum_last: "
+                "its summation order changed, so the engine's output bytes would too"
+            )
+    left_to_right = np.array([[1.0, 1e-16, 1e-16]])
+    assert engine._sum_last(left_to_right)[0] == 1.0  # (1 + 1e-16) + 1e-16 rounds twice
+
+
+@np.errstate(invalid="ignore")  # inf - inf in the spanning values
+def test_leading_axis_reduce_adds_rows_in_order():
+    # engine._accumulate relies on np.add.reduce over the leading axis of a
+    # C-contiguous array, rows of at least 2 elements, adding row after row
+    # to +0.0
+    rng = np.random.default_rng(21)
+    for rows in (1, 2, 3, 9, 64, 513):
+        for trailing in ((2,), (5,), (3, 4), (2, 5, 1, 2, 3)):
+            a = _spanning(rng, (rows, *trailing))
+            expected = np.zeros(trailing)
+            for row in a:
+                expected = expected + row
+            assert np.add.reduce(a, axis=0).tobytes() == expected.tobytes(), (
+                f"numpy's leading-axis reduce of {rows} rows of {trailing} no longer adds "
+                "rows in order, so engine.simulate's totals would depend on the block size"
+            )
+
+
+def _spiked(evaluate):
+    """``evaluate`` with -0.0, +inf or NaN written into every output of the last
+    user of the first cluster, or -inf into those of the first user of the last
+    cluster, in about a third of the rows, chosen by the row's AoDs and gains so
+    that a row carries the same values in any block.
+
+    IEEE 754 leaves open which NaN the sum of two NaNs returns, and numpy's
+    loops differ in it, so +inf and -inf, whose sum is a NaN of the platform's,
+    never meet in one sum, and the one NaN written is ``math.nan``.
+    """
+    def spiked(config, design):
+        outputs = evaluate(config, design)
+        drawn = np.concatenate([design.aod, design.gain], axis=1)
+        key = drawn.reshape(len(drawn), -1).view(np.uint64).sum(axis=1) % 11
+        for k, (value, user) in enumerate(
+            [(-0.0, (0, -1)), (math.inf, (0, -1)), (math.nan, (0, -1)), (-math.inf, (-1, 0))]
+        ):
+            for values in outputs:
+                values[(slice(None), key == k, *user)] = value
+        return outputs
+
+    return spiked
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 512])
+def test_totals_equal_the_add_at_aggregation(monkeypatch, block_rows):
+    monkeypatch.setattr(engine, "BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(engine, "evaluate", _spiked(engine.evaluate))
+    fig3_grid = sweep_grid(-90.0, 90.0, 0.5)
+    cases = [
+        (replace(parse_config_text(WIDE), trials=600), None),
+        (fig2_config(50.0, 7, 40, (0.0, 5.0)), [50.0, 55.0, 60.0]),
+        (fig2_config(50.0, 7, 12, (0.0, 5.0)), list(np.linspace(50.0, 60.0, 82))),
+        (fig3_config(fig3_grid[0], 1), fig3_grid),
+    ]
+    for config, grid in cases:
+        with np.errstate(invalid="ignore"):  # the spikes' inf - inf
+            ours, theirs = simulate(config, grid), add_at_totals(config, grid)
+        assert len(ours.means.rate[0]) == len(theirs.means.rate[0]) in (1, 3, 82, 361)
+        assert not np.isfinite(theirs.means.rate).all()
+        for name in ("violations", "max_excess"):
+            mine, reference = getattr(ours, name), getattr(theirs, name)
+            assert mine.dtype == reference.dtype and mine.tobytes() == reference.tobytes(), name
+        for name, mine, reference in zip(FIELDS, ours.means, theirs.means):
+            assert mine.shape == reference.shape and mine.tobytes() == reference.tobytes(), name
+        assert ours[3:] == theirs[3:]
 
 
 def test_trial_draws_do_not_depend_on_the_batch():
@@ -577,7 +675,19 @@ def _engine_matches_the_oracle(config):
     assert accepted[0]
     outputs = evaluate(config, design)
     assert not any(np.iscomplexobj(a) for a in (*design, *outputs))
+    groups, rates, oracle = _oracle(config, design)
+    # the oracle test's tolerance
+    for ci, group in enumerate(groups):
+        for mi, uid in enumerate(group):
+            expected = {"rate": rates[uid], "rho": oracle[uid][0], "bound": oracle[uid][1]}
+            for name, theirs in expected.items():
+                ours = getattr(outputs, name)[0, 0, ci, mi]
+                assert abs(ours - theirs) <= 1e-10 * max(abs(theirs), 1e-12), (name, ci, mi)
 
+
+def _oracle(config, design):
+    """SIC groups of config user ids, and the brute-force ``rate_table`` and
+    ``bound_table`` of trial 0 of ``config`` (fixed angles and gains) at ``design``."""
     t_bs, t_mu = config.bs_antennas, config.mu_antennas
     n, m = config.num_clusters, config.users_per_cluster
     specs = [spec for cluster in config.clusters for spec in cluster.users]
@@ -594,13 +704,7 @@ def _engine_matches_the_oracle(config):
     powers = {u: fractions[k] * cluster_power for g in groups for k, u in enumerate(g)}
     oracle = bound_table(t_bs, t_mu, aod, aoa, beta, groups, powers, cluster_power, f_rf, f_bb)
     rates = rate_table(t_bs, t_mu, aod, aoa, beta, groups, powers, f_rf, f_bb)
-    # the oracle test's tolerance
-    for ci, group in enumerate(groups):
-        for mi, uid in enumerate(group):
-            expected = {"rate": rates[uid], "rho": oracle[uid][0], "bound": oracle[uid][1]}
-            for name, theirs in expected.items():
-                ours = getattr(outputs, name)[0, 0, ci, mi]
-                assert abs(ours - theirs) <= 1e-10 * max(abs(theirs), 1e-12), (name, ci, mi)
+    return groups, rates, oracle
 
 
 # angles in millidegrees: float strategies crowd around a few simple values
@@ -694,6 +798,29 @@ def test_bound_of_a_weak_user_aliased_onto_its_first_user():
     _engine_matches_the_oracle(
         ScenarioConfig(bs_antennas=16, mu_antennas=1, clusters=clusters, snr_db=10.0, seed=1)
     )
+
+
+def test_object_pipeline_bound_near_rho_one_matches_the_oracle():
+    # T_BS = 21, beams at -83.983 and -90 degrees (first rows' cond 364), weak
+    # users near broadside: there 1.0 - rho**2 put the object pipeline's bound of
+    # user (2, 2) 1.6e-12 to 4.8e-12 (relative) off the oracle's, and its 1 - rho^2
+    # taken as the squared residual (CorrelationReport.across) puts it within 1e-13
+    def user(aod_deg, magnitude):
+        return UserSpec(aod_deg, 0.0, 0.0, small_scale=complex(magnitude))
+
+    for t_mu, weak in ((1, 1.5), (4, 1.0), (4, 1.5)):
+        clusters = (
+            ClusterSpec((user(-83.983, 2.0), user(-0.002, weak))),
+            ClusterSpec((user(-90.0, 2.0), user(-0.007, weak))),
+        )
+        config = ScenarioConfig(
+            bs_antennas=21, mu_antennas=t_mu, clusters=clusters, snr_db=30.0, seed=1
+        )
+        _, design = engine.design_trials(config, *TrialSampler(config).draw(np.zeros(1, int), 0))
+        groups, _, oracle = _oracle(config, design)
+        ours = object_trial(config, 0, 0, np.random.default_rng(0)).values[1, 1, 1]
+        theirs = oracle[groups[1][1]][1]
+        assert abs(ours - theirs) <= 1e-13 * theirs, (t_mu, weak, ours, theirs)
 
 
 def test_engine_norms_meet_the_effective_norm_identity():
