@@ -18,8 +18,10 @@ a call nested in another stage counts to the inner stage only. The stages:
 * rates and bound: the rest of ``evaluate`` (couplings, correlations, the
   leakage Gram, the rate and bound arithmetic);
 * spend: ``RedrawBudget.spend``, the redraw cap's ``bincount`` and check;
-* aggregation: ``simulate``'s own code (the redraw loop, the block's
-  bookkeeping, the bound violations and the running sums).
+* aggregation: ``simulate``'s own code: the redraw loop, the values of
+  the ``STATISTICS`` rows written into the block's arrays, and one fold
+  per ufunc into the running totals. ``simulate`` is called with its
+  default, every row of the table, as ``run`` asks for them.
 
 ``total`` is the best instrumented run and ``untimed`` the best run with no
 wrapper, so their difference is the timers' own cost. The script changes

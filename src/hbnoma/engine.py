@@ -29,15 +29,21 @@ the draws is array arithmetic over the whole block:
 The matched receive combiner cancels the AoA from every effective channel,
 so AoAs are never drawn.
 
-Each block's rows are added to per-point running sums trial by trial, through
-one reduce over a leading trial axis, and every short sum runs left to right,
-as ``np.sum`` adds it. So totals do not depend on the block size or on which
-rows were redrawn, and memory stays flat in the trial and point counts.
+``simulate`` returns the statistics asked for by name, each folded per sweep
+point, and the redraw and demotion counts. ``STATISTICS`` gives each name its
+fold, ``np.add`` or ``np.maximum``, and its value from ``evaluate``'s outputs,
+so a new statistic is one table row. A block's statistics of one ufunc fold
+side by side through one reduce over a leading trial axis, which numpy runs
+row after row only for rows of at least two elements (``accumulate`` folds the
+rest). Every short sum runs left to right, as ``np.sum`` adds it. So totals do
+not depend on the block size or on which rows were redrawn, and memory stays
+flat in the trial and point counts.
 """
 
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -496,16 +502,6 @@ def design_trial(config: ScenarioConfig, trial: int = 0) -> tuple[int, Design]:
     return attempt, design
 
 
-class Totals(NamedTuple):
-    """A run's means (trial-order sums divided once), bound violations and counts."""
-
-    means: TrialOutputs  # each (SNRs, points, N, M), users in SIC order
-    violations: np.ndarray  # (SNRs, points) weak (trial, user) pairs whose bound exceeds the rate
-    max_excess: np.ndarray  # (SNRs, points) largest such excess of bound over rate, 0 if none
-    redraws: int
-    first_user_demotions: int
-
-
 def _normalized_from_degrees(aod_deg: Sequence[float]) -> np.ndarray:
     """``AngleSpec.from_degrees(a).normalized`` of every angle, to the bit, in one
     call; the first angle outside [-90, 90] degrees raises the ValueError AngleSpec raises."""
@@ -518,55 +514,67 @@ def _normalized_from_degrees(aod_deg: Sequence[float]) -> np.ndarray:
     return np.sin(physical)
 
 
-def simulate(config: ScenarioConfig, sweep_aod_deg: Sequence[float] | None = None) -> Totals:
+# Every run statistic ``simulate`` can fold: name -> (the ufunc that folds it over
+# trials, its value per (SNR, row, cluster, user) from a block's ``evaluate``
+# outputs). A new statistic is one row; ``np.add`` of a 0/1 array counts.
+STATISTICS = {
+    **{field: (np.add, attrgetter(field)) for field in TrialOutputs._fields},
+    "violations": (np.add, lambda o: o.bound > o.rate),  # weak users': a first's bound is its rate
+    "max_excess": (np.maximum, lambda o: np.where(o.bound > o.rate, o.bound - o.rate, 0.0)),
+}
+
+
+def simulate(
+    config: ScenarioConfig, sweep_aod_deg: Sequence[float] | None = None, names=tuple(STATISTICS)
+) -> tuple[dict[str, np.ndarray], int, int]:
     """Run the configured trial budget at every sweep point and SNR of ``config``.
 
     Point p is ``config`` with user (1, 2)'s AoD at ``sweep_aod_deg[p]``;
     None makes ``config`` the one point. Row r of the (trial, point) grid is
     trial ``r // points`` at point ``r % points``, and the rows run in blocks
     of ``BLOCK_ROWS``. A trial's draw at each attempt is shared by its
-    points, and one design serves every SNR. ``_accumulate`` adds a block's
-    rows to the running sums trial by trial, so every sum runs in trial
-    order whatever the block size.
+    points, and one design serves every SNR. Returns the ``STATISTICS`` rows
+    ``names``, each (points, SNRs, N, M) with users in SIC order and folded from
+    0 over the point's trials in trial order; then the redraw and demotion counts.
     """
     swept = None if sweep_aod_deg is None else _normalized_from_degrees(sweep_aod_deg)
     budget = RedrawBudget(config.trials, sweep_aod_deg)
     sampler = TrialSampler(config)
     points = budget.used.size
-    shape = (points, len(config.snr_dbs), config.num_clusters, config.users_per_cluster)
-    fields = (len(TrialOutputs._fields), *shape[1:])
-    sums = np.zeros((points, *fields))  # (point, field, SNR, cluster, user)
-    violations, max_excess = np.zeros(shape, dtype=int), np.zeros(shape)  # per user
+    cell = (len(config.snr_dbs), config.num_clusters, config.users_per_cluster)
+    folds: dict[np.ufunc, list[str]] = {}  # ufunc -> its statistics, side by side in one array
+    for name in names:
+        folds.setdefault(STATISTICS[name][0], []).append(name)
+    totals = {ufunc: np.zeros((points, len(group), *cell)) for ufunc, group in folds.items()}
     demotions = 0
     rows = config.trials * points
     for first in range(0, rows, BLOCK_ROWS):
         trials, at = np.divmod(np.arange(first, min(first + BLOCK_ROWS, rows)), points)
-        block = np.empty((len(trials), *fields))
+        blocks = {u: np.empty((len(trials), *total.shape[1:])) for u, total in totals.items()}
         for done, _, design in accepted_designs(config, sampler, trials, at, budget, swept):
-            for k, values in enumerate(evaluate(config, design)):
-                block[done, k] = values.swapaxes(0, 1)
+            outputs = evaluate(config, design)
+            for ufunc, group in folds.items():
+                for k, name in enumerate(group):
+                    blocks[ufunc][done, k] = STATISTICS[name][1](outputs).swapaxes(0, 1)
             demotions += int(np.count_nonzero(design.demoted))
-        # a first user's bound is its rate, so only weak users can exceed
-        rate, bound = block[:, 0], block[:, 1]
-        over = bound > rate
-        _accumulate(np.add, violations, over, first)
-        _accumulate(np.maximum, max_excess, np.where(over, bound - rate, 0.0), first)
-        _accumulate(np.add, sums, block, first)
-    means = TrialOutputs(*(sums / config.trials).transpose(1, 2, 0, 3, 4))
-    violations, max_excess = violations.sum(axis=(2, 3)).T, max_excess.max(axis=(2, 3)).T
-    return Totals(means, violations, max_excess, int(budget.used.sum()), demotions)
+        for ufunc, block in blocks.items():
+            _accumulate(ufunc, totals[ufunc], block, first)
+    folded = {name: totals[u][:, k] for u, group in folds.items() for k, name in enumerate(group)}
+    return folded, int(budget.used.sum()), demotions
 
 
 def _accumulate(ufunc: np.ufunc, totals: np.ndarray, rows: np.ndarray, first: int) -> None:
     """Fold rows ``first``, ``first + 1``, ... of the trial-major (trial, point) grid
-    into the per-point ``totals``, in trial order. Whole trials go in one ``ufunc.reduce``
-    over the leading axis of [totals, trial, ...], which numpy applies row after row when
-    a row holds at least 2 elements; the trials cut by the block's ends go in as slices."""
+    into the per-point ``totals``, in trial order. Whole trials go in one pass over the
+    leading axis of [totals, trial, ...]: ``ufunc.reduce``, which numpy applies row after
+    row when a row holds at least 2 elements, else ``ufunc.accumulate``; the trials cut
+    by the block's ends go in as slices."""
     points, start = len(totals), first % len(totals)
     head = min(len(rows), -start % points)
     trials = (len(rows) - head) // points
     tail = rows[head + trials * points :]
     ufunc(totals[start : start + head], rows[:head], out=totals[start : start + head])
     whole = rows[head : head + trials * points].reshape(trials, *totals.shape)
-    ufunc.reduce(np.concatenate([totals[None], whole]), axis=0, out=totals)
+    stack = np.concatenate([totals[None], whole])
+    totals[...] = ufunc.reduce(stack, 0) if totals.size > 1 else ufunc.accumulate(stack, 0)[-1]
     ufunc(totals[: len(tail)], tail, out=totals[: len(tail)])

@@ -74,33 +74,27 @@ def run_trial(config: ScenarioConfig, trial: int, attempt: int = 0) -> TrialOutp
     return TrialOutputs(*(values[0, 0] for values in evaluate(config, design)))
 
 
+# The manifest's key for the mean of each per-user output, in output order
+MEAN_KEYS = {name: f"{name}_mean" for name in TrialOutputs._fields} | {"bound": "rate_bound_mean"}
+
+
 def run_scenario(config: ScenarioConfig) -> RunManifest:
     """Run the configured trial budget and aggregate position-wise means.
 
     Singular cluster draws are redrawn under a fresh attempt seed; more
-    redraws than one percent of the budget aborts the run. The means are the
-    engine's, which keeps running sums, so memory does not grow with the
-    trial count.
+    redraws than one percent of the budget aborts the run. Each mean is the
+    engine's trial-order sum divided once; the engine keeps running sums, so
+    memory does not grow with the trial count.
     """
     snr = config.single_snr_db()
-    totals = simulate(config)
-    means = TrialOutputs(*(values[0, 0] for values in totals.means))
+    sums, redraws, demotions = simulate(config)
     weak_pairs = config.trials * config.num_clusters * (config.users_per_cluster - 1)
-
     users = [
-        {
-            "user_n": n + 1,
-            "user_m": m + 1,
-            "rate_mean": float(means.rate[n, m]),
-            "rate_bound_mean": float(means.bound[n, m]),
-            "rho_mean": float(means.rho[n, m]),
-            "intra_mean": float(means.intra[n, m]),
-            "inter_mean": float(means.inter[n, m]),
-        }
+        {"user_n": n + 1, "user_m": m + 1}
+        | {key: float(sums[name][0, 0, n, m]) / config.trials for name, key in MEAN_KEYS.items()}
         for n in range(config.num_clusters)
         for m in range(config.users_per_cluster)
     ]
-
     echo = config.as_dict()
     echo["snr_db"] = snr
     return RunManifest(
@@ -108,11 +102,11 @@ def run_scenario(config: ScenarioConfig) -> RunManifest:
         seed=config.seed,
         trials=config.trials,
         version=__version__,
-        singular_redraws=totals.redraws,
-        first_user_demotions=totals.first_user_demotions,
+        singular_redraws=redraws,
+        first_user_demotions=demotions,
         sum_rate_mean=sum(user["rate_mean"] for user in users),
-        bound_violation_rate=int(totals.violations[0, 0]) / weak_pairs if weak_pairs else 0.0,
-        bound_violation_max_excess=float(totals.max_excess[0, 0]),
+        bound_violation_rate=int(sums["violations"].sum()) / weak_pairs if weak_pairs else 0.0,
+        bound_violation_max_excess=float(sums["max_excess"].max()),
         users=users,
     )
 
@@ -232,8 +226,9 @@ def sweep_fig2(
     """
     grid = sweep_grid(FIG2_SWEEP_START_DEG, FIG2_SWEEP_STOP_DEG, step_deg)
     config = fig2_config(grid[0], seed, trials, tuple(snr_db_values))
-    means = simulate(config, grid).means
-    tracked = zip(*(values[..., 0, 1] for values in means[:3]))  # rate, bound, rho
+    names = ("rate", "bound", "rho")
+    sums = simulate(config, grid, names)[0]
+    tracked = zip(*(sums[name][:, :, 0, 1].T / trials for name in names))
     rows = []
     spearman: dict[float, float] = {}
     for snr, (rate, bound, rho) in zip(snr_db_values, tracked):
@@ -241,13 +236,7 @@ def sweep_fig2(
             (aod, float(r), float(m), float(b), snr) for aod, m, b, r in zip(grid, rate, bound, rho)
         ]
         spearman[float(snr)] = spearman_rank_correlation(rho, rate)
-    return Fig2Sweep(
-        rows=rows,
-        spearman_by_snr=spearman,
-        seed=seed,
-        trials=trials,
-        version=__version__,
-    )
+    return Fig2Sweep(rows, spearman, seed=seed, trials=trials, version=__version__)
 
 
 # Correlation-vs-angle preset: three clusters with beams at 0, -40 and +40
@@ -312,5 +301,5 @@ def sweep_fig3(step_deg: float = 0.5, seed: int = 1) -> Fig3Sweep:
     """
     grid = sweep_grid(-90.0, 90.0, step_deg)
     config = fig3_config(grid[0], seed)
-    rho = simulate(config, grid).means.rho[0, :, 0, 1]
+    rho = simulate(config, grid, ("rho",))[0]["rho"][:, 0, 0, 1] / config.trials
     return Fig3Sweep([(aod, float(r)) for aod, r in zip(grid, rho)], seed=seed, version=__version__)

@@ -157,6 +157,8 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"snr_db must be finite and within +-{MAX_ABS_LEVEL_DB:g} dB, got {self.snr_db!r}"
             )
+        if len(set(snrs)) != len(snrs):  # 0 and -0 too: fig2 keys its output by SNR
+            raise ConfigurationError(f"snr_db values must differ, got {self.snr_db!r}")
         for cluster in self.clusters:
             for user in cluster.users:
                 for angle in (user.aod_deg, user.aoa_deg):

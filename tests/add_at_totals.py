@@ -15,7 +15,9 @@ from hbnoma import engine
 
 
 def add_at_totals(config, sweep_aod_deg=None):
-    """``engine.simulate(config, sweep_aod_deg)`` by the ``np.add.at`` aggregation."""
+    """``engine.simulate(config, sweep_aod_deg)``, every statistic, by the ``np.add.at``
+    aggregation: the per-point sums of the five outputs, the count of weak users whose
+    bound exceeds the rate and the largest such excess, then the redraw and demotion counts."""
     swept = None
     if sweep_aod_deg is not None:
         swept = engine._normalized_from_degrees(sweep_aod_deg)
@@ -24,8 +26,8 @@ def add_at_totals(config, sweep_aod_deg=None):
     points = budget.used.size
     shape = (len(config.snr_dbs), points, config.num_clusters, config.users_per_cluster)
     sums = np.zeros((len(engine.TrialOutputs._fields), *shape))  # (field, SNR, point, N, M)
-    violations = np.zeros(shape[:2], dtype=int)
-    max_excess = np.zeros(shape[:2])
+    violations = np.zeros(shape)
+    max_excess = np.zeros(shape)
     demotions = 0
     rows = config.trials * points
     for first in range(0, rows, engine.BLOCK_ROWS):
@@ -38,9 +40,10 @@ def add_at_totals(config, sweep_aod_deg=None):
             demotions += int(np.count_nonzero(design.demoted))
         rate, bound = block[0, ..., 1:], block[1, ..., 1:]
         over = bound > rate
-        np.add.at(violations, np.s_[:, at], np.count_nonzero(over, axis=(2, 3)))
-        excess = np.where(over, bound - rate, 0.0).max(axis=(2, 3), initial=0.0)
-        np.maximum.at(max_excess, np.s_[:, at], excess)
+        np.add.at(violations[..., 1:], np.s_[:, at], over)
+        np.maximum.at(max_excess[..., 1:], np.s_[:, at], np.where(over, bound - rate, 0.0))
         np.add.at(sums, np.s_[:, :, at], block)
-    means = engine.TrialOutputs(*(sums / config.trials))
-    return engine.Totals(means, violations, max_excess, int(budget.used.sum()), demotions)
+    statistics = dict(zip(engine.TrialOutputs._fields, sums))
+    statistics |= {"violations": violations, "max_excess": max_excess}
+    # per point: (point, SNR, N, M), as simulate returns them
+    return {k: v.swapaxes(0, 1) for k, v in statistics.items()}, int(budget.used.sum()), demotions

@@ -14,7 +14,8 @@ lists each changed file. Before regenerating,
     PYTHONPATH=src python tests/golden_outputs.py --compare
 
 writes nothing and prints, for each file, how many of its numbers the
-current code changes and the largest relative change.
+current code changes and the largest relative change. It exits with 1 when
+any file is not identical, and with 0 otherwise, so a script can gate on it.
 """
 
 from __future__ import annotations
@@ -121,11 +122,15 @@ def changes(text: str, golden: str) -> str:
     )
 
 
-def compare() -> None:
-    """Print, for each golden file, how the current output differs from it."""
+def compare() -> int:
+    """Print, for each golden file, how the current output differs from it; 1 when
+    any file differs, else 0."""
+    differ = 0
     for name, argv in COMMANDS.items():
         text, golden = render(argv), (GOLDEN / name).read_text()
         print(f"{name}: {'identical' if text == golden else changes(text, golden)}")
+        differ |= text != golden
+    return differ
 
 
 def regenerate() -> None:
@@ -142,7 +147,4 @@ if __name__ == "__main__":
     parser.add_argument(
         "--compare", action="store_true", help="compare with the golden files; write nothing"
     )
-    if parser.parse_args().compare:
-        compare()
-    else:
-        regenerate()
+    raise SystemExit(compare() if parser.parse_args().compare else regenerate())

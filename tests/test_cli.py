@@ -203,6 +203,13 @@ class TestSweepCommands:
     def test_fig2_rejects_bad_snr(self, capsys):
         assert main(["fig2", "--snr-db", "five"]) == 2
 
+    @pytest.mark.parametrize("snrs", ["0,0", "0,-0"])
+    def test_fig2_rejects_equal_snrs(self, capsys, snrs):
+        # fig2 keys its Spearman correlations by SNR: equal SNRs printed rows for both
+        # but one correlation
+        assert main(["fig2", "--snr-db", snrs, "--trials", "2", "--step", "5"]) == 2
+        assert "snr_db values must differ" in capsys.readouterr().err
+
     def test_fig2_rejects_snr_beyond_the_limit(self, capsys):
         # 10**(1e6/10) overflows a double
         assert main(["fig2", "--snr-db", "1e6", "--trials", "2"]) == 2

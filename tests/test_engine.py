@@ -17,7 +17,8 @@ from hbnoma.cli import main
 from hbnoma.engine import TrialSampler, design_trial, evaluate, simulate
 from hbnoma.precoding import CONSTRAINT_TOL, MAX_GRAM_CONDITION, AnalogPrecoder
 from hbnoma.precoding import zero_forcing_precoder
-from hbnoma.runner import fig2_config, fig3_config, run_scenario, sweep_fig3, sweep_grid
+from hbnoma.runner import fig2_config, fig3_config, run_scenario, run_trial, sweep_fig2
+from hbnoma.runner import sweep_fig3, sweep_grid
 from hbnoma.scenario import parse_config_text
 
 from bruteforce import (
@@ -293,14 +294,57 @@ def test_totals_equal_the_add_at_aggregation(monkeypatch, block_rows):
     for config, grid in cases:
         with np.errstate(invalid="ignore"):  # the spikes' inf - inf
             ours, theirs = simulate(config, grid), add_at_totals(config, grid)
-        assert len(ours.means.rate[0]) == len(theirs.means.rate[0]) in (1, 3, 82, 361)
-        assert not np.isfinite(theirs.means.rate).all()
+        assert len(ours[0]["rate"]) == len(theirs[0]["rate"]) in (1, 3, 82, 361)
+        assert not np.isfinite(theirs[0]["rate"]).all()
         for name in ("violations", "max_excess"):
-            mine, reference = getattr(ours, name), getattr(theirs, name)
+            mine, reference = ours[0][name], theirs[0][name]
             assert mine.dtype == reference.dtype and mine.tobytes() == reference.tobytes(), name
-        for name, mine, reference in zip(FIELDS, ours.means, theirs.means):
+        for name in FIELDS:
+            mine, reference = ours[0][name], theirs[0][name]
             assert mine.shape == reference.shape and mine.tobytes() == reference.tobytes(), name
-        assert ours[3:] == theirs[3:]
+        assert ours[1:] == theirs[1:]
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 512])
+def test_one_statistic_of_one_user_sums_in_trial_order(monkeypatch, block_rows):
+    # one cluster, one user, one SNR, one point and one statistic: each row of the fold
+    # holds one element, and numpy's leading-axis reduce would add that column pairwise
+    monkeypatch.setattr(engine, "BLOCK_ROWS", block_rows)
+    user = UserSpec(aod_deg=None, aoa_deg=None, large_scale_db=-3.0)
+    config = ScenarioConfig(
+        bs_antennas=16, mu_antennas=4, clusters=(ClusterSpec((user,)),), seed=5, trials=300
+    )
+    sums, redraws, _ = simulate(config, None, ("rate",))
+    assert list(sums) == ["rate"] and sums["rate"].shape == (1, 1, 1, 1) and redraws == 0
+    left_to_right = 0.0
+    for t in range(config.trials):
+        left_to_right += run_trial(config, t).rate[0, 0]
+    assert sums["rate"][0, 0, 0, 0] == left_to_right
+
+
+@pytest.mark.parametrize(
+    "command, asked",
+    [
+        (lambda: sweep_fig3(), {"rho"}),
+        (lambda: sweep_fig2((0.0, 5.0), step_deg=5.0, trials=4), {"rate", "bound", "rho"}),
+        (lambda: run_scenario(parse_config_text(WIDE)), set(engine.STATISTICS)),
+    ],
+    ids=["fig3", "fig2", "run"],
+)
+def test_a_statistic_not_asked_for_is_never_evaluated(monkeypatch, command, asked):
+    called = set()
+
+    def counted(name, value):
+        def evaluated(outputs):
+            called.add(name)
+            return value(outputs)
+
+        return evaluated
+
+    for name, (ufunc, value) in list(engine.STATISTICS.items()):
+        monkeypatch.setitem(engine.STATISTICS, name, (ufunc, counted(name, value)))
+    command()
+    assert called == asked
 
 
 def test_trial_draws_do_not_depend_on_the_batch():

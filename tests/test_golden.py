@@ -6,6 +6,10 @@ relative (1e-12 absolute) and the text around the numbers exactly.
 """
 
 import json
+import os
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -54,3 +58,22 @@ def test_value_rule_tolerances():
     assert value_mismatch('"version": "0.4.0"', '"version": "0.3.1"') == (
         "the text around the numbers differs"
     )
+
+
+def test_compare_exits_1_when_a_file_differs(tmp_path):
+    # the script and its inputs in a copy of the tree, with one golden number altered
+    for part in ("tests/golden", "perfbench/wide.cfg", "scenarios/two_cluster_demo.cfg"):
+        copy = shutil.copytree if (ROOT / part).is_dir() else shutil.copyfile
+        (tmp_path / part).parent.mkdir(parents=True, exist_ok=True)
+        copy(ROOT / part, tmp_path / part)
+    shutil.copyfile(ROOT / "tests" / "golden_outputs.py", tmp_path / "tests" / "golden_outputs.py")
+    altered = tmp_path / "tests" / "golden" / "fig3.csv"
+    altered.write_text(altered.read_text().replace("-90,", "-89,", 1))
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, str(tmp_path / "tests" / "golden_outputs.py"), "--compare"],
+        capture_output=True, text=True, env=env,
+    )
+    assert done.returncode == 1, done.stderr
+    lines = dict(line.split(": ", 1) for line in done.stdout.splitlines())
+    assert list(lines) == list(COMMANDS) and lines["fig3.csv"].startswith("1 of ")
