@@ -325,7 +325,7 @@ def test_one_statistic_of_one_user_sums_in_trial_order(monkeypatch, block_rows):
 @pytest.mark.parametrize(
     "command, asked",
     [
-        (lambda: sweep_fig3(), {"rho"}),
+        (sweep_fig3, {"rho"}),
         (lambda: sweep_fig2((0.0, 5.0), step_deg=5.0, trials=4), {"rate", "bound", "rho"}),
         (lambda: run_scenario(parse_config_text(WIDE)), set(engine.STATISTICS)),
     ],

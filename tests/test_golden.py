@@ -62,16 +62,16 @@ def test_value_rule_tolerances():
 
 def test_compare_exits_1_when_a_file_differs(tmp_path):
     # the script and its inputs in a copy of the tree, with one golden number altered
-    for part in ("tests/golden", "perfbench/wide.cfg", "scenarios/two_cluster_demo.cfg"):
+    script = "tests/golden_outputs.py"
+    for part in (script, "tests/golden", "perfbench/wide.cfg", "scenarios/two_cluster_demo.cfg"):
         copy = shutil.copytree if (ROOT / part).is_dir() else shutil.copyfile
         (tmp_path / part).parent.mkdir(parents=True, exist_ok=True)
         copy(ROOT / part, tmp_path / part)
-    shutil.copyfile(ROOT / "tests" / "golden_outputs.py", tmp_path / "tests" / "golden_outputs.py")
     altered = tmp_path / "tests" / "golden" / "fig3.csv"
     altered.write_text(altered.read_text().replace("-90,", "-89,", 1))
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run(
-        [sys.executable, str(tmp_path / "tests" / "golden_outputs.py"), "--compare"],
+        [sys.executable, str(tmp_path / script), "--compare"],
         capture_output=True, text=True, env=env,
     )
     assert done.returncode == 1, done.stderr
