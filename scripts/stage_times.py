@@ -20,14 +20,16 @@ a call nested in another stage counts to the inner stage only. The stages:
 * spend: ``RedrawBudget.spend``, the redraw cap's ``bincount`` and check;
 * aggregation: ``simulate``'s own code: the redraw loop, the values of
   the ``STATISTICS`` rows written into the block's arrays, and one fold
-  per ufunc into the running totals. ``simulate`` is called with its
-  default, every row of the table, as ``run`` asks for them.
+  per ufunc into the running totals. Each workload asks ``simulate`` for
+  the rows its command prints: every row for ``demo`` and ``wide``, as
+  ``run`` does, and ``sweep_fig2``'s and ``sweep_fig3``'s own names for
+  ``fig2`` and ``fig3``.
 
 ``total`` is the best instrumented run and ``untimed`` the best run with no
 wrapper, so their difference is the timers' own cost. The script changes
 nothing in ``hbnoma``: it only replaces module attributes while it runs, so
-it times any checkout whose engine has these names. BLAS is pinned to one
-thread, as in ``perfbench/run.py``.
+it times any checkout whose engine and runner have these names. BLAS is
+pinned to one thread, as in ``perfbench/run.py``.
 """
 
 from __future__ import annotations
@@ -47,7 +49,13 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 from hbnoma import engine  # noqa: E402
-from hbnoma.runner import fig2_config, fig3_config, sweep_grid  # noqa: E402
+from hbnoma.runner import (  # noqa: E402
+    FIG2_STATISTICS,
+    FIG3_STATISTICS,
+    fig2_config,
+    fig3_config,
+    sweep_grid,
+)
 from hbnoma.scenario import load_config  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -67,17 +75,19 @@ STAGES = (
 
 
 def workloads() -> dict:
-    """Name -> (config, sweep grid or None): the demo 2x2 config at T_BS = 16,
-    ``perfbench/wide.cfg``, the default ``fig2`` grid and the ``fig3`` grid."""
+    """Name -> (config, sweep grid or None, statistic names): the demo 2x2 config
+    at T_BS = 16, ``perfbench/wide.cfg``, the default ``fig2`` grid and the
+    ``fig3`` grid, each with the statistics its command asks for."""
     demo = load_config(ROOT / "scenarios" / "two_cluster_demo.cfg")
     wide = load_config(ROOT / "perfbench" / "wide.cfg")
     fig2_grid = sweep_grid(50.0, 60.0, 0.25)
     fig3_grid = sweep_grid(-90.0, 90.0, 0.5)
+    every = tuple(engine.STATISTICS)
     return {
-        "demo": (dataclasses.replace(demo, trials=20_000), None),
-        "wide": (dataclasses.replace(wide, trials=5_000), None),
-        "fig2": (fig2_config(fig2_grid[0], 1, 100, (0.0, 5.0)), fig2_grid),
-        "fig3": (fig3_config(fig3_grid[0], 1), fig3_grid),
+        "demo": (dataclasses.replace(demo, trials=20_000), None, every),
+        "wide": (dataclasses.replace(wide, trials=5_000), None, every),
+        "fig2": (fig2_config(fig2_grid[0], 1, 100, (0.0, 5.0)), fig2_grid, FIG2_STATISTICS),
+        "fig3": (fig3_config(fig3_grid[0], 1), fig3_grid, FIG3_STATISTICS),
     }
 
 
@@ -135,17 +145,17 @@ def instrumented(timer: StageTimer):
             setattr(owner, name, original)
 
 
-def measure(config, grid, repeats: int) -> dict[str, float]:
+def measure(config, grid, names, repeats: int) -> dict[str, float]:
     """Best-of-``repeats`` seconds per stage, plus ``total`` and ``untimed``."""
     best: dict[str, float] = defaultdict(lambda: float("inf"))
-    engine.simulate(config, grid)  # warm-up
+    engine.simulate(config, grid, names)  # warm-up
     for _ in range(repeats):
         start = time.perf_counter()
-        engine.simulate(config, grid)
+        engine.simulate(config, grid, names)
         best["untimed"] = min(best["untimed"], time.perf_counter() - start)
         timer = StageTimer()
         with instrumented(timer):
-            timer.call("aggregation", engine.simulate, config, grid)
+            timer.call("aggregation", engine.simulate, config, grid, names)
         for stage in STAGES:
             best[stage] = min(best[stage], timer.totals[stage])
         best["total"] = min(best["total"], sum(timer.totals.values()))
@@ -157,9 +167,10 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=5, help="runs per workload (best of)")
     args = parser.parse_args(argv)
     columns = {}
-    for name, (config, grid) in workloads().items():
+    for name, (config, grid, names) in workloads().items():
         rows = config.trials * (1 if grid is None else len(grid))
-        columns[name] = {k: v / rows * 1e6 for k, v in measure(config, grid, args.repeats).items()}
+        best = measure(config, grid, names, args.repeats)
+        columns[name] = {k: v / rows * 1e6 for k, v in best.items()}
         columns[name]["rows"] = rows
     print(f"µs per row, best of {args.repeats}; numpy {np.__version__}")
     names = list(columns)

@@ -33,11 +33,11 @@ so AoAs are never drawn.
 point, and the redraw and demotion counts. ``STATISTICS`` gives each name its
 fold, ``np.add`` or ``np.maximum``, and its value from ``evaluate``'s outputs,
 so a new statistic is one table row. A block's statistics of one ufunc fold
-side by side through one reduce over a leading trial axis, which numpy runs
-row after row only for rows of at least two elements (``accumulate`` folds the
-rest). Every short sum runs left to right, as ``np.sum`` adds it. So totals do
-not depend on the block size or on which rows were redrawn, and memory stays
-flat in the trial and point counts.
+side by side through one ``accumulate`` over a leading trial axis, which runs
+row after row; ``reduce`` would do so only for rows of at least two elements,
+and add a single column pairwise. Every short sum runs left to right, as
+``np.sum`` adds it. So totals do not depend on the block size or on which rows
+were redrawn, and memory stays flat in the trial and point counts.
 """
 
 from __future__ import annotations
@@ -565,16 +565,14 @@ def simulate(
 
 def _accumulate(ufunc: np.ufunc, totals: np.ndarray, rows: np.ndarray, first: int) -> None:
     """Fold rows ``first``, ``first + 1``, ... of the trial-major (trial, point) grid
-    into the per-point ``totals``, in trial order. Whole trials go in one pass over the
-    leading axis of [totals, trial, ...]: ``ufunc.reduce``, which numpy applies row after
-    row when a row holds at least 2 elements, else ``ufunc.accumulate``; the trials cut
-    by the block's ends go in as slices."""
+    into the per-point ``totals``, in trial order. Whole trials go in one
+    ``ufunc.accumulate`` over the leading axis of [totals, trial, ...], which runs row
+    after row at any row size; the trials cut by the block's ends go in as slices."""
     points, start = len(totals), first % len(totals)
     head = min(len(rows), -start % points)
     trials = (len(rows) - head) // points
     tail = rows[head + trials * points :]
     ufunc(totals[start : start + head], rows[:head], out=totals[start : start + head])
     whole = rows[head : head + trials * points].reshape(trials, *totals.shape)
-    stack = np.concatenate([totals[None], whole])
-    totals[...] = ufunc.reduce(stack, 0) if totals.size > 1 else ufunc.accumulate(stack, 0)[-1]
+    totals[...] = ufunc.accumulate(np.concatenate([totals[None], whole]), 0)[-1]
     ufunc(totals[: len(tail)], tail, out=totals[: len(tail)])

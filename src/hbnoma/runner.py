@@ -7,7 +7,7 @@ numbers across points. Trials whose cluster geometry defeats zero forcing
 are redrawn at the next attempt, capped at one percent of the trial
 budget, at each sweep point. The trials themselves run through the batched
 engine in ``hbnoma.engine``, a sweep's whole grid in one pass, which returns
-their means; this module turns the means into reports.
+their sums; this module turns the sums into means and the means into reports.
 """
 
 from __future__ import annotations
@@ -89,12 +89,14 @@ def run_scenario(config: ScenarioConfig) -> RunManifest:
     snr = config.single_snr_db()
     sums, redraws, demotions = simulate(config)
     weak_pairs = config.trials * config.num_clusters * (config.users_per_cluster - 1)
+
     users = [
         {"user_n": n + 1, "user_m": m + 1}
         | {key: float(sums[name][0, 0, n, m]) / config.trials for name, key in MEAN_KEYS.items()}
         for n in range(config.num_clusters)
         for m in range(config.users_per_cluster)
     ]
+
     echo = config.as_dict()
     echo["snr_db"] = snr
     return RunManifest(
@@ -161,6 +163,7 @@ FIG2_FIRST_AOD_DEG = 60.0
 FIG2_OTHER_CLUSTER_AODS = (-60.0, -50.0)
 FIG2_SWEEP_START_DEG = 50.0
 FIG2_SWEEP_STOP_DEG = 60.0
+FIG2_STATISTICS = ("rate", "bound", "rho")  # the engine statistics sweep_fig2 prints
 
 
 def fig2_config(
@@ -226,9 +229,8 @@ def sweep_fig2(
     """
     grid = sweep_grid(FIG2_SWEEP_START_DEG, FIG2_SWEEP_STOP_DEG, step_deg)
     config = fig2_config(grid[0], seed, trials, tuple(snr_db_values))
-    names = ("rate", "bound", "rho")
-    sums = simulate(config, grid, names)[0]
-    tracked = zip(*(sums[name][:, :, 0, 1].T / trials for name in names))
+    sums = simulate(config, grid, FIG2_STATISTICS)[0]
+    tracked = zip(*(sums[name][:, :, 0, 1].T / trials for name in FIG2_STATISTICS))
     rows = []
     spearman: dict[float, float] = {}
     for snr, (rate, bound, rho) in zip(snr_db_values, tracked):
@@ -236,7 +238,13 @@ def sweep_fig2(
             (aod, float(r), float(m), float(b), snr) for aod, m, b, r in zip(grid, rate, bound, rho)
         ]
         spearman[float(snr)] = spearman_rank_correlation(rho, rate)
-    return Fig2Sweep(rows, spearman, seed=seed, trials=trials, version=__version__)
+    return Fig2Sweep(
+        rows=rows,
+        spearman_by_snr=spearman,
+        seed=seed,
+        trials=trials,
+        version=__version__,
+    )
 
 
 # Correlation-vs-angle preset: three clusters with beams at 0, -40 and +40
@@ -245,6 +253,7 @@ def sweep_fig2(
 # per point suffices.
 FIG3_FIRST_AODS_DEG = (0.0, -40.0, 40.0)
 FIG3_SECOND_AODS_DEG = (None, -45.0, 45.0)  # filled per point for cluster one
+FIG3_STATISTICS = ("rho",)  # the engine statistic sweep_fig3 prints
 
 
 def fig3_config(swept_aod_deg: float, seed: int) -> ScenarioConfig:
@@ -301,5 +310,5 @@ def sweep_fig3(step_deg: float = 0.5, seed: int = 1) -> Fig3Sweep:
     """
     grid = sweep_grid(-90.0, 90.0, step_deg)
     config = fig3_config(grid[0], seed)
-    rho = simulate(config, grid, ("rho",))[0]["rho"][:, 0, 0, 1] / config.trials
+    rho = simulate(config, grid, FIG3_STATISTICS)[0]["rho"][:, 0, 0, 1] / config.trials
     return Fig3Sweep([(aod, float(r)) for aod, r in zip(grid, rho)], seed=seed, version=__version__)

@@ -6,13 +6,10 @@ relative (1e-12 absolute) and the text around the numbers exactly.
 """
 
 import json
-import os
-import shutil
-import subprocess
-import sys
 
 import pytest
 
+import golden_outputs
 from golden_outputs import (
     COMMANDS,
     ENVIRONMENT,
@@ -60,20 +57,15 @@ def test_value_rule_tolerances():
     )
 
 
-def test_compare_exits_1_when_a_file_differs(tmp_path):
-    # the script and its inputs in a copy of the tree, with one golden number altered
-    script = "tests/golden_outputs.py"
-    for part in (script, "tests/golden", "perfbench/wide.cfg", "scenarios/two_cluster_demo.cfg"):
-        copy = shutil.copytree if (ROOT / part).is_dir() else shutil.copyfile
-        (tmp_path / part).parent.mkdir(parents=True, exist_ok=True)
-        copy(ROOT / part, tmp_path / part)
-    altered = tmp_path / "tests" / "golden" / "fig3.csv"
-    altered.write_text(altered.read_text().replace("-90,", "-89,", 1))
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run(
-        [sys.executable, str(tmp_path / script), "--compare"],
-        capture_output=True, text=True, env=env,
-    )
-    assert done.returncode == 1, done.stderr
-    lines = dict(line.split(": ", 1) for line in done.stdout.splitlines())
-    assert list(lines) == list(COMMANDS) and lines["fig3.csv"].startswith("1 of ")
+def test_compare_exits_1_when_a_file_differs(tmp_path, monkeypatch, capsys):
+    # one cheap command against a golden copy of this build's own output
+    name = "validate_demo.txt"
+    monkeypatch.setattr(golden_outputs, "COMMANDS", {name: COMMANDS[name]})
+    monkeypatch.setattr(golden_outputs, "GOLDEN", tmp_path)
+    text = render(COMMANDS[name])
+    (tmp_path / name).write_text(text)
+    assert golden_outputs.compare() == 0
+    assert capsys.readouterr().out == f"{name}: identical\n"
+    (tmp_path / name).write_text(text.replace("2 clusters", "3 clusters", 1))
+    assert golden_outputs.compare() == 1
+    assert capsys.readouterr().out.startswith(f"{name}: 1 of ")
