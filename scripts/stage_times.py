@@ -18,9 +18,10 @@ a call nested in another stage counts to the inner stage only. The stages:
 * rates and bound: the rest of ``evaluate`` (couplings, correlations, the
   leakage Gram, the rate and bound arithmetic);
 * spend: ``RedrawBudget.spend``, the redraw cap's ``bincount`` and check;
-* aggregation: ``simulate``'s own code: the redraw loop, the values of
-  the ``STATISTICS`` rows written into the block's arrays, and one fold
-  per ufunc into the running totals. Each workload asks ``simulate`` for
+* aggregation: ``simulate``'s own code: the block walk, the redraw loop,
+  the values of the ``STATISTICS`` rows written into the block's arrays,
+  and one fold per statistic of the block's whole trials into its running
+  totals. Each workload asks ``simulate`` for
   the rows its command prints: every row for ``demo`` and ``wide``, as
   ``run`` does, and ``sweep_fig2``'s and ``sweep_fig3``'s own names for
   ``fig2`` and ``fig3``.

@@ -1,8 +1,9 @@
 """Batched Monte Carlo engine: one array pipeline over (trial, sweep point,
 cluster, user).
 
-``simulate`` is the one loop. It walks the (trial, point) grid in
-trial-major rows, ``BLOCK_ROWS`` consecutive rows at a time; a plain run is
+``simulate`` is the one loop. It walks the (trial, point) grid in blocks of
+at most ``BLOCK_ROWS`` trial-major rows: whole trials at every point or, when
+a trial's points fill a block, one trial at a range of points; a plain run is
 a sweep of one point. ``TrialSampler`` draws a block's AoDs and gains in
 one call from a counter-based stream keyed by (seed, attempt), at a fixed
 offset per trial, and every point of a trial shares them. Everything after
@@ -32,16 +33,17 @@ so AoAs are never drawn.
 ``simulate`` returns the statistics asked for by name, each folded per sweep
 point, and the redraw and demotion counts. ``STATISTICS`` gives each name its
 fold, ``np.add`` or ``np.maximum``, and its value from ``evaluate``'s outputs,
-so a new statistic is one table row. A block's statistics of one ufunc fold
-side by side through one ``accumulate`` over a leading trial axis, which runs
-row after row; ``reduce`` would do so only for rows of at least two elements,
-and add a single column pairwise. Every short sum runs left to right, as
-``np.sum`` adds it. So totals do not depend on the block size or on which rows
-were redrawn, and memory stays flat in the trial and point counts.
+so a new statistic is one table row. Each statistic has its own per-point
+total, and a block folds into it through one ``accumulate`` over its trials,
+which runs trial after trial at any row size (``reduce`` adds a one-element
+column pairwise). Every short sum runs left to right, as ``np.sum`` adds it.
+So totals do not depend on the block size or on which rows were redrawn, and
+a block's memory is bounded by ``BLOCK_ROWS``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from operator import attrgetter
 from typing import Iterator, NamedTuple, Sequence
@@ -60,9 +62,9 @@ BEAM_RANK_TOL = 1e-14
 # |sin(pi*delta/2)| below this is the kernel's removable singularity (delta = 0 mod 2).
 _KERNEL_SINGULARITY_TOL = 1e-9
 
-# Trial-major (trial, sweep point) rows per block. Fixed, so memory stays
-# flat in the trial and point counts; results do not depend on it. Chosen by
-# timing the benchmark workloads at 64 to 1,024 rows (CHANGES.md).
+# Most trial-major (trial, sweep point) rows per block. Fixed, so a block's
+# memory is flat in the trial and point counts; results do not depend on it.
+# Chosen by timing the benchmark workloads at 64 to 1,024 rows (CHANGES.md).
 BLOCK_ROWS = 512
 
 # Gershgorin lower bound on lambda_min above which zero_forcing_rejects
@@ -530,9 +532,10 @@ def simulate(
     """Run the configured trial budget at every sweep point and SNR of ``config``.
 
     Point p is ``config`` with user (1, 2)'s AoD at ``sweep_aod_deg[p]``;
-    None makes ``config`` the one point. Row r of the (trial, point) grid is
-    trial ``r // points`` at point ``r % points``, and the rows run in blocks
-    of ``BLOCK_ROWS``. A trial's draw at each attempt is shared by its
+    None makes ``config`` the one point. The (trial, point) grid runs in
+    trial-major blocks of at most ``BLOCK_ROWS`` rows: ``BLOCK_ROWS // points``
+    whole trials, or one trial at ``BLOCK_ROWS`` points when a trial has more
+    points than that. A trial's draw at each attempt is shared by its
     points, and one design serves every SNR. Returns the ``STATISTICS`` rows
     ``names``, each (points, SNRs, N, M) with users in SIC order and folded from
     0 over the point's trials in trial order; then the redraw and demotion counts.
@@ -542,37 +545,21 @@ def simulate(
     sampler = TrialSampler(config)
     points = budget.used.size
     cell = (len(config.snr_dbs), config.num_clusters, config.users_per_cluster)
-    folds: dict[np.ufunc, list[str]] = {}  # ufunc -> its statistics, side by side in one array
-    for name in names:
-        folds.setdefault(STATISTICS[name][0], []).append(name)
-    totals = {ufunc: np.zeros((points, len(group), *cell)) for ufunc, group in folds.items()}
+    totals = {name: np.zeros((points, *cell)) for name in names}
     demotions = 0
-    rows = config.trials * points
-    for first in range(0, rows, BLOCK_ROWS):
-        trials, at = np.divmod(np.arange(first, min(first + BLOCK_ROWS, rows)), points)
-        blocks = {u: np.empty((len(trials), *total.shape[1:])) for u, total in totals.items()}
-        for done, _, design in accepted_designs(config, sampler, trials, at, budget, swept):
+    per, span = max(1, BLOCK_ROWS // points), min(points, BLOCK_ROWS)
+    for first, start in itertools.product(range(0, config.trials, per), range(0, points, span)):
+        trials = np.arange(first, min(first + per, config.trials))
+        at = np.arange(start, min(start + span, points))
+        blocks = {name: np.empty((len(trials) * len(at), *cell)) for name in names}
+        rows = np.repeat(trials, len(at)), np.tile(at, len(trials))  # trial-major
+        for done, _, design in accepted_designs(config, sampler, *rows, budget, swept):
             outputs = evaluate(config, design)
-            for ufunc, group in folds.items():
-                for k, name in enumerate(group):
-                    blocks[ufunc][done, k] = STATISTICS[name][1](outputs).swapaxes(0, 1)
+            for name, block in blocks.items():
+                block[done] = STATISTICS[name][1](outputs).swapaxes(0, 1)
             demotions += int(np.count_nonzero(design.demoted))
-        for ufunc, block in blocks.items():
-            _accumulate(ufunc, totals[ufunc], block, first)
-    folded = {name: totals[u][:, k] for u, group in folds.items() for k, name in enumerate(group)}
-    return folded, int(budget.used.sum()), demotions
-
-
-def _accumulate(ufunc: np.ufunc, totals: np.ndarray, rows: np.ndarray, first: int) -> None:
-    """Fold rows ``first``, ``first + 1``, ... of the trial-major (trial, point) grid
-    into the per-point ``totals``, in trial order. Whole trials go in one
-    ``ufunc.accumulate`` over the leading axis of [totals, trial, ...], which runs row
-    after row at any row size; the trials cut by the block's ends go in as slices."""
-    points, start = len(totals), first % len(totals)
-    head = min(len(rows), -start % points)
-    trials = (len(rows) - head) // points
-    tail = rows[head + trials * points :]
-    ufunc(totals[start : start + head], rows[:head], out=totals[start : start + head])
-    whole = rows[head : head + trials * points].reshape(trials, *totals.shape)
-    totals[...] = ufunc.accumulate(np.concatenate([totals[None], whole]), 0)[-1]
-    ufunc(totals[: len(tail)], tail, out=totals[: len(tail)])
+        for name, block in blocks.items():
+            total = totals[name][start : start + span]
+            stacked = np.concatenate([total[None], block.reshape(len(trials), *total.shape)])
+            total[...] = STATISTICS[name][0].accumulate(stacked, 0)[-1]
+    return totals, int(budget.used.sum()), demotions

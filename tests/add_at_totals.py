@@ -3,8 +3,9 @@ reference for the trial-order totals.
 
 ``np.add.at`` adds a block's rows to the running sums unbuffered and in row
 order, one row at a time, so every sum runs in trial order. ``simulate``
-gets the same bytes from slice adds and leading-axis reduces; this keeps the
-slow, obviously ordered form to compare against. It calls the engine's
+gets the same bytes from one ``accumulate`` per statistic over a block's
+whole trials; this keeps the slow, obviously ordered form, over blocks of
+``BLOCK_ROWS`` consecutive rows, to compare against. It calls the engine's
 functions through the module, so a test that patches ``engine.evaluate`` or
 ``engine.BLOCK_ROWS`` patches both.
 """

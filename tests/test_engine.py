@@ -238,22 +238,34 @@ def test_short_sums_add_left_to_right_as_np_sum_does():
     assert engine._sum_last(left_to_right)[0] == 1.0  # (1 + 1e-16) + 1e-16 rounds twice
 
 
-@np.errstate(invalid="ignore")  # inf - inf in the spanning values
-def test_leading_axis_reduce_adds_rows_in_order():
-    # engine._accumulate relies on np.add.reduce over the leading axis of a
-    # C-contiguous array, rows of at least 2 elements, adding row after row
-    # to +0.0
-    rng = np.random.default_rng(21)
-    for rows in (1, 2, 3, 9, 64, 513):
-        for trailing in ((2,), (5,), (3, 4), (2, 5, 1, 2, 3)):
-            a = _spanning(rng, (rows, *trailing))
-            expected = np.zeros(trailing)
-            for row in a:
-                expected = expected + row
-            assert np.add.reduce(a, axis=0).tobytes() == expected.tobytes(), (
-                f"numpy's leading-axis reduce of {rows} rows of {trailing} no longer adds "
-                "rows in order, so engine.simulate's totals would depend on the block size"
-            )
+@pytest.mark.parametrize("block_rows", [7, 100, 512])
+def test_simulate_blocks_are_whole_trials_or_one_trial(monkeypatch, block_rows):
+    # each block folds whole (trial, point) cells: every point of its trials, or
+    # one trial at a range of points when a trial's points fill a block
+    monkeypatch.setattr(engine, "BLOCK_ROWS", block_rows)
+    blocks = []
+
+    def spy(config, sampler, trials, points, *rest):
+        blocks.append((trials, points))
+        return accepted_designs(config, sampler, trials, points, *rest)
+
+    accepted_designs = engine.accepted_designs
+    monkeypatch.setattr(engine, "accepted_designs", spy)
+    fig2_grid, fig3_grid = sweep_grid(50.0, 60.0, 0.25), sweep_grid(-90.0, 90.0, 0.5)
+    cases = [(fig2_config(50.0, 7, 30, (0.0, 5.0)), fig2_grid), (fig3_config(0.0, 1), fig3_grid)]
+    for config, grid in cases:
+        blocks.clear()
+        simulate(config, grid, ("rate",))
+        assert len(grid) in (41, 361)
+        for trials, points in blocks:
+            ts, at = np.unique(trials), points[trials == trials[0]]
+            assert len(trials) <= block_rows
+            assert np.array_equal(trials, np.repeat(ts, len(at)))
+            assert np.array_equal(points, np.tile(at, len(ts)))
+            assert len(at) == len(grid) or len(ts) == 1
+        covered = np.divmod(np.arange(config.trials * len(grid)), len(grid))
+        assert np.array_equal(np.concatenate([t for t, _ in blocks]), covered[0])
+        assert np.array_equal(np.concatenate([p for _, p in blocks]), covered[1])
 
 
 def _spiked(evaluate):
