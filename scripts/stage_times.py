@@ -21,10 +21,10 @@ a call nested in another stage counts to the inner stage only. The stages:
 * aggregation: ``simulate``'s own code: the block walk, the redraw loop,
   the values of the ``STATISTICS`` rows written into the block's arrays,
   and one fold per statistic of the block's whole trials into its running
-  totals. Each workload asks ``simulate`` for
-  the rows its command prints: every row for ``demo`` and ``wide``, as
-  ``run`` does, and ``sweep_fig2``'s and ``sweep_fig3``'s own names for
-  ``fig2`` and ``fig3``.
+  totals. Each workload asks ``simulate`` for the rows its command prints:
+  every row for ``demo`` and ``wide``, as ``run`` does, and
+  ``sweep_fig2``'s and ``sweep_fig3``'s own names for ``fig2`` and
+  ``fig3``.
 
 ``total`` is the best instrumented run and ``untimed`` the best run with no
 wrapper, so their difference is the timers' own cost. The script changes

@@ -534,8 +534,8 @@ def simulate(
     Point p is ``config`` with user (1, 2)'s AoD at ``sweep_aod_deg[p]``;
     None makes ``config`` the one point. The (trial, point) grid runs in
     trial-major blocks of at most ``BLOCK_ROWS`` rows: ``BLOCK_ROWS // points``
-    whole trials, or one trial at ``BLOCK_ROWS`` points when a trial has more
-    points than that. A trial's draw at each attempt is shared by its
+    whole trials, or one trial at up to ``BLOCK_ROWS`` points when a trial has
+    more points than that. A trial's draw at each attempt is shared by its
     points, and one design serves every SNR. Returns the ``STATISTICS`` rows
     ``names``, each (points, SNRs, N, M) with users in SIC order and folded from
     0 over the point's trials in trial order; then the redraw and demotion counts.
