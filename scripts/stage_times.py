@@ -8,7 +8,8 @@ stage's best (smallest) time over the repeats. A stage's time is exclusive:
 a call nested in another stage counts to the inner stage only. The stages:
 
 * draw: ``TrialSampler.draw``;
-* kernel: ``_kernels``, in the design and in ``evaluate``'s fresh Fejér sums;
+* kernel: ``_kernels``, in the design only: its beam kernel and the fresh
+  Fejér sums of rows with a demoted beam;
 * reject test: ``zero_forcing_rejects``, its eigensolves included;
 * solve: ``np.linalg.solve`` called by ``design_trials``;
 * design rest: the rest of ``design_trials`` (gathers, SIC sort, norms,
@@ -123,22 +124,26 @@ class StageTimer:
         return timed
 
 
+# (owner, attribute, stage, the stage it is timed inside of or None): what
+# ``instrumented`` wraps
+TARGETS = (
+    (engine.TrialSampler, "draw", "draw", None),
+    (engine, "_kernels", "kernel", None),
+    (engine, "zero_forcing_rejects", "reject test", None),
+    (np.linalg, "solve", "solve", "design rest"),
+    (engine, "design_trials", "design rest", None),
+    (np.linalg, "eigvalsh", "η eigvalsh", "rates and bound"),
+    (engine, "_max_leakage_eigenvalues", "leakage", None),
+    (engine, "evaluate", "rates and bound", None),
+    (engine.RedrawBudget, "spend", "spend", None),
+)
+
+
 @contextmanager
 def instrumented(timer: StageTimer):
-    targets = [
-        (engine.TrialSampler, "draw", "draw", None),
-        (engine, "_kernels", "kernel", None),
-        (engine, "zero_forcing_rejects", "reject test", None),
-        (np.linalg, "solve", "solve", "design rest"),
-        (engine, "design_trials", "design rest", None),
-        (np.linalg, "eigvalsh", "η eigvalsh", "rates and bound"),
-        (engine, "_max_leakage_eigenvalues", "leakage", None),
-        (engine, "evaluate", "rates and bound", None),
-        (engine.RedrawBudget, "spend", "spend", None),
-    ]
-    saved = [(owner, name, getattr(owner, name)) for owner, name, _, _ in targets]
+    saved = [(owner, name, getattr(owner, name)) for owner, name, _, _ in TARGETS]
     try:
-        for owner, name, stage, inside in targets:
+        for owner, name, stage, inside in TARGETS:
             setattr(owner, name, timer.wrap(stage, getattr(owner, name), inside))
         yield
     finally:

@@ -14,12 +14,12 @@ the draws is array arithmetic over the whole block:
   uses |beta| and centred steering vectors, whose correlation is the real
   Dirichlet kernel. The effective channels, the beam Gram matrix and the
   radiated power of a beam are closed forms in float64, and no T_MU x T_BS
-  channel matrix is built; the design keeps the kernel's square, the Fejer
-  kernel, for the bound's Fejer sums except in rows with a demoted beam;
+  channel matrix is built; the design sums the kernel's square, the Fejer
+  kernel, into the bound's Fejer sums, afresh in rows with a demoted beam;
 * the matrix work of a design (the zero-forcing reject test, the stacked
   ``np.linalg.solve``, the beam Gram's and the leakage eigenvalues) is done
   once per run of consecutive rows that share first users and beams, as the
-  points of a sweep mostly do, and gathered back to every row of the run;
+  points of a sweep mostly do; a design keeps one precoder and beam Gram per run;
   a Gershgorin pre-test decides most reject tests without an eigensolve, and
   at four clusters a closed form gives each 3 x 3 leakage Gram's top
   eigenvalue, with ``eigvalsh`` only near a double top eigenvalue;
@@ -178,10 +178,10 @@ class TrialSampler:
 class Design(NamedTuple):
     """Precoders of a batch of accepted trials.
 
-    Arrays lead with the trial axis; every user axis is in SIC order
-    (strongest first), and ``sic`` maps each SIC position back to the
-    user's index in the config. ``rows``, ``gram`` and ``baseband`` are float64,
-    in the centred-array basis (``dirichlet_kernel``) and without gain phases.
+    Per-row arrays lead with the row axis C, per-run arrays with the run axis
+    R; user axes are in SIC order (strongest first), and ``sic`` maps each SIC
+    position to the user's index in the config. ``rows``, ``gram`` and ``baseband``
+    are float64, in the centred basis (``dirichlet_kernel``), without gain phases.
     """
 
     aod: np.ndarray  # (C, N, M) normalized AoD
@@ -191,10 +191,10 @@ class Design(NamedTuple):
     norm: np.ndarray  # (C, N, M) effective-channel norms
     sic: np.ndarray  # (C, N, M) config index of each SIC position
     demoted: np.ndarray  # (C, N) the beam's user lost first place in the SIC order
-    gram: np.ndarray  # (C, N, N) F_rf^H F_rf, F_rf's columns the centred c(beam_aod)
-    fejer: np.ndarray  # (C, N, M, N) (c(aod)^H c(beam_aod))^2, the squared kernel of rows
-    baseband: np.ndarray  # (C, N, N) zero-forcing precoder for rows, unit power per beam
-    run: np.ndarray  # (C,) index of the row's run of equal first rows and beams
+    ks_user: np.ndarray  # (C, N, M) sum over first users j of F_T(j's AoD - the user's AoD)
+    run: np.ndarray  # (C,) the row's run of consecutive rows with equal first rows and beams
+    gram: np.ndarray  # (R, N, N) F_rf^H F_rf, F_rf's columns the centred c(beam_aod)
+    baseband: np.ndarray  # (R, N, N) zero-forcing precoder for rows, unit power per beam
 
 
 def _runs(*arrays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -228,12 +228,11 @@ def _take_users(index: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
 
 
 def zero_forcing_rejects(first_rows: np.ndarray) -> np.ndarray:
-    """Trials whose first users' rows, scaled to unit norm, have a squared
+    """Sets of first users' rows that, scaled to unit norm, have a squared
     condition number above MAX_GRAM_CONDITION.
 
     The squared condition number is lambda_max / lambda_min of the rows'
     N x N Gram matrix. The test is written so that a NaN eigenvalue rejects.
-    Each run of equal consecutive rows is tested once.
 
     Gershgorin's discs decide most sets without an eigensolve: with r the
     largest absolute row sum of the Gram less its smallest |diagonal|
@@ -243,8 +242,6 @@ def zero_forcing_rejects(first_rows: np.ndarray) -> np.ndarray:
     rounding included, accepts it too. A set whose Gram holds a NaN is
     rejected without an eigensolve, which may not converge on it.
     """
-    starts, run = _runs(first_rows)
-    first_rows = first_rows[starts]
     # the norm as np.linalg.norm forms it, also for complex sets
     unit = first_rows / np.sqrt(_sum_last((first_rows * first_rows.conj()).real))[..., None]
     gram = unit @ unit.conj().swapaxes(-1, -2)
@@ -257,7 +254,7 @@ def zero_forcing_rejects(first_rows: np.ndarray) -> np.ndarray:
     if unsure.any():
         eigen = np.linalg.eigvalsh(gram[unsure])
         rejects[unsure] = ~(eigen[:, 0] * MAX_GRAM_CONDITION >= eigen[:, -1])
-    return rejects[run]
+    return rejects
 
 
 def design_trials(
@@ -282,20 +279,28 @@ def design_trials(
     gram = _take_users(beam_user[..., None], kernel)[0][:, :, 0]
     norm = np.sqrt(_sum_last(rows**2))
     sic = np.argsort(-norm, axis=2, kind="stable")
-    aod, gain, norm, rows, fejer = _take_users(sic, aod, gain, norm, rows, fejer)
-    accepted = ~zero_forcing_rejects(rows[:, :, 0])
-    if not accepted.all():
-        aod, gain, beam_aod, rows, norm, sic, beam_user, gram, fejer = (
-            a[accepted] for a in (aod, gain, beam_aod, rows, norm, sic, beam_user, gram, fejer)
-        )
+    aod, gain, norm, rows, ks_user = _take_users(sic, aod, gain, norm, rows, _sum_last(fejer))
+    demoted = sic[..., 0] != beam_user
     # the precoder depends on the first rows and the beam Gram, which is a
-    # function of the beam AoDs alone, so one run of rows shares one precoder
+    # function of the beam AoDs alone, so one run of rows shares one design
     starts, run = _runs(rows[:, :, 0], beam_aod)
-    first_rows = rows[starts, :, 0]
+    first_rows, gram = rows[starts, :, 0], gram[starts]
+    kept = ~zero_forcing_rejects(first_rows)
+    accepted = kept[run]
+    if not accepted.all():
+        aod, gain, beam_aod, rows, norm, sic, demoted, ks_user = (
+            a[accepted] for a in (aod, gain, beam_aod, rows, norm, sic, demoted, ks_user)
+        )
+        first_rows, gram, run = first_rows[kept], gram[kept], (np.cumsum(kept) - 1)[run[accepted]]
+    # ks_user summed the beams' AoDs, the first users' unless demoted: such rows sum afresh
+    fresh = _fold_last(np.logical_or, demoted, False)
+    if fresh.any():
+        first_aod = aod[fresh, None, None, :, 0]
+        ks_user[fresh] = _sum_last(_kernels(first_aod - aod[fresh, ..., None], t_bs)[1])
     n = config.num_clusters
     # LU solve of first_rows @ F0 = I; explicit inversion loses digits at T_BS = 64
     raw = np.linalg.solve(first_rows, np.broadcast_to(np.eye(n), first_rows.shape))
-    gram_raw = gram[starts] @ raw
+    gram_raw = gram @ raw
     radiated = np.sqrt(_sum_last((raw * gram_raw).swapaxes(1, 2)))
     return accepted, Design(
         aod=aod,
@@ -304,11 +309,11 @@ def design_trials(
         rows=rows,
         norm=norm,
         sic=sic,
-        demoted=sic[..., 0] != beam_user,
-        gram=gram,
-        fejer=fejer,
-        baseband=(raw / radiated[:, None, :])[run],
+        demoted=demoted,
+        ks_user=ks_user,
         run=run,
+        gram=gram,
+        baseband=raw / radiated[:, None, :],
     )
 
 
@@ -345,7 +350,7 @@ def evaluate(config: ScenarioConfig, design: Design) -> TrialOutputs:
 
     rows = design.rows
     # h^H f_j for every user and beam j
-    beam_gain = (rows @ design.baseband[:, None]) ** 2  # (C, N, M, beam)
+    beam_gain = (rows @ design.baseband[design.run, None]) ** 2  # (C, N, M, beam)
     beams = np.arange(n)
     own = beam_gain[:, beams, :, beams].transpose(1, 0, 2)  # a copy: (C, N, M)
     beam_gain[:, beams, :, beams] = 0.0
@@ -363,25 +368,13 @@ def evaluate(config: ScenarioConfig, design: Design) -> TrialOutputs:
 
     bound = rate.copy()
     if m > 1:
-        # the beam Gram and the precoder are shared by a run: solve each run once
-        starts = np.flatnonzero(np.diff(design.run, prepend=-1))
-        eigen = np.linalg.eigvalsh(design.gram[starts])
+        eigen = np.linalg.eigvalsh(design.gram)
         lam_min, lam_max = eigen[:, 0], eigen[:, -1]
         if np.any(lam_min <= lam_max * BEAM_RANK_TOL):
             raise ValueError("analog precoder is rank deficient; eta is undefined")
         kappa = lam_max / lam_min
         eta = (0.25 * (kappa + 1.0 / kappa + 2.0))[design.run, None, None]
-        # sum over first users j of F_T(j's AoD - user (c, m)'s AoD): a beam that
-        # is not demoted is steered at its first user, so the design's kernel
-        # holds it; rows with a demoted cluster are evaluated afresh
-        ks_user = _sum_last(design.fejer)
-        fresh = _fold_last(np.logical_or, design.demoted, False)
-        if fresh.any():
-            first_aod = design.aod[fresh, None, None, :, 0]
-            fejer = _kernels(first_aod - design.aod[fresh, ..., None], t_bs)[1]
-            ks_user[fresh] = _sum_last(fejer)
-        ks_first = ks_user[..., :1]
-        baseband = design.baseband[starts]
+        ks_first, baseband = design.ks_user[..., :1], design.baseband
         lam = _max_leakage_eigenvalues(baseband.swapaxes(-1, -2) @ baseband)[design.run, :, None]
         gain2 = design.gain[..., 1:] ** 2
         received = t_bs * t_mu * gain2
@@ -392,7 +385,7 @@ def evaluate(config: ScenarioConfig, design: Design) -> TrialOutputs:
         across = _sum_last((weak - projection) ** 2) / design.norm[..., 1:] ** 2
         zeta_intra = stronger[..., 1:] * rho2 * received
         zeta_inter = per_snr(cluster_power) * across * received * lam * eta * ks_first
-        zeta_noise = eta * ks_first / ks_user[..., 1:]
+        zeta_noise = eta * ks_first / design.ks_user[..., 1:]
         numerator = powers[..., 1:] * rho2 * t_bs * t_mu * gain2
         sinr = numerator / (zeta_intra + zeta_inter + zeta_noise)
         bound[..., 1:] = np.log1p(sinr) / math.log(2.0)

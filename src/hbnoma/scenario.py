@@ -28,7 +28,6 @@ instead of a per-trial draw. Unknown keys are errors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -37,6 +36,7 @@ from .errors import ConfigurationError
 
 # Largest |large_scale_db| and |snr_db|: the squared amplitude 10**(dB/20) and
 # the power 10**(dB/10) then lie within 1e-30..1e30, far from under/overflow.
+# A fixed gain's magnitude has the same range as the amplitude, 1e-15..1e15.
 MAX_ABS_LEVEL_DB = 300.0
 
 # Allowed distance of the intra fractions' sum from one.
@@ -61,17 +61,17 @@ def check_intra_fractions(fractions: Sequence[float], users_per_cluster: int) ->
 
     A valid split has one fraction per SIC position; the fractions are
     positive, sum to one, and are nondecreasing so stronger users get less
-    power.
+    power. Each test is written so that a NaN fails it.
     """
     if len(fractions) != users_per_cluster:
         raise ConfigurationError(
             f"{len(fractions)} intra fractions for {users_per_cluster} users per cluster"
         )
-    if any(f <= 0 for f in fractions):
+    if any(not f > 0 for f in fractions):
         raise ConfigurationError(f"intra fractions must be positive, got {fractions}")
-    if abs(sum(fractions) - 1.0) > _FRACTION_TOL:
+    if not abs(sum(fractions) - 1.0) <= _FRACTION_TOL:
         raise ConfigurationError(f"intra fractions must sum to 1, got sum {sum(fractions)!r}")
-    if any(b < a for a, b in zip(fractions, fractions[1:])):
+    if any(not a <= b for a, b in zip(fractions, fractions[1:])):
         raise ConfigurationError(f"intra fractions must be nondecreasing, got {fractions}")
 
 
@@ -172,10 +172,13 @@ class ScenarioConfig:
                         "for a finite and positive amplitude 10**(dB/20) whose square stays a "
                         f"normal double; got {user.large_scale_db!r}"
                     )
-                # a zero gain leaves rho at 0/0
-                if user.small_scale is not None and not 0.0 < abs(user.small_scale) < math.inf:
+                # a zero gain leaves rho at 0/0, and a magnitude beyond the levels'
+                # amplitude range under- or overflows the squared norms
+                limit = 10.0 ** (MAX_ABS_LEVEL_DB / 20.0)
+                if user.small_scale is not None and not 1 / limit <= abs(user.small_scale) <= limit:
                     raise ConfigurationError(
-                        f"gain must be finite and nonzero, got {user.small_scale!r}"
+                        f"gain must be finite with a magnitude within {1.0 / limit:g} "
+                        f"to {limit:g}, got {user.small_scale!r}"
                     )
         if self.intra_fractions is not None:
             check_intra_fractions(self.intra_fractions, self.users_per_cluster)

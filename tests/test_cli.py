@@ -155,6 +155,24 @@ class TestRunCommand:
         weak = [u["rho_mean"] for u in users if u["user_m"] == 2]
         assert len(weak) == 2 and all(0.0 < rho < 1.0 for rho in weak)
 
+    @pytest.mark.parametrize(
+        "setting",
+        ["intra_fractions = nan,1", "intra_fractions = 0.5,nan", "gain=1e-170+0j", "gain=1e170+0j"],
+    )
+    def test_nan_fraction_or_out_of_range_gain_is_config_error(self, tmp_path, capsys, setting):
+        # at 1e-170 the bound read nan and the run exited 0; at 1e170 the norms
+        # overflowed and the run aborted as singular
+        weak = "aod_deg=55 aoa_deg=random large_scale_db=-10"
+        if setting.startswith("gain"):
+            text = CONFIG.replace(weak, f"{weak} {setting}")
+        else:
+            text = CONFIG.replace("snr_db = 5", f"snr_db = 5\n{setting}")
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        for command in ("run", "validate"):
+            assert main([command, "--config", str(path)]) == 2
+            assert "configuration error" in capsys.readouterr().err
+
     def test_snr_list_rejected_for_run(self, tmp_path, capsys):
         path = tmp_path / "multi.cfg"
         path.write_text(CONFIG.replace("snr_db = 5", "snr_db = 0,5"))

@@ -5,6 +5,7 @@ import json
 import logging
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from hbnoma.precoding import CONSTRAINT_TOL, MAX_GRAM_CONDITION, AnalogPrecoder
 from hbnoma.precoding import zero_forcing_precoder
 from hbnoma.runner import fig2_config, fig3_config, run_scenario, run_trial, sweep_fig2
 from hbnoma.runner import sweep_fig3, sweep_grid
-from hbnoma.scenario import parse_config_text
+from hbnoma.scenario import load_config, parse_config_text
 
 from bruteforce import (
     array_response,
@@ -658,17 +659,19 @@ def test_leakage_step_spares_most_eigensolves(monkeypatch):
 
 
 def test_design_kernel_gives_the_bound_the_fresh_kernel_gives():
-    # evaluate reads a beam's Fejer values from the design's kernel unless its
-    # cluster is demoted; marking every cluster demoted forces fresh kernels
+    # the bound's Fejer sum of a user runs over the SIC-first users' AoDs; the
+    # design sums its beam kernel, steered at those AoDs unless a beam is
+    # demoted, and sums afresh only in rows with a demoted beam: every row must
+    # equal the sum over the first users' AoDs computed afresh
     rng = np.random.default_rng(38)
     demoted = shared = 0
     for _ in range(40):
         config = random_config(rng)
         aod, beta = TrialSampler(config).draw(np.arange(64), 0)
         _, design = engine.design_trials(config, aod, beta)
-        fresh = design._replace(demoted=np.ones_like(design.demoted))
-        for ours, theirs in zip(evaluate(config, design), evaluate(config, fresh)):
-            assert ours.tobytes() == theirs.tobytes()
+        first = design.aod[:, None, None, :, 0]
+        fejer = engine._kernels(first - design.aod[..., None], config.bs_antennas)[1]
+        assert design.ks_user.tobytes() == np.sum(fejer, axis=-1).tobytes()
         if config.users_per_cluster > 1:
             demoted += int(np.count_nonzero(design.demoted))
             shared += int(np.count_nonzero(~design.demoted.any(axis=1)))
@@ -907,6 +910,14 @@ def test_engine_norms_meet_the_effective_norm_identity():
     assert worst <= 1e-10
 
 
+def _row_field(design, name, i):
+    """Row i of a ``Design`` field; the per-run ``gram`` and ``baseband`` through ``run``."""
+    values = getattr(design, name)
+    if name in ("gram", "baseband"):
+        values = values[design.run]
+    return np.ascontiguousarray(values[i : i + 1])
+
+
 def test_rows_of_one_run_share_a_design_equal_to_each_row_alone():
     # fig3's grid is one run; at seed 4 some fig2 trials steer cluster one's
     # beam at the swept user, so each of their rows is a run of its own
@@ -928,7 +939,7 @@ def test_rows_of_one_run_share_a_design_equal_to_each_row_alone():
             assert accepted[0]
             for name in engine.Design._fields:
                 if name != "run":
-                    row = np.ascontiguousarray(getattr(design, name)[i : i + 1])
+                    row = _row_field(design, name, i)
                     assert row.tobytes() == getattr(alone, name).tobytes(), (i, name)
             for ours, theirs in zip(outputs, evaluate(config, alone)):
                 assert np.ascontiguousarray(ours[:, i]).tobytes() == theirs[:, 0].tobytes()
@@ -963,7 +974,7 @@ def test_a_row_gives_the_same_bits_at_any_offset_of_a_block():
             assert accepted.all()
             for name in engine.Design._fields:
                 if name != "run":
-                    ours = np.ascontiguousarray(getattr(design, name)[offset : offset + 1])
+                    ours = _row_field(design, name, offset)
                     assert ours.tobytes() == getattr(alone, name).tobytes(), (i, offset, name)
             for ours, theirs in zip(evaluate(config, design), expected):
                 assert np.ascontiguousarray(ours[:, offset]).tobytes() == theirs[:, 0].tobytes()
@@ -1005,6 +1016,77 @@ def test_fig3_sweep_solves_its_one_design_once(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     assert len(sweep_fig3().rows) == 361
     assert batches == {"eigvalsh": [1, 1], "solve": [1]}
+
+
+def test_design_trials_finds_the_runs_once(monkeypatch):
+    # once per block, before the reject test: WIDE's first 300 rows include
+    # rejects, and fig3's grid is one run
+    calls = []
+    runs = engine._runs
+
+    def spy(*arrays):
+        calls.append(len(arrays[0]))
+        return runs(*arrays)
+
+    monkeypatch.setattr(engine, "_runs", spy)
+    wide, fig3 = parse_config_text(WIDE), fig3_config(0.0, seed=1)
+    for config, trials in ((wide, 300), (fig3, 361)):
+        calls.clear()
+        accepted, _ = engine.design_trials(config, *TrialSampler(config).draw(np.arange(trials), 0))
+        assert calls == [trials]
+        assert accepted.all() == (config is fig3)
+
+
+def test_runs_that_survive_the_reject_test_are_renumbered():
+    # rows 2 and 3 put cluster two's first user on cluster one's, which zero
+    # forcing rejects; the runs around them keep their own designs
+    config = fig3_config(0.0, seed=1)
+    aod, gain = TrialSampler(config).draw(np.zeros(6, dtype=int), 0)
+    aod[2:4, 1, 0] = aod[2:4, 0, 0]
+    aod[4:, 0, 1] = 0.5
+    accepted, design = engine.design_trials(config, aod, gain)
+    assert accepted.tolist() == [True, True, False, False, True, True]
+    assert design.run.tolist() == [0, 0, 1, 1]
+    assert design.gram.shape[0] == design.baseband.shape[0] == 2
+    outputs = evaluate(config, design)
+    for i, row in enumerate(np.flatnonzero(accepted)):
+        _, alone = engine.design_trials(config, aod[row : row + 1], gain[row : row + 1])
+        for ours, theirs in zip(outputs, evaluate(config, alone)):
+            assert np.ascontiguousarray(ours[:, i]).tobytes() == theirs[:, 0].tobytes()
+
+
+@pytest.mark.parametrize("case", ["demo", "wide", "fig2", "fig3"])
+def test_runs_only_share_work(monkeypatch, case):
+    # a run shares one design among its rows; with every row a run of its
+    # own, simulate's totals and counts keep every bit
+    root = Path(__file__).resolve().parents[1]
+    fig2_grid, fig3_grid = sweep_grid(50.0, 60.0, 0.25), sweep_grid(-90.0, 90.0, 0.5)
+    config, grid = {
+        "demo": (load_config(root / "scenarios" / "two_cluster_demo.cfg"), None),
+        "wide": (replace(load_config(root / "perfbench" / "wide.cfg"), trials=300), None),
+        "fig2": (fig2_config(fig2_grid[0], 1, 20, (0.0, 5.0)), fig2_grid),
+        "fig3": (fig3_config(fig3_grid[0], 1), fig3_grid),
+    }[case]
+    shared = simulate(config, grid)
+    monkeypatch.setattr(engine, "_runs", lambda first, *_: (np.arange(len(first)),) * 2)
+    alone = simulate(config, grid)
+    for name in engine.STATISTICS:
+        assert shared[0][name].tobytes() == alone[0][name].tobytes(), name
+    assert shared[1:] == alone[1:]
+
+
+@pytest.mark.parametrize("snr_db", [-300.0, 300.0])
+@pytest.mark.parametrize("level, gain", [(-300.0, "1e-15"), (300.0, "1e15")])
+def test_extreme_gain_level_and_snr_give_finite_outputs(snr_db, level, gain):
+    # every magnitude at its limit: a fixed gain of 1e+-15 at +-300 dB, next
+    # to drawn gains at the same level, at an SNR of +-300 dB
+    user = f"user aod_deg=random aoa_deg=random large_scale_db={level:g}"
+    cluster = f"cluster {{\n{user}\n{user} gain={gain}+0j\n}}\n"
+    text = f"bs_antennas = 16\nmu_antennas = 4\nsnr_db = {snr_db:g}\ntrials = 50\n{cluster * 2}"
+    with np.errstate(all="raise"):
+        totals, _, _ = simulate(parse_config_text(text))
+    for name, values in totals.items():
+        assert np.isfinite(values).all(), name
 
 
 def test_swept_angles_convert_as_angle_spec_does():

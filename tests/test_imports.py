@@ -1,4 +1,4 @@
-"""No module of the package or of the tests imports a name it never uses.
+"""No module of the package, the tests or the scripts imports a name it never uses.
 
 Scans with the stdlib ``ast`` module alone. ``from __future__`` imports and
 names imported on a line marked ``# noqa`` (deliberate re-exports) are exempt.
@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*ROOT.glob("src/hbnoma/*.py"), *ROOT.glob("tests/*.py")])
+FOLDERS = ("src/hbnoma", "tests", "scripts")
+MODULES = sorted(path for folder in FOLDERS for path in ROOT.glob(f"{folder}/*.py"))
 
 
 def _annotation_names(tree: ast.AST) -> set[str]:

@@ -265,8 +265,10 @@ class TestBatchedSweep:
 
     def _force_rejects(self, monkeypatch, pairs):
         """Reject the (point, trial) pairs in the first zero-forcing test; with
-        the grid in one block, it sees every pair, in trial-major rows."""
+        the grid in one block and every row a run of its own, it sees every
+        pair, in trial-major rows."""
         monkeypatch.setattr(engine, "BLOCK_ROWS", len(self.GRID) * self.TRIALS)
+        monkeypatch.setattr(engine, "_runs", lambda first, *_: (np.arange(len(first)),) * 2)
         true_rejects = engine.zero_forcing_rejects
         calls = []
 

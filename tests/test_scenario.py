@@ -1,5 +1,7 @@
 """Scenario config dataclasses and the key-value file format."""
 
+from math import nan
+
 import pytest
 
 from hbnoma import (
@@ -116,7 +118,7 @@ class TestValidation:
             )
 
     def test_bad_fractions_rejected(self):
-        for fractions in ((0.5, 0.6), (0.75, 0.25), (1.0,)):
+        for fractions in ((0.5, 0.6), (0.75, 0.25), (1.0,), (nan, 1.0), (0.5, nan)):
             with pytest.raises(ConfigurationError):
                 ScenarioConfig(
                     bs_antennas=16,
@@ -140,6 +142,8 @@ class TestValidation:
             "large_scale_db=-10 gain=nan+0j",
             "large_scale_db=-10 gain=inf+0j",
             "large_scale_db=-10 gain=0j",
+            "large_scale_db=-10 gain=1e-170+0j",  # the bound reads 0/0
+            "large_scale_db=-10 gain=1e170+0j",  # the squared norms overflow
         ],
     )
     def test_nonfinite_or_zero_gain_rejected(self, gain):
