@@ -31,21 +31,19 @@ The matched receive combiner cancels the AoA from every effective channel,
 so AoAs are never drawn.
 
 ``simulate`` returns the statistics asked for by name, each folded per sweep
-point, and the redraw and demotion counts. ``STATISTICS`` gives each name its
-fold, ``np.add`` or ``np.maximum``, and its value from ``evaluate``'s outputs,
-so a new statistic is one table row. Each statistic has its own per-point
-total, and a block folds into it through one ``accumulate`` over its trials,
-which runs trial after trial at any row size (``reduce`` adds a one-element
-column pairwise). Every short sum runs left to right, as ``np.sum`` adds it.
-So totals do not depend on the block size or on which rows were redrawn, and
-a block's memory is bounded by ``BLOCK_ROWS``.
+point, and each point's redraw count. ``STATISTICS`` gives each name its fold,
+``np.add`` or ``np.maximum``, and its value, of any shape, from ``evaluate``'s
+outputs and the block's ``Design``: a new statistic is one table row. A block
+folds into a total by one ``accumulate`` over its trials, trial after trial at
+any row size (``reduce`` adds a one-element column pairwise); short sums run left
+to right, as ``np.sum`` adds them. So totals do not depend on the block size or
+on which rows were redrawn, and a block's memory is bounded by ``BLOCK_ROWS``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from operator import attrgetter
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -509,19 +507,20 @@ def _normalized_from_degrees(aod_deg: Sequence[float]) -> np.ndarray:
     return np.sin(physical)
 
 
-# Every run statistic ``simulate`` can fold: name -> (the ufunc that folds it over
-# trials, its value per (SNR, row, cluster, user) from a block's ``evaluate``
-# outputs). A new statistic is one row; ``np.add`` of a 0/1 array counts.
+# Every run statistic ``simulate`` can fold: name -> (the ufunc that folds it over trials,
+# its value from a block's ``evaluate`` outputs and ``Design``: any shape, rows on axis 1).
+# A new statistic is one row; ``np.add`` of a 0/1 array counts.
 STATISTICS = {
-    **{field: (np.add, attrgetter(field)) for field in TrialOutputs._fields},
-    "violations": (np.add, lambda o: o.bound > o.rate),  # weak users': a first's bound is its rate
-    "max_excess": (np.maximum, lambda o: np.where(o.bound > o.rate, o.bound - o.rate, 0.0)),
+    **{field: (np.add, lambda o, d, f=field: getattr(o, f)) for field in TrialOutputs._fields},
+    "violations": (np.add, lambda o, d: o.bound > o.rate),  # weak users': a first's bound is its rate
+    "max_excess": (np.maximum, lambda o, d: np.where(o.bound > o.rate, o.bound - o.rate, 0.0)),
+    "demotions": (np.add, lambda o, d: d.demoted[None]),  # (1, C, N): beam user not SIC-first
 }
 
 
 def simulate(
     config: ScenarioConfig, sweep_aod_deg: Sequence[float] | None = None, names=tuple(STATISTICS)
-) -> tuple[dict[str, np.ndarray], int, int]:
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Run the configured trial budget at every sweep point and SNR of ``config``.
 
     Point p is ``config`` with user (1, 2)'s AoD at ``sweep_aod_deg[p]``;
@@ -530,29 +529,29 @@ def simulate(
     whole trials, or one trial at up to ``BLOCK_ROWS`` points when a trial has
     more points than that. A trial's draw at each attempt is shared by its
     points, and one design serves every SNR. Returns the ``STATISTICS`` rows
-    ``names``, each (points, SNRs, N, M) with users in SIC order and folded from
-    0 over the point's trials in trial order; then the redraw and demotion counts.
+    ``names``, each in its value's shape with a point axis for the row axis, folded
+    from 0 over the point's trials in trial order, and each point's redraw count.
     """
     swept = None if sweep_aod_deg is None else _normalized_from_degrees(sweep_aod_deg)
     budget = RedrawBudget(config.trials, sweep_aod_deg)
     sampler = TrialSampler(config)
     points = budget.used.size
-    cell = (len(config.snr_dbs), config.num_clusters, config.users_per_cluster)
-    totals = {name: np.zeros((points, *cell)) for name in names}
-    demotions = 0
+    totals: dict[str, np.ndarray] = {}
     per, span = max(1, BLOCK_ROWS // points), min(points, BLOCK_ROWS)
     for first, start in itertools.product(range(0, config.trials, per), range(0, points, span)):
         trials = np.arange(first, min(first + per, config.trials))
         at = np.arange(start, min(start + span, points))
-        blocks = {name: np.empty((len(trials) * len(at), *cell)) for name in names}
         rows = np.repeat(trials, len(at)), np.tile(at, len(trials))  # trial-major
-        for done, _, design in accepted_designs(config, sampler, *rows, budget, swept):
-            outputs = evaluate(config, design)
-            for name, block in blocks.items():
-                block[done] = STATISTICS[name][1](outputs).swapaxes(0, 1)
-            demotions += int(np.count_nonzero(design.demoted))
-        for name, block in blocks.items():
+        rounds = accepted_designs(config, sampler, *rows, budget, swept)
+        rounds = [(done, evaluate(config, design), design) for done, _, design in rounds]
+        for name in names:
+            values = [(done, STATISTICS[name][1](o, d).swapaxes(0, 1)) for done, o, d in rounds]
+            block = np.empty((len(rows[0]), *values[0][1].shape[1:]))
+            for done, value in values:
+                block[done] = value
+            if name not in totals:
+                totals[name] = np.zeros((points, *block.shape[1:]))
             total = totals[name][start : start + span]
             stacked = np.concatenate([total[None], block.reshape(len(trials), *total.shape)])
             total[...] = STATISTICS[name][0].accumulate(stacked, 0)[-1]
-    return totals, int(budget.used.sum()), demotions
+    return totals, budget.used

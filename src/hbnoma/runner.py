@@ -87,7 +87,7 @@ def run_scenario(config: ScenarioConfig) -> RunManifest:
     memory does not grow with the trial count.
     """
     snr = config.single_snr_db()
-    sums, redraws, demotions = simulate(config)
+    sums, redraws = simulate(config)
     weak_pairs = config.trials * config.num_clusters * (config.users_per_cluster - 1)
 
     users = [
@@ -104,8 +104,8 @@ def run_scenario(config: ScenarioConfig) -> RunManifest:
         seed=config.seed,
         trials=config.trials,
         version=__version__,
-        singular_redraws=redraws,
-        first_user_demotions=demotions,
+        singular_redraws=int(redraws.sum()),
+        first_user_demotions=int(sums["demotions"].sum()),
         sum_rate_mean=sum(user["rate_mean"] for user in users),
         bound_violation_rate=int(sums["violations"].sum()) / weak_pairs if weak_pairs else 0.0,
         bound_violation_max_excess=float(sums["max_excess"].max()),
@@ -121,9 +121,9 @@ def sweep_grid(start: float, stop: float, step: float) -> list[float]:
     """Points ``start + k * step`` from ``start`` to ``stop``, never past ``stop``.
 
     The 1e-9 slack keeps ``stop`` on the grid when ``step`` divides the
-    range up to rounding. The step must be finite, and the grid may have at
-    most ``MAX_SWEEP_POINTS`` points; the count is checked before the grid
-    is built.
+    range up to rounding; a point it would put past ``stop`` is clamped to it.
+    The step must be finite, and the grid may have at most ``MAX_SWEEP_POINTS``
+    points; the count is checked before the grid is built.
     """
     if not math.isfinite(step):
         raise ConfigurationError(f"sweep step must be finite, got {step}")
@@ -134,7 +134,7 @@ def sweep_grid(start: float, stop: float, step: float) -> list[float]:
         raise ConfigurationError(
             f"sweep step {step} gives more than {MAX_SWEEP_POINTS} points from {start} to {stop}"
         )
-    return [start + k * step for k in range(math.floor(steps) + 1)]
+    return [min(start + k * step, stop) for k in range(math.floor(steps) + 1)]
 
 
 def spearman_rank_correlation(x: Sequence[float], y: Sequence[float]) -> float:
@@ -205,7 +205,7 @@ class Fig2Sweep:
             "trials": self.trials,
             "version": self.version,
             "spearman_rho_vs_rate_by_snr": {
-                f"{snr:g}": value for snr, value in self.spearman_by_snr.items()
+                "%.17g" % snr: value for snr, value in self.spearman_by_snr.items()
             },
             "rows": [dict(zip(self.CSV_HEADER, row)) for row in self.rows],
         }
@@ -230,10 +230,11 @@ def sweep_fig2(
     grid = sweep_grid(FIG2_SWEEP_START_DEG, FIG2_SWEEP_STOP_DEG, step_deg)
     config = fig2_config(grid[0], seed, trials, tuple(snr_db_values))
     sums = simulate(config, grid, FIG2_STATISTICS)[0]
-    tracked = zip(*(sums[name][:, :, 0, 1].T / trials for name in FIG2_STATISTICS))
+    # each (SNRs, points); rho, SNR-free, is (1, points) and serves every SNR
+    tracked = np.broadcast_arrays(*(sums[name][:, :, 0, 1].T / trials for name in FIG2_STATISTICS))
     rows = []
     spearman: dict[float, float] = {}
-    for snr, (rate, bound, rho) in zip(snr_db_values, tracked):
+    for snr, rate, bound, rho in zip(snr_db_values, *tracked):
         rows += [
             (aod, float(r), float(m), float(b), snr) for aod, m, b, r in zip(grid, rate, bound, rho)
         ]

@@ -18,7 +18,8 @@ from hbnoma import engine
 def add_at_totals(config, sweep_aod_deg=None):
     """``engine.simulate(config, sweep_aod_deg)``, every statistic, by the ``np.add.at``
     aggregation: the per-point sums of the five outputs, the count of weak users whose
-    bound exceeds the rate and the largest such excess, then the redraw and demotion counts."""
+    bound exceeds the rate, the largest such excess and the count of demoted first
+    users, each (point, SNR or 1, N[, M]), then each point's redraw count."""
     swept = None
     if sweep_aod_deg is not None:
         swept = engine._normalized_from_degrees(sweep_aod_deg)
@@ -29,22 +30,25 @@ def add_at_totals(config, sweep_aod_deg=None):
     sums = np.zeros((len(engine.TrialOutputs._fields), *shape))  # (field, SNR, point, N, M)
     violations = np.zeros(shape)
     max_excess = np.zeros(shape)
-    demotions = 0
+    demotions = np.zeros((1, points, config.num_clusters))  # (1, point, N): SNR-free
     rows = config.trials * points
     for first in range(0, rows, engine.BLOCK_ROWS):
         trials, at = np.divmod(np.arange(first, min(first + engine.BLOCK_ROWS, rows)), points)
         block = np.empty((*sums.shape[:2], len(trials), *shape[2:]))
+        demoted = np.empty((1, len(trials), config.num_clusters))
         rounds = engine.accepted_designs(config, sampler, trials, at, budget, swept)
         for done, _, design in rounds:
             for into, values in zip(block, engine.evaluate(config, design)):
                 into[:, done] = values
-            demotions += int(np.count_nonzero(design.demoted))
+            demoted[0, done] = design.demoted
         rate, bound = block[0, ..., 1:], block[1, ..., 1:]
         over = bound > rate
         np.add.at(violations[..., 1:], np.s_[:, at], over)
         np.maximum.at(max_excess[..., 1:], np.s_[:, at], np.where(over, bound - rate, 0.0))
         np.add.at(sums, np.s_[:, :, at], block)
+        np.add.at(demotions, np.s_[:, at], demoted)
     statistics = dict(zip(engine.TrialOutputs._fields, sums))
-    statistics |= {"violations": violations, "max_excess": max_excess}
-    # per point: (point, SNR, N, M), as simulate returns them
-    return {k: v.swapaxes(0, 1) for k, v in statistics.items()}, int(budget.used.sum()), demotions
+    statistics |= {"violations": violations, "max_excess": max_excess, "demotions": demotions}
+    statistics["rho"] = statistics["rho"][:1]  # SNR-free: evaluate's one rho, in every SNR slot
+    # per point: (point, SNR or 1, N[, M]), as simulate returns them
+    return {k: v.swapaxes(0, 1) for k, v in statistics.items()}, budget.used

@@ -265,6 +265,24 @@ class TestSweepCommands:
         assert rows[-1].split(",")[0] == "85"
 
 
+    def test_fig3_grid_that_overshoots_90_by_rounding_ends_at_90(self, capsys):
+        # (-90 + 169 * step) rounds to 90.00000000000003 at step 180/169
+        assert main(["fig3", "--step", repr(180 / 169)]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 171
+        assert rows[-1].split(",")[0] == "90"
+
+    def test_fig2_json_keeps_a_spearman_entry_per_snr(self, capsys):
+        # SNRs equal in their first 6 digits: the keys are the CSV's snr_db column
+        sweep = ["fig2", "--snr-db", "0.1,0.1000001", "--trials", "2", "--step", "5"]
+        assert main([*sweep, "--format", "json"]) == 0
+        keys = json.loads(capsys.readouterr().out)["spearman_rho_vs_rate_by_snr"]
+        assert main(sweep) == 0
+        _, *lines = capsys.readouterr().out.splitlines()
+        assert len(keys) == 2
+        assert set(keys) == {line.split(",")[-1] for line in lines}
+
+
 class TestValidateCommand:
     def test_good_config_passes(self, config_path, capsys):
         assert main(["validate", "--config", str(config_path)]) == 0

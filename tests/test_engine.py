@@ -309,13 +309,13 @@ def test_totals_equal_the_add_at_aggregation(monkeypatch, block_rows):
             ours, theirs = simulate(config, grid), add_at_totals(config, grid)
         assert len(ours[0]["rate"]) == len(theirs[0]["rate"]) in (1, 3, 82, 361)
         assert not np.isfinite(theirs[0]["rate"]).all()
-        for name in ("violations", "max_excess"):
+        for name in ("violations", "max_excess", "demotions"):
             mine, reference = ours[0][name], theirs[0][name]
             assert mine.dtype == reference.dtype and mine.tobytes() == reference.tobytes(), name
         for name in FIELDS:
             mine, reference = ours[0][name], theirs[0][name]
             assert mine.shape == reference.shape and mine.tobytes() == reference.tobytes(), name
-        assert ours[1:] == theirs[1:]
+        assert np.array_equal(ours[1], theirs[1])
 
 
 @pytest.mark.parametrize("block_rows", [1, 7, 512])
@@ -327,12 +327,53 @@ def test_one_statistic_of_one_user_sums_in_trial_order(monkeypatch, block_rows):
     config = ScenarioConfig(
         bs_antennas=16, mu_antennas=4, clusters=(ClusterSpec((user,)),), seed=5, trials=300
     )
-    sums, redraws, _ = simulate(config, None, ("rate",))
-    assert list(sums) == ["rate"] and sums["rate"].shape == (1, 1, 1, 1) and redraws == 0
+    sums, redraws = simulate(config, None, ("rate",))
+    assert list(sums) == ["rate"] and sums["rate"].shape == (1, 1, 1, 1) and redraws.tolist() == [0]
     left_to_right = 0.0
     for t in range(config.trials):
         left_to_right += run_trial(config, t).rate[0, 0]
     assert sums["rate"][0, 0, 0, 0] == left_to_right
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 512])
+def test_a_statistic_of_a_new_shape_is_one_table_row(monkeypatch, block_rows):
+    # a (SNR, row, N, M, 2) value folds to a (points, SNRs, N, M, 2) total with no
+    # edit to simulate, equal to the totals of its parts
+    monkeypatch.setattr(engine, "BLOCK_ROWS", block_rows)
+    pair = (np.add, lambda o, d: np.stack([o.rate, o.intra], -1))
+    monkeypatch.setitem(engine.STATISTICS, "pair", pair)
+    cases = [
+        (replace(parse_config_text(WIDE), trials=60), None),
+        (fig2_config(50.0, 7, 12, (0.0, 5.0)), sweep_grid(50.0, 60.0, 2.5)),
+    ]
+    for config, grid in cases:
+        totals, _ = simulate(config, grid, ("pair", "rate", "intra"))
+        points = 1 if grid is None else len(grid)
+        cell = (len(config.snr_dbs), config.num_clusters, config.users_per_cluster)
+        assert totals["pair"].shape == (points, *cell, 2)
+        stacked = np.stack([totals["rate"], totals["intra"]], -1)
+        assert totals["pair"].tobytes() == stacked.tobytes()
+
+
+def test_snr_free_rho_folds_once_per_point():
+    grid = sweep_grid(50.0, 60.0, 2.5)
+    totals, redraws = simulate(fig2_config(50.0, 7, 12, (0.0, 5.0)), grid, ("rho", "rate"))
+    assert totals["rho"].shape == (len(grid), 1, 2, 2)
+    assert totals["rate"].shape == (len(grid), 2, 2, 2)
+    assert redraws.shape == (len(grid),)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_per_point_counts_sum_to_the_manifest(seed):
+    # demotions are a statistic per cluster, SNR-free; redraws one count per point
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "wide.cfg"
+    config = replace(load_config(path), seed=seed)
+    totals, redraws = simulate(config)
+    manifest = run_scenario(config)
+    assert totals["demotions"].shape == (1, 1, config.num_clusters)
+    assert redraws.shape == (1,)
+    assert int(totals["demotions"].sum()) == manifest.first_user_demotions > 0
+    assert int(redraws.sum()) == manifest.singular_redraws
 
 
 @pytest.mark.parametrize(
@@ -348,9 +389,9 @@ def test_a_statistic_not_asked_for_is_never_evaluated(monkeypatch, command, aske
     called = set()
 
     def counted(name, value):
-        def evaluated(outputs):
+        def evaluated(outputs, design):
             called.add(name)
-            return value(outputs)
+            return value(outputs, design)
 
         return evaluated
 
@@ -680,8 +721,9 @@ def test_design_kernel_gives_the_bound_the_fresh_kernel_gives():
 
 
 def test_beam_gram_is_the_kernel_of_the_beam_offsets():
-    # design_trials reads F_rf^H F_rf out of the steering kernel; it must
-    # equal the real centred kernel R of the beam offsets to the bit
+    # design_trials reads F_rf^H F_rf out of the steering kernel, once per run of
+    # rows that share first users and beams; every row's, read through its run,
+    # must equal the real centred kernel R of its beam offsets to the bit
     rng = np.random.default_rng(36)
     configs = [random_config(rng) for _ in range(30)]
     weak = UserSpec(aod_deg=None, aoa_deg=None, large_scale_db=-10.0)
@@ -689,17 +731,21 @@ def test_beam_gram_is_the_kernel_of_the_beam_offsets():
         strong = UserSpec(aod_deg=edge, aoa_deg=0.0, large_scale_db=0.0, small_scale=10 + 0j)
         clusters = (ClusterSpec((strong, weak)), ClusterSpec((weak, weak)))
         configs.append(ScenarioConfig(bs_antennas=16, mu_antennas=4, clusters=clusters, seed=8))
-    demoted = edges = 0
+    configs.append(fig3_config(0.0, 1))  # every angle and gain fixed: its rows are one run
+    demoted = edges = shared = 0
     for config in configs:
         aod, beta = TrialSampler(config).draw(np.arange(64), 0)
         _, design = engine.design_trials(config, aod, beta)
         offsets = design.beam_aod[:, None, :] - design.beam_aod[:, :, None]
         expected = engine.dirichlet_kernel(offsets, config.bs_antennas)
-        assert np.ascontiguousarray(design.gram).tobytes() == expected.tobytes()
+        gram = np.concatenate([_row_field(design, "gram", i) for i in range(len(design.run))])
+        assert gram.tobytes() == expected.tobytes()
         demoted += int(np.count_nonzero(design.demoted))
         edges += int(np.count_nonzero(np.abs(design.beam_aod) == 1.0))
+        shared += len(design.gram) < len(design.run)
     assert demoted > 0
     assert edges > 0
+    assert shared > 0
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4, 15, 16, 63, 64])
@@ -1072,7 +1118,7 @@ def test_runs_only_share_work(monkeypatch, case):
     alone = simulate(config, grid)
     for name in engine.STATISTICS:
         assert shared[0][name].tobytes() == alone[0][name].tobytes(), name
-    assert shared[1:] == alone[1:]
+    assert np.array_equal(shared[1], alone[1])
 
 
 @pytest.mark.parametrize("snr_db", [-300.0, 300.0])
@@ -1084,7 +1130,7 @@ def test_extreme_gain_level_and_snr_give_finite_outputs(snr_db, level, gain):
     cluster = f"cluster {{\n{user}\n{user} gain={gain}+0j\n}}\n"
     text = f"bs_antennas = 16\nmu_antennas = 4\nsnr_db = {snr_db:g}\ntrials = 50\n{cluster * 2}"
     with np.errstate(all="raise"):
-        totals, _, _ = simulate(parse_config_text(text))
+        totals, _ = simulate(parse_config_text(text))
     for name, values in totals.items():
         assert np.isfinite(values).all(), name
 

@@ -368,6 +368,13 @@ class TestSweepGrid:
         assert sweep_grid(50.0, 60.0, 6.0) == [50.0, 56.0]
         assert sweep_grid(-90.0, 90.0, 7.0)[-1] == 85.0
 
+    @pytest.mark.parametrize("step", [180 / 169, 0.5325443786982249, 0.30456852791878175])
+    def test_rounding_past_stop_is_clamped_to_stop(self, step):
+        # the 1e-9 slack keeps a last point that rounds above 90
+        grid = sweep_grid(-90.0, 90.0, step)
+        assert max(grid) == grid[-1] == 90.0
+        assert grid[:-1] == [-90.0 + k * step for k in range(len(grid) - 1)]
+
     @pytest.mark.parametrize("step", [float("nan"), float("inf"), 1e-12])
     def test_nonfinite_or_too_fine_step_rejected(self, step):
         with pytest.raises(ConfigurationError):
