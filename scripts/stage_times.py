@@ -23,10 +23,10 @@ a call nested in another stage counts to the inner stage only. The stages:
   the values of the ``STATISTICS`` rows, each computed from a round's
   outputs and design and written into its block array, one array per
   statistic and block in the value's own shape, and one fold per statistic
-  of the block's whole trials into its per-point totals. Each workload asks ``simulate`` for the rows its command prints:
-  every row for ``demo`` and ``wide``, as ``run`` does, and
-  ``sweep_fig2``'s and ``sweep_fig3``'s own names for ``fig2`` and
-  ``fig3``.
+  of the block's whole trials into its per-point totals. Each workload
+  asks ``simulate`` for the rows its command prints: every row for
+  ``demo`` and ``wide``, as ``run`` does, and ``sweep_fig2``'s and
+  ``sweep_fig3``'s own names for ``fig2`` and ``fig3``.
 
 ``total`` is the best instrumented run and ``untimed`` the best run with no
 wrapper, so their difference is the timers' own cost. The script changes
