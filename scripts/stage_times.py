@@ -14,10 +14,13 @@ a call nested in another stage counts to the inner stage only. The stages:
 * solve: ``np.linalg.solve`` called by ``design_trials``;
 * design rest: the rest of ``design_trials`` (gathers, SIC sort, norms,
   run detection, the precoder's radiated power);
-* η eigvalsh: ``np.linalg.eigvalsh`` called by ``evaluate`` (the beam Gram);
+* η eigvalsh: ``np.linalg.eigvalsh`` called by an ``evaluate`` member (the
+  beam Gram's, for η);
 * leakage: ``_max_leakage_eigenvalues``;
-* rates and bound: the rest of ``evaluate`` (couplings, correlations, the
-  leakage Gram, the rate and bound arithmetic);
+* rates and bound: the rest of ``evaluate`` and of its members, which compute
+  each output when a statistic first reads it (couplings, correlations, η's
+  arithmetic, the leakage Gram, the rate and bound arithmetic). So a stage
+  whose output no statistic of a workload reads shows 0;
 * spend: ``RedrawBudget.spend``, the redraw cap's ``bincount`` and check;
 * aggregation: ``simulate``'s own code: the block walk, the redraw loop,
   the values of the ``STATISTICS`` rows, each computed from a round's
@@ -30,7 +33,7 @@ a call nested in another stage counts to the inner stage only. The stages:
 
 ``total`` is the best instrumented run and ``untimed`` the best run with no
 wrapper, so their difference is the timers' own cost. The script changes
-nothing in ``hbnoma``: it only replaces module attributes while it runs, so
+nothing in ``hbnoma``: it only replaces attributes while it runs, so
 it times any checkout whose engine and runner have these names. BLAS is
 pinned to one thread, as in ``perfbench/run.py``.
 """
@@ -44,6 +47,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import dataclasses  # noqa: E402
+import functools  # noqa: E402
 import time  # noqa: E402
 from collections import defaultdict  # noqa: E402
 from contextlib import contextmanager  # noqa: E402
@@ -136,6 +140,11 @@ TARGETS = (
     (np.linalg, "eigvalsh", "η eigvalsh", "rates and bound"),
     (engine, "_max_leakage_eigenvalues", "leakage", None),
     (engine, "evaluate", "rates and bound", None),
+    *(
+        (member, "func", "rates and bound", None)
+        for member in vars(engine.Outputs).values()
+        if isinstance(member, functools.cached_property)
+    ),
     (engine.RedrawBudget, "spend", "spend", None),
 )
 

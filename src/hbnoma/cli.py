@@ -17,6 +17,7 @@ import argparse
 import functools
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -78,16 +79,9 @@ def _deliver(payload, args) -> None:
 
 def _cmd_run(args) -> int:
     config = load_config(args.config)
-    if args.seed is not None or args.trials is not None:
-        from dataclasses import replace
-
-        config = replace(
-            config,
-            seed=config.seed if args.seed is None else args.seed,
-            trials=config.trials if args.trials is None else args.trials,
-        )
-    manifest = run_scenario(config)
-    _deliver(manifest, args)
+    seed = config.seed if args.seed is None else args.seed
+    trials = config.trials if args.trials is None else args.trials
+    _deliver(run_scenario(replace(config, seed=seed, trials=trials)), args)
     return EXIT_OK
 
 
@@ -102,8 +96,7 @@ def _cmd_fig2(args) -> int:
 
 
 def _cmd_fig3(args) -> int:
-    sweep = sweep_fig3(step_deg=args.step, seed=args.seed)
-    _deliver(sweep, args)
+    _deliver(sweep_fig3(step_deg=args.step, seed=args.seed), args)
     return EXIT_OK
 
 
@@ -139,12 +132,7 @@ def _cmd_validate(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "run": _cmd_run,
-        "fig2": _cmd_fig2,
-        "fig3": _cmd_fig3,
-        "validate": _cmd_validate,
-    }
+    handlers = {"run": _cmd_run, "fig2": _cmd_fig2, "fig3": _cmd_fig3, "validate": _cmd_validate}
     try:
         return handlers[args.command](args)
     except ConfigurationError as exc:

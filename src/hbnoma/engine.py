@@ -23,27 +23,27 @@ the draws is array arithmetic over the whole block:
   a Gershgorin pre-test decides most reject tests without an eigensolve, and
   at four clusters a closed form gives each 3 x 3 leakage Gram's top
   eigenvalue, with ``eigvalsh`` only near a double top eigenvalue;
-* rates and the rate bound are masked sums over the cluster axis, at every
-  SNR of one design; the bound and the correlation are computed for weak
-  users only.
+* ``evaluate`` computes each output at every SNR of one design, once, when a
+  statistic first reads it; the bound and the correlation of weak users only.
 
 The matched receive combiner cancels the AoA from every effective channel,
 so AoAs are never drawn.
 
 ``simulate`` returns the statistics asked for by name, each folded per sweep
 point, and each point's redraw count. ``STATISTICS`` gives each name its fold,
-``np.add`` or ``np.maximum``, and its value, of any shape, from ``evaluate``'s
-outputs and the block's ``Design``: a new statistic is one table row. A block
-folds into a total by one ``accumulate`` over its trials, trial after trial at
-any row size (``reduce`` adds a one-element column pairwise); short sums run left
-to right, as ``np.sum`` adds them. So totals do not depend on the block size or
-on which rows were redrawn, and a block's memory is bounded by ``BLOCK_ROWS``.
+``np.add`` or ``np.maximum``, and its value, of any shape, from the ``evaluate``
+outputs it reads and the block's ``Design``: a new statistic is one table row.
+A block folds into a total by one ``accumulate`` over its trials, trial after
+trial at any row size (``reduce`` adds a one-element column pairwise); short sums
+run left to right, as ``np.sum`` adds them. So totals do not depend on the block
+size or on which rows were redrawn, and a block's memory is bounded by ``BLOCK_ROWS``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -315,79 +315,102 @@ def design_trials(
     )
 
 
-class TrialOutputs(NamedTuple):
-    """Per-user results, users in SIC order."""
-
-    rate: np.ndarray
-    bound: np.ndarray
-    rho: np.ndarray
-    intra: np.ndarray
-    inter: np.ndarray
+# The per-user outputs, each (SNRs, C, N, M), users in SIC order; rho, SNR-free, is (1, C, N, M)
+OUTPUTS = ("rate", "bound", "rho", "intra", "inter")
 
 
-def evaluate(config: ScenarioConfig, design: Design) -> TrialOutputs:
-    """Exact SINR rates and the closed-form bound of every user of every trial
-    at each SNR of ``config``, each (SNRs, C, N, M); ``rho`` does not depend on
-    the SNR and is (1, C, N, M). Work that does not depend on the SNR is done once.
+class Outputs:
+    """The ``OUTPUTS`` of a design's rows at each SNR of ``config``, and their parts,
+    each computed on its first read and at most once: a caller pays for what it reads.
 
-    The same quantities as ``rates.user_rate`` and ``bounds.lower_bound_rate``;
-    first users keep their exact rate as their bound and a correlation of 1.
+    The same quantities as ``rates.user_rate`` and ``bounds.lower_bound_rate``; first
+    users keep their exact rate as their bound and a correlation of 1, and the
+    correlation and the bound's ``eta`` and ``lam`` are computed for weak users only.
     """
-    n, m = config.num_clusters, config.users_per_cluster
-    t_bs, t_mu = config.bs_antennas, config.mu_antennas
-    # power scalars in Python floats, one row per SNR, broadcast over (C, N, M)
-    cluster_power = [10.0 ** (snr_db / 10.0) / n for snr_db in config.snr_dbs]
-    user_power = [[f * p for f in config.resolved_fractions()] for p in cluster_power]
 
-    def per_snr(values):
-        return np.array(values).reshape(len(cluster_power), 1, 1, -1)
+    def __init__(self, config: ScenarioConfig, design: Design):
+        self.config, self.design = config, design
+        # power scalars in Python floats, one row per SNR, broadcast over (C, N, M)
+        cluster = [10.0 ** (snr_db / 10.0) / config.num_clusters for snr_db in config.snr_dbs]
+        user = [[f * p for f in config.resolved_fractions()] for p in cluster]
+        stronger = [[sum(up[:k]) for k in range(len(up))] for up in user]
+        self.cluster, self.powers, self.stronger, self.total = (
+            np.array(values).reshape(len(cluster), 1, 1, -1)
+            for values in (cluster, user, stronger, [sum(up) for up in user])
+        )
 
-    powers = per_snr(user_power)
-    stronger = per_snr([[sum(up[:k]) for k in range(m)] for up in user_power])
-    total = per_snr([sum(up) for up in user_power])
+    @cached_property
+    def couplings(self) -> tuple[np.ndarray, np.ndarray]:
+        """(own, leaked), each (C, N, M): |h^H f_n|^2 from the user's own beam n, and its sum
+        over the other beams."""
+        design, beams = self.design, np.arange(self.config.num_clusters)
+        beam_gain = (design.rows @ design.baseband[design.run, None]) ** 2  # (C, N, M, beam)
+        own = beam_gain[:, beams, :, beams].transpose(1, 0, 2)  # a copy: (C, N, M)
+        beam_gain[:, beams, :, beams] = 0.0
+        return own, _sum_last(beam_gain)
 
-    rows = design.rows
-    # h^H f_j for every user and beam j
-    beam_gain = (rows @ design.baseband[design.run, None]) ** 2  # (C, N, M, beam)
-    beams = np.arange(n)
-    own = beam_gain[:, beams, :, beams].transpose(1, 0, 2)  # a copy: (C, N, M)
-    beam_gain[:, beams, :, beams] = 0.0
-    leaked = _sum_last(beam_gain)
-    desired = powers * own
-    intra = stronger * own
-    inter = total * leaked
-    rate = np.log1p(desired / (intra + inter + 1.0)) / math.log(2.0)
+    own = property(lambda self: self.couplings[0])
+    leaked = property(lambda self: self.couplings[1])
+    intra = cached_property(lambda self: self.stronger * self.own)
+    inter = cached_property(lambda self: self.total * self.leaked)
 
-    # first users keep rho = 1 and their rate as the bound: only weak users' are computed
-    rho = np.ones(design.norm.shape)
-    weak, first = rows[:, :, 1:], rows[:, :, :1]
-    inner = (weak @ first.swapaxes(-1, -2))[..., 0]
-    rho[..., 1:] = np.minimum(np.abs(inner) / (design.norm[..., 1:] * design.norm[..., :1]), 1.0)
+    @cached_property
+    def rate(self) -> np.ndarray:
+        return np.log1p(self.powers * self.own / (self.intra + self.inter + 1.0)) / math.log(2.0)
 
-    bound = rate.copy()
-    if m > 1:
-        eigen = np.linalg.eigvalsh(design.gram)
+    @cached_property
+    def inner(self) -> np.ndarray:
+        """(C, N, M - 1): each weak user's row times its first user's."""
+        rows = self.design.rows
+        return (rows[:, :, 1:] @ rows[:, :, :1].swapaxes(-1, -2))[..., 0]
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        norm = self.design.norm
+        rho = np.ones(norm.shape)
+        rho[..., 1:] = np.minimum(np.abs(self.inner) / (norm[..., 1:] * norm[..., :1]), 1.0)
+        return rho[None]
+
+    @cached_property
+    def eta(self) -> np.ndarray:
+        """(C, 1, 1): eta of each row's beam Gram, from its extreme eigenvalues."""
+        eigen = np.linalg.eigvalsh(self.design.gram)
         lam_min, lam_max = eigen[:, 0], eigen[:, -1]
         if np.any(lam_min <= lam_max * BEAM_RANK_TOL):
             raise ValueError("analog precoder is rank deficient; eta is undefined")
         kappa = lam_max / lam_min
-        eta = (0.25 * (kappa + 1.0 / kappa + 2.0))[design.run, None, None]
-        ks_first, baseband = design.ks_user[..., :1], design.baseband
-        lam = _max_leakage_eigenvalues(baseband.swapaxes(-1, -2) @ baseband)[design.run, :, None]
-        gain2 = design.gain[..., 1:] ** 2
-        received = t_bs * t_mu * gain2
-        rho2 = rho[..., 1:] ** 2
-        # 1 - rho^2 as the weak row's squared residual off its first row: near rho = 1,
-        # 1 - rho2 cancels to a rounding error that lam * eta (up to cond^2) multiplies
-        projection = (inner / design.norm[..., :1] ** 2)[..., None] * first
-        across = _sum_last((weak - projection) ** 2) / design.norm[..., 1:] ** 2
-        zeta_intra = stronger[..., 1:] * rho2 * received
-        zeta_inter = per_snr(cluster_power) * across * received * lam * eta * ks_first
-        zeta_noise = eta * ks_first / design.ks_user[..., 1:]
-        numerator = powers[..., 1:] * rho2 * t_bs * t_mu * gain2
-        sinr = numerator / (zeta_intra + zeta_inter + zeta_noise)
-        bound[..., 1:] = np.log1p(sinr) / math.log(2.0)
-    return TrialOutputs(rate=rate, bound=bound, rho=rho[None], intra=intra, inter=inter)
+        return (0.25 * (kappa + 1.0 / kappa + 2.0))[self.design.run, None, None]
+
+    @cached_property
+    def lam(self) -> np.ndarray:
+        """(C, N, 1): the top eigenvalue of each cluster's leakage Gram."""
+        baseband, run = self.design.baseband, self.design.run
+        return _max_leakage_eigenvalues(baseband.swapaxes(-1, -2) @ baseband)[run, :, None]
+
+    @cached_property
+    def bound(self) -> np.ndarray:
+        bound = self.rate.copy()
+        if self.config.users_per_cluster > 1:
+            design, eta = self.design, self.eta
+            t_bs, t_mu = self.config.bs_antennas, self.config.mu_antennas
+            ks_first, rows, norm = design.ks_user[..., :1], design.rows, design.norm
+            gain2 = design.gain[..., 1:] ** 2
+            received = t_bs * t_mu * gain2
+            rho2 = self.rho[0, ..., 1:] ** 2
+            # 1 - rho^2 as the weak row's squared residual off its first row: near rho = 1,
+            # 1 - rho2 cancels to a rounding error that lam * eta (up to cond^2) multiplies
+            projection = (self.inner / norm[..., :1] ** 2)[..., None] * rows[:, :, :1]
+            across = _sum_last((rows[:, :, 1:] - projection) ** 2) / norm[..., 1:] ** 2
+            zeta_intra = self.stronger[..., 1:] * rho2 * received
+            zeta_inter = self.cluster * across * received * self.lam * eta * ks_first
+            zeta_noise = eta * ks_first / design.ks_user[..., 1:]
+            numerator = self.powers[..., 1:] * rho2 * t_bs * t_mu * gain2
+            sinr = numerator / (zeta_intra + zeta_inter + zeta_noise)
+            bound[..., 1:] = np.log1p(sinr) / math.log(2.0)
+        return bound
+
+
+evaluate = Outputs  # a round's outputs: evaluate(config, design)
 
 
 def _max_leakage_eigenvalues(gram: np.ndarray) -> np.ndarray:
@@ -511,7 +534,7 @@ def _normalized_from_degrees(aod_deg: Sequence[float]) -> np.ndarray:
 # its value from a block's ``evaluate`` outputs and ``Design``: any shape, rows on axis 1).
 # A new statistic is one row; ``np.add`` of a 0/1 array counts.
 STATISTICS = {
-    **{field: (np.add, lambda o, d, f=field: getattr(o, f)) for field in TrialOutputs._fields},
+    **{name: (np.add, lambda o, d, f=name: getattr(o, f)) for name in OUTPUTS},
     "violations": (np.add, lambda o, d: o.bound > o.rate),  # weak users': a first's bound is its rate
     "max_excess": (np.maximum, lambda o, d: np.where(o.bound > o.rate, o.bound - o.rate, 0.0)),
     "demotions": (np.add, lambda o, d: d.demoted[None]),  # (1, C, N): beam user not SIC-first

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
 
 from . import __version__
-from .engine import TrialOutputs, TrialSampler, design_trials, evaluate, simulate
+from .engine import OUTPUTS, TrialSampler, design_trials, evaluate, simulate
 from .errors import ConfigurationError, SingularClusteringError
 from .scenario import ClusterSpec, ScenarioConfig, UserSpec
 
@@ -57,12 +58,12 @@ class RunManifest:
         raise KeyError(f"no aggregate for user ({user_n}, {user_m})")
 
 
-def run_trial(config: ScenarioConfig, trial: int, attempt: int = 0) -> TrialOutputs:
+def run_trial(config: ScenarioConfig, trial: int, attempt: int = 0) -> SimpleNamespace:
     """One trial through the engine: its draw at ``attempt``, designed and rated
     at the config's SNR.
 
-    Returns the trial's outputs, each (clusters, users) with users in SIC
-    order. Raises SingularClusteringError when zero forcing rejects the draw.
+    Returns the trial's ``OUTPUTS`` as attributes, each (clusters, users) with users
+    in SIC order. Raises SingularClusteringError when zero forcing rejects the draw.
     """
     draw = TrialSampler(config).draw(np.array([trial]), attempt)
     accepted, design = design_trials(config, *draw)
@@ -71,11 +72,12 @@ def run_trial(config: ScenarioConfig, trial: int, attempt: int = 0) -> TrialOutp
             "first users have near-collinear effective channels; zero forcing rejected"
         )
     config.single_snr_db()  # a trial is rated at one SNR
-    return TrialOutputs(*(values[0, 0] for values in evaluate(config, design)))
+    outputs = evaluate(config, design)
+    return SimpleNamespace(**{name: getattr(outputs, name)[0, 0] for name in OUTPUTS})
 
 
 # The manifest's key for the mean of each per-user output, in output order
-MEAN_KEYS = {name: f"{name}_mean" for name in TrialOutputs._fields} | {"bound": "rate_bound_mean"}
+MEAN_KEYS = {name: f"{name}_mean" for name in OUTPUTS} | {"bound": "rate_bound_mean"}
 
 
 def run_scenario(config: ScenarioConfig) -> RunManifest:
@@ -134,7 +136,7 @@ def sweep_grid(start: float, stop: float, step: float) -> list[float]:
         raise ConfigurationError(
             f"sweep step {step} gives more than {MAX_SWEEP_POINTS} points from {start} to {stop}"
         )
-    return [min(start + k * step, stop) for k in range(math.floor(steps) + 1)]
+    return np.minimum(start + np.arange(math.floor(steps) + 1) * step, stop).tolist()
 
 
 def spearman_rank_correlation(x: Sequence[float], y: Sequence[float]) -> float:
@@ -235,17 +237,9 @@ def sweep_fig2(
     rows = []
     spearman: dict[float, float] = {}
     for snr, rate, bound, rho in zip(snr_db_values, *tracked):
-        rows += [
-            (aod, float(r), float(m), float(b), snr) for aod, m, b, r in zip(grid, rate, bound, rho)
-        ]
+        rows += zip(grid, rho.tolist(), rate.tolist(), bound.tolist(), [snr] * len(grid))
         spearman[float(snr)] = spearman_rank_correlation(rho, rate)
-    return Fig2Sweep(
-        rows=rows,
-        spearman_by_snr=spearman,
-        seed=seed,
-        trials=trials,
-        version=__version__,
-    )
+    return Fig2Sweep(rows, spearman, seed, trials, __version__)
 
 
 # Correlation-vs-angle preset: three clusters with beams at 0, -40 and +40
@@ -258,23 +252,15 @@ FIG3_STATISTICS = ("rho",)  # the engine statistic sweep_fig3 prints
 
 
 def fig3_config(swept_aod_deg: float, seed: int) -> ScenarioConfig:
-    clusters = []
-    for first, second in zip(FIG3_FIRST_AODS_DEG, FIG3_SECOND_AODS_DEG):
-        second_aod = swept_aod_deg if second is None else second
-        clusters.append(
-            ClusterSpec(
-                (
-                    UserSpec(aod_deg=first, aoa_deg=0.0, large_scale_db=0.0, small_scale=1 + 0j),
-                    UserSpec(
-                        aod_deg=second_aod, aoa_deg=0.0, large_scale_db=-10.0, small_scale=1 + 0j
-                    ),
-                )
-            )
-        )
+    seconds = [swept_aod_deg if aod is None else aod for aod in FIG3_SECOND_AODS_DEG]
+    clusters = tuple(
+        ClusterSpec(tuple(UserSpec(aod, 0.0, db, 1 + 0j) for aod, db in zip(aods, (0.0, -10.0))))
+        for aods in zip(FIG3_FIRST_AODS_DEG, seconds)
+    )
     return ScenarioConfig(
         bs_antennas=16,
         mu_antennas=4,
-        clusters=tuple(clusters),
+        clusters=clusters,
         snr_db=5.0,
         intra_fractions=(0.25, 0.75),
         seed=seed,
@@ -312,4 +298,4 @@ def sweep_fig3(step_deg: float = 0.5, seed: int = 1) -> Fig3Sweep:
     grid = sweep_grid(-90.0, 90.0, step_deg)
     config = fig3_config(grid[0], seed)
     rho = simulate(config, grid, FIG3_STATISTICS)[0]["rho"][:, 0, 0, 1] / config.trials
-    return Fig3Sweep([(aod, float(r)) for aod, r in zip(grid, rho)], seed=seed, version=__version__)
+    return Fig3Sweep(list(zip(grid, rho.tolist())), seed=seed, version=__version__)

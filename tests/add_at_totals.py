@@ -27,7 +27,7 @@ def add_at_totals(config, sweep_aod_deg=None):
     sampler = engine.TrialSampler(config)
     points = budget.used.size
     shape = (len(config.snr_dbs), points, config.num_clusters, config.users_per_cluster)
-    sums = np.zeros((len(engine.TrialOutputs._fields), *shape))  # (field, SNR, point, N, M)
+    sums = np.zeros((len(engine.OUTPUTS), *shape))  # (field, SNR, point, N, M)
     violations = np.zeros(shape)
     max_excess = np.zeros(shape)
     demotions = np.zeros((1, points, config.num_clusters))  # (1, point, N): SNR-free
@@ -38,8 +38,9 @@ def add_at_totals(config, sweep_aod_deg=None):
         demoted = np.empty((1, len(trials), config.num_clusters))
         rounds = engine.accepted_designs(config, sampler, trials, at, budget, swept)
         for done, _, design in rounds:
-            for into, values in zip(block, engine.evaluate(config, design)):
-                into[:, done] = values
+            outputs = engine.evaluate(config, design)
+            for into, name in zip(block, engine.OUTPUTS):
+                into[:, done] = getattr(outputs, name)
             demoted[0, done] = design.demoted
         rate, bound = block[0, ..., 1:], block[1, ..., 1:]
         over = bound > rate
@@ -47,7 +48,7 @@ def add_at_totals(config, sweep_aod_deg=None):
         np.maximum.at(max_excess[..., 1:], np.s_[:, at], np.where(over, bound - rate, 0.0))
         np.add.at(sums, np.s_[:, :, at], block)
         np.add.at(demotions, np.s_[:, at], demoted)
-    statistics = dict(zip(engine.TrialOutputs._fields, sums))
+    statistics = dict(zip(engine.OUTPUTS, sums))
     statistics |= {"violations": violations, "max_excess": max_excess, "demotions": demotions}
     statistics["rho"] = statistics["rho"][:1]  # SNR-free: evaluate's one rho, in every SNR slot
     # per point: (point, SNR or 1, N[, M]), as simulate returns them

@@ -1,9 +1,11 @@
 """Batched engine against the object-level pipeline and the brute-force oracle."""
 
 import cmath
+import functools
 import json
 import logging
 import math
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -281,13 +283,14 @@ def _spiked(evaluate):
     """
     def spiked(config, design):
         outputs = evaluate(config, design)
+        values = [getattr(outputs, name) for name in engine.OUTPUTS]  # each computed, then spiked
         drawn = np.concatenate([design.aod, design.gain], axis=1)
         key = drawn.reshape(len(drawn), -1).view(np.uint64).sum(axis=1) % 11
         for k, (value, user) in enumerate(
             [(-0.0, (0, -1)), (math.inf, (0, -1)), (math.nan, (0, -1)), (-math.inf, (-1, 0))]
         ):
-            for values in outputs:
-                values[(slice(None), key == k, *user)] = value
+            for output in values:
+                output[(slice(None), key == k, *user)] = value
         return outputs
 
     return spiked
@@ -376,16 +379,49 @@ def test_per_point_counts_sum_to_the_manifest(seed):
     assert int(redraws.sum()) == manifest.singular_redraws
 
 
+def _members():
+    """The names of ``engine.Outputs``' members that are computed on first read."""
+    return {k for k, v in vars(engine.Outputs).items() if isinstance(v, functools.cached_property)}
+
+
+def _count_members(monkeypatch):
+    """Patch every computed member of ``engine.Outputs`` to log (instance, name) each
+    time it is computed; the log keeps the instances alive, so their ids stay distinct."""
+    computed = []
+    for name in _members():
+        member = vars(engine.Outputs)[name]
+
+        def compute(self, _name=name, _func=member.func):
+            computed.append((self, _name))
+            return _func(self)
+
+        counted = functools.cached_property(compute)
+        counted.__set_name__(engine.Outputs, name)
+        monkeypatch.setattr(engine.Outputs, name, counted)
+    return computed
+
+
 @pytest.mark.parametrize(
-    "command, asked",
+    "command, asked, members",
     [
-        (sweep_fig3, {"rho"}),
-        (lambda: sweep_fig2((0.0, 5.0), step_deg=5.0, trials=4), {"rate", "bound", "rho"}),
-        (lambda: run_scenario(parse_config_text(WIDE)), set(engine.STATISTICS)),
+        (sweep_fig3, {"rho"}, {"inner", "rho"}),
+        (
+            lambda: sweep_fig2((0.0, 5.0), step_deg=5.0, trials=4),
+            {"rate", "bound", "rho"},
+            _members(),
+        ),
+        (lambda: run_scenario(parse_config_text(WIDE)), set(engine.STATISTICS), _members()),
+        (
+            lambda: simulate(parse_config_text(WIDE), None, ("rate",)),
+            {"rate"},
+            {"couplings", "intra", "inter", "rate"},
+        ),
+        (lambda: simulate(parse_config_text(WIDE), None, ("demotions",)), {"demotions"}, set()),
     ],
-    ids=["fig3", "fig2", "run"],
+    ids=["fig3", "fig2", "run", "rate", "demotions"],
 )
-def test_a_statistic_not_asked_for_is_never_evaluated(monkeypatch, command, asked):
+def test_a_statistic_not_asked_for_is_never_evaluated(monkeypatch, command, asked, members):
+    # nor is an output member that no statistic asked for reads
     called = set()
 
     def counted(name, value):
@@ -397,8 +433,36 @@ def test_a_statistic_not_asked_for_is_never_evaluated(monkeypatch, command, aske
 
     for name, (ufunc, value) in list(engine.STATISTICS.items()):
         monkeypatch.setitem(engine.STATISTICS, name, (ufunc, counted(name, value)))
+    computed = _count_members(monkeypatch)
     command()
     assert called == asked
+    assert {name for _, name in computed} == members
+
+
+def test_a_run_computes_each_member_once_per_round(monkeypatch):
+    # rate, bound, violations and max_excess all read rate, and the bound reads rho:
+    # each member is still computed once per round, and eta's eigensolve takes one
+    # batch per round, of that round's beam Grams
+    computed = _count_members(monkeypatch)
+    designs, batches = [], []
+    original_evaluate, original_eigvalsh = engine.evaluate, np.linalg.eigvalsh
+
+    def evaluate(config, design):
+        designs.append(design)
+        return original_evaluate(config, design)
+
+    def eigvalsh(a, *args, **kwargs):
+        batches.append(a)
+        return original_eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "evaluate", evaluate)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    run_scenario(parse_config_text(WIDE))
+    assert len(designs) == 2  # WIDE's one block redraws its rejected rows in a second round
+    counts = Counter((id(outputs), name) for outputs, name in computed)
+    assert set(counts.values()) == {1}
+    assert len(counts) == len(designs) * len(_members())
+    assert [sum(a is design.gram for a in batches) for design in designs] == [1, 1]
 
 
 def test_trial_draws_do_not_depend_on_the_batch():
@@ -602,7 +666,7 @@ def _leakage_grams(config, trials):
     _, design = engine.design_trials(config, *TrialSampler(config).draw(trials, 0))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "_max_leakage_eigenvalues", record)
-        evaluate(config, design)
+        evaluate(config, design).lam
     return seen[0]
 
 
@@ -779,7 +843,8 @@ def _engine_matches_the_oracle(config):
         return
     assert accepted[0]
     outputs = evaluate(config, design)
-    assert not any(np.iscomplexobj(a) for a in (*design, *outputs))
+    values = (getattr(outputs, name) for name in engine.OUTPUTS)
+    assert not any(np.iscomplexobj(a) for a in (*design, *values))
     groups, rates, oracle = _oracle(config, design)
     # the oracle test's tolerance
     for ci, group in enumerate(groups):
@@ -964,6 +1029,13 @@ def _row_field(design, name, i):
     return np.ascontiguousarray(values[i : i + 1])
 
 
+def _assert_row_outputs_equal(outputs, i, alone):
+    """Row i of every output in ``outputs`` has the bytes of the one-row ``alone``'s."""
+    for name in engine.OUTPUTS:
+        ours = np.ascontiguousarray(getattr(outputs, name)[:, i])
+        assert ours.tobytes() == getattr(alone, name)[:, 0].tobytes(), (i, name)
+
+
 def test_rows_of_one_run_share_a_design_equal_to_each_row_alone():
     # fig3's grid is one run; at seed 4 some fig2 trials steer cluster one's
     # beam at the swept user, so each of their rows is a run of its own
@@ -987,8 +1059,7 @@ def test_rows_of_one_run_share_a_design_equal_to_each_row_alone():
                 if name != "run":
                     row = _row_field(design, name, i)
                     assert row.tobytes() == getattr(alone, name).tobytes(), (i, name)
-            for ours, theirs in zip(outputs, evaluate(config, alone)):
-                assert np.ascontiguousarray(ours[:, i]).tobytes() == theirs[:, 0].tobytes()
+            _assert_row_outputs_equal(outputs, i, evaluate(config, alone))
         runs.append((int(design.run[-1]) + 1, len(aod)))
     assert runs[0] == (1, 361)
     assert 8 < runs[1][0] < runs[1][1] == 328
@@ -1022,8 +1093,7 @@ def test_a_row_gives_the_same_bits_at_any_offset_of_a_block():
                 if name != "run":
                     ours = _row_field(design, name, offset)
                     assert ours.tobytes() == getattr(alone, name).tobytes(), (i, offset, name)
-            for ours, theirs in zip(evaluate(config, design), expected):
-                assert np.ascontiguousarray(ours[:, offset]).tobytes() == theirs[:, 0].tobytes()
+            _assert_row_outputs_equal(evaluate(config, design), offset, expected)
 
 
 def test_a_block_with_every_row_rejected():
@@ -1048,9 +1118,11 @@ def test_rows_differing_only_in_the_sign_of_a_zero_are_not_merged():
 
 
 def test_fig3_sweep_solves_its_one_design_once(monkeypatch):
-    # 361 rows, one run: the beam-Gram and leakage eigensolves and the
-    # zero-forcing solve each see one design, and the reject test's
-    # Gershgorin pre-test accepts it without an eigensolve
+    # 361 rows, one run: the zero-forcing solve sees one design, and the reject
+    # test's Gershgorin pre-test accepts it without an eigensolve; fig3 reads
+    # only rho, so neither eta's eigensolve nor the leakage step runs
+    leakage = []
+    monkeypatch.setattr(engine, "_max_leakage_eigenvalues", lambda gram: leakage.append(gram))
     batches = {"eigvalsh": [], "solve": []}
     for name, seen in batches.items():
         original = getattr(np.linalg, name)
@@ -1061,7 +1133,8 @@ def test_fig3_sweep_solves_its_one_design_once(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     assert len(sweep_fig3().rows) == 361
-    assert batches == {"eigvalsh": [1, 1], "solve": [1]}
+    assert batches == {"eigvalsh": [], "solve": [1]}
+    assert leakage == []
 
 
 def test_design_trials_finds_the_runs_once(monkeypatch):
@@ -1097,8 +1170,7 @@ def test_runs_that_survive_the_reject_test_are_renumbered():
     outputs = evaluate(config, design)
     for i, row in enumerate(np.flatnonzero(accepted)):
         _, alone = engine.design_trials(config, aod[row : row + 1], gain[row : row + 1])
-        for ours, theirs in zip(outputs, evaluate(config, alone)):
-            assert np.ascontiguousarray(ours[:, i]).tobytes() == theirs[:, 0].tobytes()
+        _assert_row_outputs_equal(outputs, i, evaluate(config, alone))
 
 
 @pytest.mark.parametrize("case", ["demo", "wide", "fig2", "fig3"])

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -391,6 +392,24 @@ class TestSweepGrid:
     def test_step_dividing_the_range_up_to_rounding_keeps_stop(self):
         # 0.3 / 0.1 is 2.9999999999999996
         assert len(sweep_grid(0.0, 0.3, 0.1)) == 4
+
+    @pytest.mark.parametrize(
+        "start, stop, step",
+        [
+            (50.0, 60.0, 0.25),  # fig2's default grid
+            (-90.0, 90.0, 0.5),  # fig3's default grid
+            (-90.0, 90.0, 7.0),
+            (-90.0, 90.0, 1.0650887573964498),  # clamped: its last point rounds past 90
+            (0.0, 0.3, 0.1),  # divides the range only up to rounding
+            (50.0, 60.0, 0.1),
+        ],
+    )
+    def test_grid_is_the_scalar_formula_to_the_bit(self, start, stop, step):
+        count = math.floor((stop - start) / step + 1e-9) + 1
+        expected = [min(start + k * step, stop) for k in range(count)]
+        grid = sweep_grid(start, stop, step)
+        assert all(type(x) is float for x in grid)
+        assert [x.hex() for x in grid] == [x.hex() for x in expected]
 
 
 class TestEmission:
