@@ -1,10 +1,12 @@
 """Per-stage engine time, in µs per (trial, sweep point) row, on four workloads.
 
-    PYTHONPATH=src python scripts/stage_times.py [--repeats 5]
+    PYTHONPATH=src python scripts/stage_times.py [--repeats 5] [--json]
+    python scripts/stage_times.py --against OTHER_CHECKOUT [--repeats 5]
 
 Each workload runs ``engine.simulate`` in-process ``--repeats`` times, with
 the engine's stage functions wrapped by timers, and the table gives each
-stage's best (smallest) time over the repeats. A stage's time is exclusive:
+stage's best (smallest) time over the repeats; ``--json`` prints it as one
+JSON object instead. A stage's time is exclusive:
 a call nested in another stage counts to the inner stage only. The stages:
 
 * draw: ``TrialSampler.draw``;
@@ -36,6 +38,12 @@ wrapper, so their difference is the timers' own cost. The script changes
 nothing in ``hbnoma``: it only replaces attributes while it runs, so
 it times any checkout whose engine and runner have these names. BLAS is
 pinned to one thread, as in ``perfbench/run.py``.
+
+``--against DIR`` compares two checkouts: it runs the table in child
+processes, one repeat each, ``--repeats`` per side, alternating between
+``DIR/src`` and this checkout's ``src`` (``DIR`` first in even rounds), so
+both sides see the same drift of the host. It prints each side's best per
+workload and stage, and the change from ``DIR`` to this checkout.
 """
 
 from __future__ import annotations
@@ -48,6 +56,9 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import dataclasses  # noqa: E402
 import functools  # noqa: E402
+import json  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
 import time  # noqa: E402
 from collections import defaultdict  # noqa: E402
 from contextlib import contextmanager  # noqa: E402
@@ -178,16 +189,64 @@ def measure(config, grid, names, repeats: int) -> dict[str, float]:
     return best
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--repeats", type=int, default=5, help="runs per workload (best of)")
-    args = parser.parse_args(argv)
+def table(repeats: int) -> dict[str, dict[str, float]]:
+    """Workload -> stage -> best µs per row over ``repeats``, plus ``rows``."""
     columns = {}
     for name, (config, grid, names) in workloads().items():
         rows = config.trials * (1 if grid is None else len(grid))
-        best = measure(config, grid, names, args.repeats)
+        best = measure(config, grid, names, repeats)
         columns[name] = {k: v / rows * 1e6 for k, v in best.items()}
         columns[name]["rows"] = rows
+    return columns
+
+
+def child_table(checkout: Path) -> dict[str, dict[str, float]]:
+    """One repeat of the table in a child process that imports ``checkout/src``."""
+    source = str(checkout.resolve() / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([source, os.environ.get("PYTHONPATH", "")]))
+    command = [sys.executable, __file__, "--repeats", "1", "--json"]
+    done = subprocess.run(command, env=env, capture_output=True, text=True, check=True)
+    result = json.loads(done.stdout)
+    if not Path(result.pop("engine")).is_relative_to(source):
+        sys.exit(f"the child for {checkout} imported another hbnoma")
+    return result
+
+
+def best_of(tables: list[dict]) -> dict[str, dict[str, float]]:
+    """Each workload's and stage's smallest time over ``tables``."""
+    return {w: {k: min(t[w][k] for t in tables) for k in tables[0][w]} for w in tables[0]}
+
+
+def comparison(against: dict, this: dict) -> list[str]:
+    """Markdown rows: workload, stage, each side's best and the relative change."""
+    lines = ["| workload | stage | against | this | change |", "|---|---|---:|---:|---:|"]
+    for workload in this:
+        for stage in (*STAGES, "total", "untimed"):
+            a, b = against[workload][stage], this[workload][stage]
+            change = f"{b / a - 1:+.1%}" if a else "n/a"
+            lines.append(f"| {workload} | {stage} | {a:.2f} | {b:.2f} | {change} |")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--repeats", type=int, default=5, help="runs per workload (best of)")
+    parser.add_argument("--json", action="store_true", help="print the table as JSON")
+    parser.add_argument("--against", type=Path, help="compare with this checkout's src")
+    args = parser.parse_args(argv)
+    if args.against is not None:
+        sides = {"against": args.against, "this": ROOT}
+        tables: dict[str, list] = {side: [] for side in sides}
+        for k in range(args.repeats):
+            for side in list(sides)[:: 1 if k % 2 == 0 else -1]:
+                tables[side].append(child_table(sides[side]))
+        print(f"µs per row, best of {args.repeats} processes a side; against {args.against}")
+        print("\n".join(comparison(best_of(tables["against"]), best_of(tables["this"]))))
+        return 0
+    columns = table(args.repeats)
+    if args.json:
+        print(json.dumps({**columns, "engine": engine.__file__}))
+        return 0
     print(f"µs per row, best of {args.repeats}; numpy {np.__version__}")
     names = list(columns)
     print(f"| stage | {' | '.join(names)} |")

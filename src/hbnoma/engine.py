@@ -33,10 +33,10 @@ so AoAs are never drawn.
 point, and each point's redraw count. ``STATISTICS`` gives each name its fold,
 ``np.add`` or ``np.maximum``, and its value, of any shape, from the ``evaluate``
 outputs it reads and the block's ``Design``: a new statistic is one table row.
-A block folds into a total by one ``accumulate`` over its trials, trial after
-trial at any row size (``reduce`` adds a one-element column pairwise); short sums
-run left to right, as ``np.sum`` adds them. So totals do not depend on the block
-size or on which rows were redrawn, and a block's memory is bounded by ``BLOCK_ROWS``.
+A block folds into a total trial after trial: by one ufunc call per trial when it has
+fewer trials than the total has cells, else by one ``accumulate``, which loops per cell
+(``reduce`` adds a one-element column pairwise). Short sums run left to right, as
+``np.sum`` adds them. So totals do not depend on the block size or on redrawn rows.
 """
 
 from __future__ import annotations
@@ -85,6 +85,15 @@ def _fold_last(ufunc: np.ufunc, a: np.ndarray, start) -> np.ndarray:
     for k in range(1, a.shape[-1]):
         ufunc(out, a[..., k], out=out)
     return out
+
+
+def _fold(ufunc: np.ufunc, total: np.ndarray, trials: np.ndarray) -> None:
+    """Fold ``trials`` (trial axis first) into ``total`` in place, in trial order."""
+    if len(trials) < total.size:  # accumulate would run one inner loop per cell
+        for value in trials:
+            ufunc(total, value, out=total)
+    else:
+        total[...] = ufunc.accumulate(np.concatenate([total[None], trials]), 0)[-1]
 
 
 def _kernels(delta: np.ndarray, num_elements: int) -> tuple[np.ndarray, np.ndarray]:
@@ -553,7 +562,7 @@ def simulate(
     more points than that. A trial's draw at each attempt is shared by its
     points, and one design serves every SNR. Returns the ``STATISTICS`` rows
     ``names``, each in its value's shape with a point axis for the row axis, folded
-    from 0 over the point's trials in trial order, and each point's redraw count.
+    from 0 over the point's trials in trial order by ``_fold``, and each point's redraw count.
     """
     swept = None if sweep_aod_deg is None else _normalized_from_degrees(sweep_aod_deg)
     budget = RedrawBudget(config.trials, sweep_aod_deg)
@@ -575,6 +584,5 @@ def simulate(
             if name not in totals:
                 totals[name] = np.zeros((points, *block.shape[1:]))
             total = totals[name][start : start + span]
-            stacked = np.concatenate([total[None], block.reshape(len(trials), *total.shape)])
-            total[...] = STATISTICS[name][0].accumulate(stacked, 0)[-1]
+            _fold(STATISTICS[name][0], total, block.reshape(len(trials), *total.shape))
     return totals, budget.used

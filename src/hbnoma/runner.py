@@ -141,8 +141,6 @@ def sweep_grid(start: float, stop: float, step: float) -> list[float]:
 
 def spearman_rank_correlation(x: Sequence[float], y: Sequence[float]) -> float:
     """Spearman correlation via average ranks; NaN-free for constant input."""
-    xs = np.asarray(x, dtype=float)
-    ys = np.asarray(y, dtype=float)
 
     def ranks(values: np.ndarray) -> np.ndarray:
         # tied values at sorted positions lo..hi-1 share the average rank (lo + 1 + hi)/2
@@ -150,11 +148,9 @@ def spearman_rank_correlation(x: Sequence[float], y: Sequence[float]) -> float:
         lo, hi = (np.searchsorted(ordered, values, side) for side in ("left", "right"))
         return (lo + 1 + hi) / 2
 
-    rx, ry = ranks(xs), ranks(ys)
-    sx, sy = rx.std(), ry.std()
-    if sx == 0.0 or sy == 0.0:
-        return 0.0
-    return float(np.mean((rx - rx.mean()) * (ry - ry.mean())) / (sx * sy))
+    rx, ry = (ranks(np.asarray(values, dtype=float)) for values in (x, y))
+    spread = rx.std() * ry.std()  # 0 only for constant input: ranks differ by 1/2 or more
+    return float(np.mean((rx - rx.mean()) * (ry - ry.mean())) / spread) if spread else 0.0
 
 
 # Beam-alignment sweep preset: two clusters of two users, beams at +-60
@@ -191,7 +187,6 @@ class Fig2Sweep:
     """Alignment sweep table: mean correlation, rate, and bound per point."""
 
     rows: list[tuple[float, float, float, float, float]]
-    spearman_by_snr: dict[float, float]
     seed: int
     trials: int
     version: str
@@ -200,6 +195,13 @@ class Fig2Sweep:
 
     def csv_rows(self) -> list[tuple]:
         return list(self.rows)
+
+    @property
+    def spearman_by_snr(self) -> dict[float, float]:
+        """Spearman correlation of rho against the simulated rate at each SNR, from the rows."""
+        table = np.array(self.rows).T
+        snrs = dict.fromkeys(table[4].tolist())  # each SNR once, in row order
+        return {snr: spearman_rank_correlation(*table[1:3, table[4] == snr]) for snr in snrs}
 
     def as_dict(self) -> dict:
         return {
@@ -235,11 +237,9 @@ def sweep_fig2(
     # each (SNRs, points); rho, SNR-free, is (1, points) and serves every SNR
     tracked = np.broadcast_arrays(*(sums[name][:, :, 0, 1].T / trials for name in FIG2_STATISTICS))
     rows = []
-    spearman: dict[float, float] = {}
     for snr, rate, bound, rho in zip(snr_db_values, *tracked):
         rows += zip(grid, rho.tolist(), rate.tolist(), bound.tolist(), [snr] * len(grid))
-        spearman[float(snr)] = spearman_rank_correlation(rho, rate)
-    return Fig2Sweep(rows, spearman, seed, trials, __version__)
+    return Fig2Sweep(rows, seed, trials, __version__)
 
 
 # Correlation-vs-angle preset: three clusters with beams at 0, -40 and +40

@@ -13,8 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hbnoma import runner
 from hbnoma.cli import main
-from hbnoma.engine import design_trial, evaluate
+from hbnoma.engine import design_trial, evaluate, simulate
 from hbnoma.runner import run_scenario
 from hbnoma.scenario import parse_config_text
 
@@ -281,6 +282,38 @@ class TestSweepCommands:
         _, *lines = capsys.readouterr().out.splitlines()
         assert len(keys) == 2
         assert set(keys) == {line.split(",")[-1] for line in lines}
+
+
+    def test_fig2_computes_spearman_entries_only_for_json(self, capsys, monkeypatch):
+        calls = []
+
+        def spy(x, y):
+            calls.append(len(x))
+            return spearman(x, y)
+
+        spearman = runner.spearman_rank_correlation
+        monkeypatch.setattr(runner, "spearman_rank_correlation", spy)
+        sweep = ["fig2", "--snr-db", "0,5,-3", "--trials", "2", "--step", "5"]
+        assert main(sweep) == 0
+        assert calls == []
+        assert main([*sweep, "--format", "json"]) == 0
+        assert calls == [3, 3, 3]  # one per SNR, over its three points
+        capsys.readouterr()
+
+    def test_fig2_spearman_entries_are_the_eager_ones(self, capsys):
+        # the formula sweep_fig2 applied to every request before the entries were read from rows
+        snrs, trials = (0.0, 5.0, -3.0), 4
+        grid = runner.sweep_grid(50.0, 60.0, 2.5)
+        config = runner.fig2_config(grid[0], 1, trials, snrs)
+        sums = simulate(config, grid, runner.FIG2_STATISTICS)[0]
+        rho, rate = (sums[name][:, :, 0, 1].T / trials for name in ("rho", "rate"))
+        expected = {
+            "%.17g" % snr: runner.spearman_rank_correlation(rho[0], rate[k])
+            for k, snr in enumerate(snrs)
+        }
+        sweep = ["fig2", "--snr-db", "0,5,-3", "--trials", "4", "--step", "2.5"]
+        assert main([*sweep, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["spearman_rho_vs_rate_by_snr"] == expected
 
 
 class TestValidateCommand:

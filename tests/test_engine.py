@@ -241,6 +241,24 @@ def test_short_sums_add_left_to_right_as_np_sum_does():
     assert engine._sum_last(left_to_right)[0] == 1.0  # (1 + 1e-16) + 1e-16 rounds twice
 
 
+@pytest.mark.parametrize("ufunc", [np.add, np.maximum])
+def test_both_fold_loops_equal_one_accumulate(ufunc):
+    # _fold adds trial by trial when a block has fewer trials than cells, and by one
+    # accumulate otherwise; +inf and -inf never share a cell, so the one NaN is math.nan
+    rng = np.random.default_rng(27)
+    for shape in [(1, 2166), (10, 2, 12), (11, 12), (12, 12), (512, 4, 3), (40, 1)]:
+        sign = np.where(np.arange(math.prod(shape[1:])).reshape(shape[1:]) % 2, 1.0, -1.0)
+        total, expected = np.zeros(shape[1:]), np.zeros(shape[1:])
+        for _ in range(2):  # the second block folds into the first one's total
+            values = _spanning(rng, shape)
+            infinite = np.isinf(values)
+            values[infinite] = np.broadcast_to(sign * math.inf, shape)[infinite]
+            values[3:][rng.random(values[3:].shape) < 0.02] = 0.0
+            expected = ufunc.accumulate(np.concatenate([expected[None], values]), 0)[-1]
+            engine._fold(ufunc, total, values)
+        assert total.tobytes() == expected.tobytes(), shape
+
+
 @pytest.mark.parametrize("block_rows", [7, 100, 512])
 def test_simulate_blocks_are_whole_trials_or_one_trial(monkeypatch, block_rows):
     # each block folds whole (trial, point) cells: every point of its trials, or

@@ -39,3 +39,17 @@ def test_stage_times_sum_to_the_total(stage_times):
     assert all(seconds > 0.0 for seconds in stages)
     assert sum(stages) == pytest.approx(best["total"], rel=1e-12)
     assert best["untimed"] > 0.0
+
+
+def test_child_tables_merge_to_each_sides_best(stage_times):
+    def child(scale):
+        stages = {stage: scale * (k + 1) for k, stage in enumerate(stage_times.STAGES)}
+        return {"fig3": {**stages, "total": 10.0 * scale, "untimed": 9.0 * scale, "rows": 361}}
+
+    against = stage_times.best_of([child(2.0), child(1.0), child(3.0)])
+    this = stage_times.best_of([child(1.5), child(0.5)])
+    assert against == child(1.0) and this == child(0.5)
+    lines = stage_times.comparison(against, this)
+    assert len(lines) == 2 + len(stage_times.STAGES) + 2
+    assert lines[2] == f"| fig3 | {stage_times.STAGES[0]} | 1.00 | 0.50 | -50.0% |"
+    assert lines[-1] == "| fig3 | untimed | 9.00 | 4.50 | -50.0% |"
