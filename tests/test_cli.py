@@ -288,7 +288,7 @@ class TestSweepCommands:
         calls = []
 
         def spy(x, y):
-            calls.append(len(x))
+            calls.append((list(x), list(y)))
             return spearman(x, y)
 
         spearman = runner.spearman_rank_correlation
@@ -296,9 +296,15 @@ class TestSweepCommands:
         sweep = ["fig2", "--snr-db", "0,5,-3", "--trials", "2", "--step", "5"]
         assert main(sweep) == 0
         assert calls == []
+        _, *lines = capsys.readouterr().out.splitlines()
+        rows = [[float(value) for value in line.split(",")] for line in lines]
         assert main([*sweep, "--format", "json"]) == 0
-        assert calls == [3, 3, 3]  # one per SNR, over its three points
         capsys.readouterr()
+        # one call per SNR, in row order, on that SNR's rho and rate columns
+        assert calls == [
+            ([r[1] for r in rows if r[4] == snr], [r[2] for r in rows if r[4] == snr])
+            for snr in (0.0, 5.0, -3.0)
+        ]
 
     def test_fig2_spearman_entries_are_the_eager_ones(self, capsys):
         # the formula sweep_fig2 applied to every request before the entries were read from rows
