@@ -29,9 +29,12 @@ a call nested in another stage counts to the inner stage only. The stages:
   outputs and design and written into its block array, one array per
   statistic and block in the value's own shape, and one fold per statistic
   of the block's whole trials into its per-point totals. Each workload
-  asks ``simulate`` for the rows its command prints: every row for
-  ``demo`` and ``wide``, as ``run`` does, and ``sweep_fig2``'s and
-  ``sweep_fig3``'s own names for ``fig2`` and ``fig3``.
+  asks ``simulate`` for the rows and clusters its command prints: every
+  row for ``demo`` and ``wide``, as ``run`` does, and ``sweep_fig2``'s and
+  ``sweep_fig3``'s own names for ``fig2`` and ``fig3``; every cluster but
+  for ``fig2``, which asks for ``FIG2_CLUSTERS``, the swept user's, as
+  ``sweep_fig2`` does. A checkout whose runner has no ``FIG2_CLUSTERS``
+  is asked for every cluster, as its ``fig2`` command is.
 
 ``total`` is the best instrumented run and ``untimed`` the best run with no
 wrapper, so their difference is the timers' own cost. The script changes
@@ -66,7 +69,7 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from hbnoma import engine  # noqa: E402
+from hbnoma import engine, runner  # noqa: E402
 from hbnoma.runner import (  # noqa: E402
     FIG2_STATISTICS,
     FIG3_STATISTICS,
@@ -93,19 +96,24 @@ STAGES = (
 
 
 def workloads() -> dict:
-    """Name -> (config, sweep grid or None, statistic names): the demo 2x2 config
-    at T_BS = 16, ``perfbench/wide.cfg``, the default ``fig2`` grid and the
-    ``fig3`` grid, each with the statistics its command asks for."""
+    """Name -> (config, sweep grid or None, statistic names, clusters or None for every
+    one): the demo 2x2 config at T_BS = 16, ``perfbench/wide.cfg``, the default ``fig2``
+    grid and the ``fig3`` grid, each with the statistics and clusters its command asks for."""
     demo = load_config(ROOT / "scenarios" / "two_cluster_demo.cfg")
     wide = load_config(ROOT / "perfbench" / "wide.cfg")
     fig2_grid = sweep_grid(50.0, 60.0, 0.25)
     fig3_grid = sweep_grid(-90.0, 90.0, 0.5)
     every = tuple(engine.STATISTICS)
     return {
-        "demo": (dataclasses.replace(demo, trials=20_000), None, every),
-        "wide": (dataclasses.replace(wide, trials=5_000), None, every),
-        "fig2": (fig2_config(fig2_grid[0], 1, 100, (0.0, 5.0)), fig2_grid, FIG2_STATISTICS),
-        "fig3": (fig3_config(fig3_grid[0], 1), fig3_grid, FIG3_STATISTICS),
+        "demo": (dataclasses.replace(demo, trials=20_000), None, every, None),
+        "wide": (dataclasses.replace(wide, trials=5_000), None, every, None),
+        "fig2": (
+            fig2_config(fig2_grid[0], 1, 100, (0.0, 5.0)),
+            fig2_grid,
+            FIG2_STATISTICS,
+            getattr(runner, "FIG2_CLUSTERS", None),
+        ),
+        "fig3": (fig3_config(fig3_grid[0], 1), fig3_grid, FIG3_STATISTICS, None),
     }
 
 
@@ -172,17 +180,19 @@ def instrumented(timer: StageTimer):
             setattr(owner, name, original)
 
 
-def measure(config, grid, names, repeats: int) -> dict[str, float]:
-    """Best-of-``repeats`` seconds per stage, plus ``total`` and ``untimed``."""
+def measure(config, grid, names, repeats: int, clusters=None) -> dict[str, float]:
+    """Best-of-``repeats`` seconds per stage, plus ``total`` and ``untimed``; ``clusters``
+    None leaves ``simulate`` its default, every cluster."""
     best: dict[str, float] = defaultdict(lambda: float("inf"))
-    engine.simulate(config, grid, names)  # warm-up
+    args = (config, grid, names) + (() if clusters is None else (clusters,))
+    engine.simulate(*args)  # warm-up
     for _ in range(repeats):
         start = time.perf_counter()
-        engine.simulate(config, grid, names)
+        engine.simulate(*args)
         best["untimed"] = min(best["untimed"], time.perf_counter() - start)
         timer = StageTimer()
         with instrumented(timer):
-            timer.call("aggregation", engine.simulate, config, grid, names)
+            timer.call("aggregation", engine.simulate, *args)
         for stage in STAGES:
             best[stage] = min(best[stage], timer.totals[stage])
         best["total"] = min(best["total"], sum(timer.totals.values()))
@@ -192,9 +202,9 @@ def measure(config, grid, names, repeats: int) -> dict[str, float]:
 def table(repeats: int) -> dict[str, dict[str, float]]:
     """Workload -> stage -> best µs per row over ``repeats``, plus ``rows``."""
     columns = {}
-    for name, (config, grid, names) in workloads().items():
+    for name, (config, grid, names, clusters) in workloads().items():
         rows = config.trials * (1 if grid is None else len(grid))
-        best = measure(config, grid, names, repeats)
+        best = measure(config, grid, names, repeats, clusters)
         columns[name] = {k: v / rows * 1e6 for k, v in best.items()}
         columns[name]["rows"] = rows
     return columns

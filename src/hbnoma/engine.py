@@ -23,16 +23,16 @@ the draws is array arithmetic over the whole block:
   a Gershgorin pre-test decides most reject tests without an eigensolve, and
   at four clusters a closed form gives each 3 x 3 leakage Gram's top
   eigenvalue, with ``eigvalsh`` only near a double top eigenvalue;
-* ``evaluate`` computes each output at every SNR of one design, once, when a
-  statistic first reads it; the bound and the correlation of weak users only.
+* ``evaluate`` computes each output of the kept clusters at every SNR of one design,
+  once, when a statistic first reads it; the bound and the correlation of weak users only.
 
 The matched receive combiner cancels the AoA from every effective channel,
 so AoAs are never drawn.
 
-``simulate`` returns the statistics asked for by name, each folded per sweep
-point, and each point's redraw count. ``STATISTICS`` gives each name its fold,
-``np.add`` or ``np.maximum``, and its value, of any shape, from the ``evaluate``
-outputs it reads and the block's ``Design``: a new statistic is one table row.
+``simulate`` returns the statistics asked for by name, of the clusters kept, each folded
+per sweep point, and each point's redraw count. ``STATISTICS`` gives each name its fold,
+``np.add`` or ``np.maximum``, and its value, of any shape, from the ``evaluate`` outputs
+it reads and their ``Design``: a new statistic is one table row.
 A block folds into a total trial after trial: by one ufunc call per trial when it has
 fewer trials than the total has cells, else by one ``accumulate``, which loops per cell
 (``reduce`` adds a one-element column pairwise). Short sums run left to right, as
@@ -324,21 +324,27 @@ def design_trials(
     )
 
 
-# The per-user outputs, each (SNRs, C, N, M), users in SIC order; rho, SNR-free, is (1, C, N, M)
+# The per-user outputs, each (SNRs, C, K, M) for K kept clusters, users in SIC order; rho,
+# SNR-free, is (1, C, K, M)
 OUTPUTS = ("rate", "bound", "rho", "intra", "inter")
 
 
 class Outputs:
-    """The ``OUTPUTS`` of a design's rows at each SNR of ``config``, and their parts,
-    each computed on its first read and at most once: a caller pays for what it reads.
+    """The ``OUTPUTS`` of a design's rows at each SNR of ``config``, for the clusters that
+    ``clusters`` keeps, and their parts, each computed on its first read and at most once.
 
-    The same quantities as ``rates.user_rate`` and ``bounds.lower_bound_rate``; first
-    users keep their exact rate as their bound and a correlation of 1, and the
-    correlation and the bound's ``eta`` and ``lam`` are computed for weak users only.
+    ``design`` is cut to the kept clusters in its per-user arrays only: every beam enters
+    a kept user's couplings, eta and lam. The same quantities as ``rates.user_rate`` and
+    ``bounds.lower_bound_rate``; first users keep their exact rate as their bound and a
+    correlation of 1, and the correlation and the bound's ``eta`` and ``lam`` are
+    computed for weak users only.
     """
 
-    def __init__(self, config: ScenarioConfig, design: Design):
-        self.config, self.design = config, design
+    PER_USER = ("aod", "gain", "rows", "norm", "sic", "demoted", "ks_user")  # what is cut
+
+    def __init__(self, config: ScenarioConfig, design: Design, clusters=slice(None)):
+        self.config, self.clusters = config, clusters
+        self.design = design._replace(**{k: getattr(design, k)[:, clusters] for k in self.PER_USER})
         # power scalars in Python floats, one row per SNR, broadcast over (C, N, M)
         cluster = [10.0 ** (snr_db / 10.0) / config.num_clusters for snr_db in config.snr_dbs]
         user = [[f * p for f in config.resolved_fractions()] for p in cluster]
@@ -350,12 +356,13 @@ class Outputs:
 
     @cached_property
     def couplings(self) -> tuple[np.ndarray, np.ndarray]:
-        """(own, leaked), each (C, N, M): |h^H f_n|^2 from the user's own beam n, and its sum
+        """(own, leaked), each (C, K, M): |h^H f_n|^2 from the user's own beam n, and its sum
         over the other beams."""
-        design, beams = self.design, np.arange(self.config.num_clusters)
-        beam_gain = (design.rows @ design.baseband[design.run, None]) ** 2  # (C, N, M, beam)
-        own = beam_gain[:, beams, :, beams].transpose(1, 0, 2)  # a copy: (C, N, M)
-        beam_gain[:, beams, :, beams] = 0.0
+        design, beams = self.design, np.arange(self.config.num_clusters)[self.clusters]
+        kept = np.arange(len(beams))
+        beam_gain = (design.rows @ design.baseband[design.run, None]) ** 2  # (C, K, M, beam)
+        own = beam_gain[:, kept, :, beams].transpose(1, 0, 2)  # a copy: (C, K, M)
+        beam_gain[:, kept, :, beams] = 0.0
         return own, _sum_last(beam_gain)
 
     own = property(lambda self: self.couplings[0])
@@ -369,7 +376,7 @@ class Outputs:
 
     @cached_property
     def inner(self) -> np.ndarray:
-        """(C, N, M - 1): each weak user's row times its first user's."""
+        """(C, K, M - 1): each weak user's row times its first user's."""
         rows = self.design.rows
         return (rows[:, :, 1:] @ rows[:, :, :1].swapaxes(-1, -2))[..., 0]
 
@@ -392,9 +399,10 @@ class Outputs:
 
     @cached_property
     def lam(self) -> np.ndarray:
-        """(C, N, 1): the top eigenvalue of each cluster's leakage Gram."""
+        """(C, K, 1): the top eigenvalue of each kept cluster's leakage Gram."""
         baseband, run = self.design.baseband, self.design.run
-        return _max_leakage_eigenvalues(baseband.swapaxes(-1, -2) @ baseband)[run, :, None]
+        lam = _max_leakage_eigenvalues(baseband.swapaxes(-1, -2) @ baseband)  # (R, N)
+        return lam[run, self.clusters, None]
 
     @cached_property
     def bound(self) -> np.ndarray:
@@ -419,7 +427,7 @@ class Outputs:
         return bound
 
 
-evaluate = Outputs  # a round's outputs: evaluate(config, design)
+evaluate = Outputs  # a round's outputs: evaluate(config, design[, clusters])
 
 
 def _max_leakage_eigenvalues(gram: np.ndarray) -> np.ndarray:
@@ -540,18 +548,21 @@ def _normalized_from_degrees(aod_deg: Sequence[float]) -> np.ndarray:
 
 
 # Every run statistic ``simulate`` can fold: name -> (the ufunc that folds it over trials,
-# its value from a block's ``evaluate`` outputs and ``Design``: any shape, rows on axis 1).
+# its value from a round's ``evaluate`` outputs and their ``Design``: any shape, rows on axis 1).
 # A new statistic is one row; ``np.add`` of a 0/1 array counts.
 STATISTICS = {
     **{name: (np.add, lambda o, d, f=name: getattr(o, f)) for name in OUTPUTS},
     "violations": (np.add, lambda o, d: o.bound > o.rate),  # weak users': a first's bound is its rate
     "max_excess": (np.maximum, lambda o, d: np.where(o.bound > o.rate, o.bound - o.rate, 0.0)),
-    "demotions": (np.add, lambda o, d: d.demoted[None]),  # (1, C, N): beam user not SIC-first
+    "demotions": (np.add, lambda o, d: d.demoted[None]),  # (1, C, K): beam user not SIC-first
 }
 
 
 def simulate(
-    config: ScenarioConfig, sweep_aod_deg: Sequence[float] | None = None, names=tuple(STATISTICS)
+    config: ScenarioConfig,
+    sweep_aod_deg: Sequence[float] | None = None,
+    names=tuple(STATISTICS),
+    clusters=slice(None),
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Run the configured trial budget at every sweep point and SNR of ``config``.
 
@@ -561,8 +572,9 @@ def simulate(
     whole trials, or one trial at up to ``BLOCK_ROWS`` points when a trial has
     more points than that. A trial's draw at each attempt is shared by its
     points, and one design serves every SNR. Returns the ``STATISTICS`` rows
-    ``names``, each in its value's shape with a point axis for the row axis, folded
-    from 0 over the point's trials in trial order by ``_fold``, and each point's redraw count.
+    ``names`` of the clusters the slice ``clusters`` keeps (all are designed), each in
+    its value's shape with a point axis for the row axis, folded from 0 over the point's
+    trials in trial order by ``_fold``, and each point's redraw count.
     """
     swept = None if sweep_aod_deg is None else _normalized_from_degrees(sweep_aod_deg)
     budget = RedrawBudget(config.trials, sweep_aod_deg)
@@ -575,9 +587,9 @@ def simulate(
         at = np.arange(start, min(start + span, points))
         rows = np.repeat(trials, len(at)), np.tile(at, len(trials))  # trial-major
         rounds = accepted_designs(config, sampler, *rows, budget, swept)
-        rounds = [(done, evaluate(config, design), design) for done, _, design in rounds]
+        rounds = [(done, evaluate(config, design, clusters)) for done, _, design in rounds]
         for name in names:
-            values = [(done, STATISTICS[name][1](o, d).swapaxes(0, 1)) for done, o, d in rounds]
+            values = [(done, STATISTICS[name][1](o, o.design).swapaxes(0, 1)) for done, o in rounds]
             block = np.empty((len(rows[0]), *values[0][1].shape[1:]))
             for done, value in values:
                 block[done] = value

@@ -162,6 +162,7 @@ FIG2_OTHER_CLUSTER_AODS = (-60.0, -50.0)
 FIG2_SWEEP_START_DEG = 50.0
 FIG2_SWEEP_STOP_DEG = 60.0
 FIG2_STATISTICS = ("rate", "bound", "rho")  # the engine statistics sweep_fig2 prints
+FIG2_CLUSTERS = slice(0, 1)  # of the swept user's cluster only
 
 
 def fig2_config(
@@ -233,7 +234,7 @@ def sweep_fig2(
     """
     grid = sweep_grid(FIG2_SWEEP_START_DEG, FIG2_SWEEP_STOP_DEG, step_deg)
     config = fig2_config(grid[0], seed, trials, tuple(snr_db_values))
-    sums = simulate(config, grid, FIG2_STATISTICS)[0]
+    sums = simulate(config, grid, FIG2_STATISTICS, FIG2_CLUSTERS)[0]
     # each (SNRs, points); rho, SNR-free, is (1, points) and serves every SNR
     tracked = np.broadcast_arrays(*(sums[name][:, :, 0, 1].T / trials for name in FIG2_STATISTICS))
     rows = []

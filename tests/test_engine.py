@@ -299,8 +299,8 @@ def _spiked(evaluate):
     loops differ in it, so +inf and -inf, whose sum is a NaN of the platform's,
     never meet in one sum, and the one NaN written is ``math.nan``.
     """
-    def spiked(config, design):
-        outputs = evaluate(config, design)
+    def spiked(config, design, *clusters):
+        outputs = evaluate(config, design, *clusters)
         values = [getattr(outputs, name) for name in engine.OUTPUTS]  # each computed, then spiked
         drawn = np.concatenate([design.aod, design.gain], axis=1)
         key = drawn.reshape(len(drawn), -1).view(np.uint64).sum(axis=1) % 11
@@ -337,6 +337,54 @@ def test_totals_equal_the_add_at_aggregation(monkeypatch, block_rows):
             mine, reference = ours[0][name], theirs[0][name]
             assert mine.shape == reference.shape and mine.tobytes() == reference.tobytes(), name
         assert np.array_equal(ours[1], theirs[1])
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 512])
+def test_kept_clusters_total_as_the_full_run_at_them(monkeypatch, block_rows):
+    # every beam still enters a kept user's outputs; in WIDE, slice(1, 3) keeps clusters
+    # whose own beams are not the first ones, and the run redraws some rows
+    monkeypatch.setattr(engine, "BLOCK_ROWS", block_rows)
+    cases = [
+        (fig2_config(50.0, 7, 12, (0.0, 5.0)), sweep_grid(50.0, 60.0, 2.5), slice(0, 1)),
+        (parse_config_text(WIDE), None, slice(1, 3)),
+    ]
+    for config, grid, clusters in cases:
+        full, redraws = simulate(config, grid)
+        cut, cut_redraws = simulate(config, grid, tuple(engine.STATISTICS), clusters)
+        assert list(cut) == list(full) and np.array_equal(cut_redraws, redraws)
+        assert len(full["rate"]) == 5 or redraws.sum() > 0
+        for name, total in full.items():
+            kept = total[:, :, clusters]
+            assert cut[name].shape == kept.shape and cut[name].tobytes() == kept.tobytes(), name
+
+
+WIDE_CFG = Path(__file__).resolve().parents[1] / "perfbench" / "wide.cfg"
+
+
+@pytest.mark.parametrize(
+    "argv, clusters",
+    [
+        (["fig2", "--trials", "3", "--step", "2.5"], 1),
+        (["run", "--config", str(WIDE_CFG), "--trials", "20"], 4),
+        (["fig3", "--step", "15"], 3),
+    ],
+    ids=["fig2", "run", "fig3"],
+)
+def test_a_request_computes_only_the_clusters_it_prints(monkeypatch, tmp_path, argv, clusters):
+    made = []
+    original = engine.evaluate
+
+    def evaluate(*args):
+        made.append(original(*args))
+        return made[-1]
+
+    monkeypatch.setattr(engine, "evaluate", evaluate)
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert made
+    for outputs in made:
+        computed = [v for name, v in vars(outputs).items() if name in engine.OUTPUTS]
+        assert computed and {value.shape[2] for value in computed} == {clusters}
+        assert {getattr(outputs.design, k).shape[1] for k in outputs.PER_USER} == {clusters}
 
 
 @pytest.mark.parametrize("block_rows", [1, 7, 512])
@@ -465,9 +513,9 @@ def test_a_run_computes_each_member_once_per_round(monkeypatch):
     designs, batches = [], []
     original_evaluate, original_eigvalsh = engine.evaluate, np.linalg.eigvalsh
 
-    def evaluate(config, design):
+    def evaluate(config, design, *clusters):
         designs.append(design)
-        return original_evaluate(config, design)
+        return original_evaluate(config, design, *clusters)
 
     def eigvalsh(a, *args, **kwargs):
         batches.append(a)
