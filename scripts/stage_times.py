@@ -104,15 +104,12 @@ def workloads() -> dict:
     fig2_grid = sweep_grid(50.0, 60.0, 0.25)
     fig3_grid = sweep_grid(-90.0, 90.0, 0.5)
     every = tuple(engine.STATISTICS)
+    fig2 = fig2_config(fig2_grid[0], 1, 100, (0.0, 5.0))
+    fig2_clusters = getattr(runner, "FIG2_CLUSTERS", None)  # None where fig2 keeps every one
     return {
         "demo": (dataclasses.replace(demo, trials=20_000), None, every, None),
         "wide": (dataclasses.replace(wide, trials=5_000), None, every, None),
-        "fig2": (
-            fig2_config(fig2_grid[0], 1, 100, (0.0, 5.0)),
-            fig2_grid,
-            FIG2_STATISTICS,
-            getattr(runner, "FIG2_CLUSTERS", None),
-        ),
+        "fig2": (fig2, fig2_grid, FIG2_STATISTICS, fig2_clusters),
         "fig3": (fig3_config(fig3_grid[0], 1), fig3_grid, FIG3_STATISTICS, None),
     }
 

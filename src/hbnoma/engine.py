@@ -345,7 +345,7 @@ class Outputs:
     def __init__(self, config: ScenarioConfig, design: Design, clusters=slice(None)):
         self.config, self.clusters = config, clusters
         self.design = design._replace(**{k: getattr(design, k)[:, clusters] for k in self.PER_USER})
-        # power scalars in Python floats, one row per SNR, broadcast over (C, N, M)
+        # power scalars in Python floats, one row per SNR, broadcast over (C, K, M)
         cluster = [10.0 ** (snr_db / 10.0) / config.num_clusters for snr_db in config.snr_dbs]
         user = [[f * p for f in config.resolved_fractions()] for p in cluster]
         stronger = [[sum(up[:k]) for k in range(len(up))] for up in user]
