@@ -10,12 +10,17 @@ JSON object instead. A stage's time is exclusive:
 a call nested in another stage counts to the inner stage only. The stages:
 
 * draw: ``TrialSampler.draw``;
-* kernel: ``_kernels``, in the design only: its beam kernel and the fresh
-  Fejér sums of rows with a demoted beam;
+* kernel: ``dirichlet_kernel`` (``_kernels`` in a checkout that has it), in
+  the design only: its beam kernel and the fresh kernels of rows with a
+  demoted beam;
 * reject test: ``zero_forcing_rejects``, its eigensolves included;
-* solve: ``np.linalg.solve`` called by ``design_trials``;
+* solve: ``np.linalg.solve`` called by the ``Design`` member ``baseband``
+  (by ``design_trials`` in a checkout whose design is eager). ``fig3`` reads
+  no precoder, so its solve row reads 0;
 * design rest: the rest of ``design_trials`` (gathers, SIC sort, norms,
-  run detection, the precoder's radiated power);
+  run detection) and of the ``Design`` members it leaves to their first
+  read (the beam Gram, the Fejér squares and sums, the precoder's radiated
+  power, the SIC-ordered AoDs and gains), whichever stage reads them first;
 * η eigvalsh: ``np.linalg.eigvalsh`` called by an ``evaluate`` member (the
   beam Gram's, for η);
 * leakage: ``_max_leakage_eigenvalues``;
@@ -149,10 +154,19 @@ class StageTimer:
 # ``instrumented`` wraps
 TARGETS = (
     (engine.TrialSampler, "draw", "draw", None),
-    (engine, "_kernels", "kernel", None),
+    *(
+        (engine, name, "kernel", None)
+        for name in ("_kernels", "dirichlet_kernel")
+        if hasattr(engine, name)
+    ),
     (engine, "zero_forcing_rejects", "reject test", None),
     (np.linalg, "solve", "solve", "design rest"),
     (engine, "design_trials", "design rest", None),
+    *(
+        (member, "func", "design rest", None)
+        for member in vars(engine.Design).values()
+        if isinstance(member, functools.cached_property)
+    ),
     (np.linalg, "eigvalsh", "η eigvalsh", "rates and bound"),
     (engine, "_max_leakage_eigenvalues", "leakage", None),
     (engine, "evaluate", "rates and bound", None),

@@ -16,6 +16,10 @@ the draws is array arithmetic over the whole block:
   radiated power of a beam are closed forms in float64, and no T_MU x T_BS
   channel matrix is built; the design sums the kernel's square, the Fejer
   kernel, into the bound's Fejer sums, afresh in rows with a demoted beam;
+* ``design_trials`` computes only what acceptance reads: the beam kernel, the
+  effective channels, their norms and SIC order, the runs and the reject test.
+  The Fejer sums, the beam Gram, the precoder and the SIC-ordered AoDs and gains are
+  ``Design`` members computed on first read, so ``fig3``'s rho computes none of them;
 * the matrix work of a design (the zero-forcing reject test, the stacked
   ``np.linalg.solve``, the beam Gram's and the leakage eigenvalues) is done
   once per run of consecutive rows that share first users and beams, as the
@@ -44,7 +48,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import cached_property
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -96,9 +100,11 @@ def _fold(ufunc: np.ufunc, total: np.ndarray, trials: np.ndarray) -> None:
         total[...] = ufunc.accumulate(np.concatenate([total[None], trials]), 0)[-1]
 
 
-def _kernels(delta: np.ndarray, num_elements: int) -> tuple[np.ndarray, np.ndarray]:
-    """``dirichlet_kernel`` of ``delta`` and its square, ``arrays.fejer_correlation``, from
-    one offset r reduced to [-1, 1] and one ratio sin(pi*T*r/2) / (T*sin(pi*r/2))."""
+def dirichlet_kernel(delta: np.ndarray, num_elements: int) -> np.ndarray:
+    """Inner product c(x)^H c(x + delta) of two unit centred ULA steering vectors,
+    c(x) = exp(j*pi*(T-1)*x/2) * ``arrays.steering_vector`` a(x): the real
+    sin(pi*T*delta/2) / (T*sin(pi*delta/2)), from one offset r reduced to [-1, 1].
+    a(x)^H a(x + delta) is exp(-j*pi*(T-1)*delta/2) times it."""
     # delta = 2*periods + reduced: an IEEE remainder mod 2, exact because |delta| <= 2
     periods = np.rint(0.5 * delta)
     reduced = delta - 2.0 * periods
@@ -109,15 +115,12 @@ def _kernels(delta: np.ndarray, num_elements: int) -> tuple[np.ndarray, np.ndarr
     if num_elements % 2 == 0:
         # each period of delta flips the sign; integer parity, as a float % is slow
         ratio = ratio * (1 - 2 * (periods.astype(np.int64) & 1))
-    return ratio, np.minimum(ratio**2, 1.0)
+    return ratio
 
 
-def dirichlet_kernel(delta: np.ndarray, num_elements: int) -> np.ndarray:
-    """Inner product c(x)^H c(x + delta) of two unit centred ULA steering vectors,
-    c(x) = exp(j*pi*(T-1)*x/2) * ``arrays.steering_vector`` a(x): the real
-    sin(pi*T*delta/2) / (T*sin(pi*delta/2)). a(x)^H a(x + delta) is
-    exp(-j*pi*(T-1)*delta/2) times it."""
-    return _kernels(delta, num_elements)[0]
+def _fejer(kernel: np.ndarray) -> np.ndarray:
+    """The Fejer kernel, ``arrays.fejer_correlation``, from ``dirichlet_kernel``'s values."""
+    return np.minimum(kernel**2, 1.0)
 
 
 class TrialSampler:
@@ -182,26 +185,63 @@ class TrialSampler:
         return aod.reshape(shape), gain.reshape(shape)
 
 
-class Design(NamedTuple):
+class Design:
     """Precoders of a batch of accepted trials.
 
     Per-row arrays lead with the row axis C, per-run arrays with the run axis
     R; user axes are in SIC order (strongest first), and ``sic`` maps each SIC
     position to the user's index in the config. ``rows``, ``gram`` and ``baseband``
     are float64, in the centred basis (``dirichlet_kernel``), without gain phases.
+    ``design_trials`` sets the members that decide acceptance; ``aod``, ``gain``,
+    ``ks_user``, ``gram`` and ``baseband`` are computed from the accepted rows and kept
+    runs when first read, and at most once.
     """
 
-    aod: np.ndarray  # (C, N, M) normalized AoD
-    gain: np.ndarray  # (C, N, M) |beta|
     beam_aod: np.ndarray  # (C, N) normalized AoD each analog beam is steered at
     rows: np.ndarray  # (C, N, M, N) effective channels |beta| * sqrt(T_BS T_MU) * c(aod)^H F_rf
     norm: np.ndarray  # (C, N, M) effective-channel norms
     sic: np.ndarray  # (C, N, M) config index of each SIC position
     demoted: np.ndarray  # (C, N) the beam's user lost first place in the SIC order
-    ks_user: np.ndarray  # (C, N, M) sum over first users j of F_T(j's AoD - the user's AoD)
     run: np.ndarray  # (C,) the row's run of consecutive rows with equal first rows and beams
-    gram: np.ndarray  # (R, N, N) F_rf^H F_rf, F_rf's columns the centred c(beam_aod)
-    baseband: np.ndarray  # (R, N, N) zero-forcing precoder for rows, unit power per beam
+    MEMBERS = ("aod", "gain", "beam_aod", "rows", "norm", "sic", "demoted", "ks_user", "run",
+               "gram", "baseband")  # every member, set or computed on first read
+
+    def __init__(self, t_bs, drawn, starts, first_rows, **members):
+        """``drawn``: the accepted rows' AoDs, |beta|, beam kernel and beam users, in config
+        order; ``starts``: each kept run's first row; ``first_rows``: its first users' rows."""
+        self.__dict__.update(members)
+        self._aod, self._gain, self._kernel, self._beam_user = drawn
+        self._t_bs, self._starts, self._first_rows = t_bs, starts, first_rows
+
+    aod = cached_property(lambda self: _take_users(self.sic, self._aod)[0])  # (C, N, M)
+    gain = cached_property(lambda self: _take_users(self.sic, self._gain)[0])  # (C, N, M) |beta|
+
+    @cached_property
+    def ks_user(self) -> np.ndarray:
+        """(C, N, M): sum over first users j of F_T(j's AoD - the user's AoD)."""
+        ks_user = _take_users(self.sic, _sum_last(_fejer(self._kernel)))[0]
+        # the sums ran over the beams' AoDs, the first users' unless demoted: such rows sum afresh
+        fresh = _fold_last(np.logical_or, self.demoted, False)
+        if fresh.any():
+            aod = _take_users(self.sic[fresh], self._aod[fresh])[0]
+            delta = aod[:, None, None, :, 0] - aod[..., None]
+            ks_user[fresh] = _sum_last(_fejer(dirichlet_kernel(delta, self._t_bs)))
+        return ks_user
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """(R, N, N) F_rf^H F_rf, F_rf's columns c(beam_aod): row i is beam i's user's kernel."""
+        return _take_users(self._beam_user[..., None], self._kernel)[0][:, :, 0][self._starts]
+
+    @cached_property
+    def baseband(self) -> np.ndarray:
+        """(R, N, N) zero-forcing precoder for the first rows, unit power per beam."""
+        first_rows = self._first_rows
+        identity = np.broadcast_to(np.eye(first_rows.shape[1]), first_rows.shape)
+        # LU solve of first_rows @ F0 = I; explicit inversion loses digits at T_BS = 64
+        raw = np.linalg.solve(first_rows, identity)
+        radiated = np.sqrt(_sum_last((raw * (self.gram @ raw)).swapaxes(1, 2)))
+        return raw / radiated[:, None, :]
 
 
 def _runs(*arrays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -280,47 +320,27 @@ def design_trials(
     beam_user = np.argmax(gain, axis=2)
     beam_aod = _take_users(beam_user[..., None], aod)[0][..., 0]
     scale = math.sqrt(t_bs * config.mu_antennas)
-    kernel, fejer = _kernels(beam_aod[:, None, None, :] - aod[..., None], t_bs)
+    kernel = dirichlet_kernel(beam_aod[:, None, None, :] - aod[..., None], t_bs)
     rows = scale * gain[..., None] * kernel
-    # row i of F_rf^H F_rf is the kernel row of beam i's own user
-    gram = _take_users(beam_user[..., None], kernel)[0][:, :, 0]
     norm = np.sqrt(_sum_last(rows**2))
     sic = np.argsort(-norm, axis=2, kind="stable")
-    aod, gain, norm, rows, ks_user = _take_users(sic, aod, gain, norm, rows, _sum_last(fejer))
+    norm, rows = _take_users(sic, norm, rows)
     demoted = sic[..., 0] != beam_user
     # the precoder depends on the first rows and the beam Gram, which is a
     # function of the beam AoDs alone, so one run of rows shares one design
     starts, run = _runs(rows[:, :, 0], beam_aod)
-    first_rows, gram = rows[starts, :, 0], gram[starts]
+    first_rows = rows[starts, :, 0]
     kept = ~zero_forcing_rejects(first_rows)
     accepted = kept[run]
     if not accepted.all():
-        aod, gain, beam_aod, rows, norm, sic, demoted, ks_user = (
-            a[accepted] for a in (aod, gain, beam_aod, rows, norm, sic, demoted, ks_user)
+        aod, gain, kernel, beam_user, beam_aod, rows, norm, sic, demoted = (
+            a[accepted] for a in (aod, gain, kernel, beam_user, beam_aod, rows, norm, sic, demoted)
         )
-        first_rows, gram, run = first_rows[kept], gram[kept], (np.cumsum(kept) - 1)[run[accepted]]
-    # ks_user summed the beams' AoDs, the first users' unless demoted: such rows sum afresh
-    fresh = _fold_last(np.logical_or, demoted, False)
-    if fresh.any():
-        first_aod = aod[fresh, None, None, :, 0]
-        ks_user[fresh] = _sum_last(_kernels(first_aod - aod[fresh, ..., None], t_bs)[1])
-    n = config.num_clusters
-    # LU solve of first_rows @ F0 = I; explicit inversion loses digits at T_BS = 64
-    raw = np.linalg.solve(first_rows, np.broadcast_to(np.eye(n), first_rows.shape))
-    gram_raw = gram @ raw
-    radiated = np.sqrt(_sum_last((raw * gram_raw).swapaxes(1, 2)))
+        first_rows, run = first_rows[kept], (np.cumsum(kept) - 1)[run[accepted]]
+        starts = (np.cumsum(accepted) - 1)[starts[kept]]
     return accepted, Design(
-        aod=aod,
-        gain=gain,
-        beam_aod=beam_aod,
-        rows=rows,
-        norm=norm,
-        sic=sic,
-        demoted=demoted,
-        ks_user=ks_user,
-        run=run,
-        gram=gram,
-        baseband=raw / radiated[:, None, :],
+        t_bs, (aod, gain, kernel, beam_user), starts, first_rows,
+        beam_aod=beam_aod, rows=rows, norm=norm, sic=sic, demoted=demoted, run=run,
     )
 
 
@@ -333,8 +353,9 @@ class Outputs:
     """The ``OUTPUTS`` of a design's rows at each SNR of ``config``, for the clusters that
     ``clusters`` keeps, and their parts, each computed on its first read and at most once.
 
-    ``design`` is cut to the kept clusters in its per-user arrays only: every beam enters
-    a kept user's couplings, eta and lam. The same quantities as ``rates.user_rate`` and
+    ``design`` is cut to the kept clusters in its per-user members only, each when read,
+    and only when a cluster is dropped: every beam enters a kept user's couplings, eta
+    and lam. The same quantities as ``rates.user_rate`` and
     ``bounds.lower_bound_rate``; first users keep their exact rate as their bound and a
     correlation of 1, and the correlation and the bound's ``eta`` and ``lam`` are
     computed for weak users only.
@@ -344,7 +365,8 @@ class Outputs:
 
     def __init__(self, config: ScenarioConfig, design: Design, clusters=slice(None)):
         self.config, self.clusters = config, clusters
-        self.design = design._replace(**{k: getattr(design, k)[:, clusters] for k in self.PER_USER})
+        every = range(config.num_clusters)
+        self.design = design if every[clusters] == every else _ClusterCut(design, clusters)
         # power scalars in Python floats, one row per SNR, broadcast over (C, K, M)
         cluster = [10.0 ** (snr_db / 10.0) / config.num_clusters for snr_db in config.snr_dbs]
         user = [[f * p for f in config.resolved_fractions()] for p in cluster]
@@ -430,6 +452,20 @@ class Outputs:
 evaluate = Outputs  # a round's outputs: evaluate(config, design[, clusters])
 
 
+class _ClusterCut:
+    """``design`` with each ``Outputs.PER_USER`` member cut to ``clusters`` when first read."""
+
+    def __init__(self, design: Design, clusters: slice):
+        self._design, self._clusters = design, clusters
+
+    def __getattr__(self, name: str):
+        value = getattr(self._design, name)
+        if name in Outputs.PER_USER:
+            value = value[:, self._clusters]
+        setattr(self, name, value)
+        return value
+
+
 def _max_leakage_eigenvalues(gram: np.ndarray) -> np.ndarray:
     """(C, N): largest eigenvalue of the outer product of the baseband columns other
     than n: that of A, their (C, N, N) ``gram`` less row and column n.
@@ -446,6 +482,8 @@ def _max_leakage_eigenvalues(gram: np.ndarray) -> np.ndarray:
     c, n, _ = gram.shape
     if n == 1:
         return np.zeros((c, 1))
+    if n == 2:  # a 1 x 1 A is its eigenvalue, as eigvalsh returns it
+        return gram[:, [1, 0], [1, 0]]
     others = np.array([[j for j in range(n) if j != k] for k in range(n)])
     if n - 1 != 3:
         return np.linalg.eigvalsh(gram[:, others[:, :, None], others[:, None, :]])[..., -1]

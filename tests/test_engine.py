@@ -387,6 +387,35 @@ def test_a_request_computes_only_the_clusters_it_prints(monkeypatch, tmp_path, a
         assert {getattr(outputs.design, k).shape[1] for k in outputs.PER_USER} == {clusters}
 
 
+@pytest.mark.parametrize(
+    "argv, once",
+    [
+        (["fig3", "--step", "15"], set()),
+        (["fig2", "--trials", "3", "--step", "2.5"], {"baseband", "gram", "ks_user"}),
+        (["run", "--config", str(WIDE_CFG)], {"baseband", "gram", "ks_user"}),
+    ],
+    ids=["fig3", "fig2", "run"],
+)
+def test_a_request_computes_the_design_members_it_reads(monkeypatch, tmp_path, argv, once):
+    # fig3 reads rho alone, which needs no lazy design member; run and fig2 compute the
+    # precoder, the beam Gram and the Fejer sums once in every round, redraws included
+    computed = _count_members(monkeypatch, engine.Design)
+    designs = []
+    original = engine.evaluate
+
+    def evaluate(config, design, *clusters):
+        designs.append(design)
+        return original(config, design, *clusters)
+
+    monkeypatch.setattr(engine, "evaluate", evaluate)
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert len(designs) > (argv[0] == "run") * 2  # the run's second block redraws a row
+    assert set(Counter((id(design), name) for design, name in computed).values()) <= {1}
+    for design in designs:
+        assert {name for d, name in computed if d is design} >= once
+    assert once or computed == []
+
+
 @pytest.mark.parametrize("block_rows", [1, 7, 512])
 def test_one_statistic_of_one_user_sums_in_trial_order(monkeypatch, block_rows):
     # one cluster, one user, one SNR, one point and one statistic: each row of the fold
@@ -445,25 +474,25 @@ def test_per_point_counts_sum_to_the_manifest(seed):
     assert int(redraws.sum()) == manifest.singular_redraws
 
 
-def _members():
-    """The names of ``engine.Outputs``' members that are computed on first read."""
-    return {k for k, v in vars(engine.Outputs).items() if isinstance(v, functools.cached_property)}
+def _members(cls=engine.Outputs):
+    """The names of ``cls``' members that are computed on first read."""
+    return {k for k, v in vars(cls).items() if isinstance(v, functools.cached_property)}
 
 
-def _count_members(monkeypatch):
-    """Patch every computed member of ``engine.Outputs`` to log (instance, name) each
-    time it is computed; the log keeps the instances alive, so their ids stay distinct."""
+def _count_members(monkeypatch, cls=engine.Outputs):
+    """Patch every computed member of ``cls`` to log (instance, name) each time it is
+    computed; the log keeps the instances alive, so their ids stay distinct."""
     computed = []
-    for name in _members():
-        member = vars(engine.Outputs)[name]
+    for name in _members(cls):
+        member = vars(cls)[name]
 
         def compute(self, _name=name, _func=member.func):
             computed.append((self, _name))
             return _func(self)
 
         counted = functools.cached_property(compute)
-        counted.__set_name__(engine.Outputs, name)
-        monkeypatch.setattr(engine.Outputs, name, counted)
+        counted.__set_name__(cls, name)
+        monkeypatch.setattr(cls, name, counted)
     return computed
 
 
@@ -814,6 +843,19 @@ def test_leakage_closed_form_edge_cases():
     assert abs(lam[2] - 3.0) <= 4.0 * np.finfo(float).eps * 3.0
 
 
+def test_two_cluster_leakage_is_eigvalsh_of_the_one_by_one_gram(monkeypatch):
+    # at N = 2 each leakage Gram is 1 x 1: its one entry is eigvalsh's answer to the bit,
+    # also at extreme scales and for a NaN, and no eigensolve runs
+    rng = np.random.default_rng(41)
+    b = rng.standard_normal((20_000, 2, 2))
+    gram = b.swapaxes(1, 2) @ b
+    gram[:10_000] *= 10.0 ** rng.choice([-300.0, 300.0], (10_000, 1, 1))
+    gram[0, 0, 0] = gram[1, 1, 1] = np.nan
+    expected = np.stack([np.linalg.eigvalsh(gram[:, [[k]], [k]])[:, -1] for k in (1, 0)], 1)
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)
+    assert engine._max_leakage_eigenvalues(gram).tobytes() == expected.tobytes()
+
+
 def test_leakage_step_spares_most_eigensolves(monkeypatch):
     # one 512-row wide block has 2,048 3 x 3 leakage Grams
     gram = _leakage_grams(parse_config_text(WIDE), np.arange(engine.BLOCK_ROWS))
@@ -841,7 +883,8 @@ def test_design_kernel_gives_the_bound_the_fresh_kernel_gives():
         aod, beta = TrialSampler(config).draw(np.arange(64), 0)
         _, design = engine.design_trials(config, aod, beta)
         first = design.aod[:, None, None, :, 0]
-        fejer = engine._kernels(first - design.aod[..., None], config.bs_antennas)[1]
+        kernel = engine.dirichlet_kernel(first - design.aod[..., None], config.bs_antennas)
+        fejer = engine._fejer(kernel)
         assert design.ks_user.tobytes() == np.sum(fejer, axis=-1).tobytes()
         if config.users_per_cluster > 1:
             demoted += int(np.count_nonzero(design.demoted))
@@ -910,7 +953,8 @@ def _engine_matches_the_oracle(config):
     assert accepted[0]
     outputs = evaluate(config, design)
     values = (getattr(outputs, name) for name in engine.OUTPUTS)
-    assert not any(np.iscomplexobj(a) for a in (*design, *values))
+    members = (getattr(design, name) for name in engine.Design.MEMBERS)
+    assert not any(np.iscomplexobj(a) for a in (*members, *values))
     groups, rates, oracle = _oracle(config, design)
     # the oracle test's tolerance
     for ci, group in enumerate(groups):
@@ -1121,7 +1165,7 @@ def test_rows_of_one_run_share_a_design_equal_to_each_row_alone():
         for i in range(len(aod)):
             accepted, alone = engine.design_trials(config, aod[i : i + 1], beta[i : i + 1])
             assert accepted[0]
-            for name in engine.Design._fields:
+            for name in engine.Design.MEMBERS:
                 if name != "run":
                     row = _row_field(design, name, i)
                     assert row.tobytes() == getattr(alone, name).tobytes(), (i, name)
@@ -1155,11 +1199,37 @@ def test_a_row_gives_the_same_bits_at_any_offset_of_a_block():
             rows_aod[offset], rows_gain[offset] = aod[row][0], gain[row][0]
             accepted, design = engine.design_trials(config, rows_aod, rows_gain)
             assert accepted.all()
-            for name in engine.Design._fields:
+            for name in engine.Design.MEMBERS:
                 if name != "run":
                     ours = _row_field(design, name, offset)
                     assert ours.tobytes() == getattr(alone, name).tobytes(), (i, offset, name)
             _assert_row_outputs_equal(evaluate(config, design), offset, expected)
+
+
+def test_lazy_members_equal_each_row_alone_in_any_read_order():
+    # WIDE's first 300 rows hold rejected rows and rows with a demoted beam, whose Fejer
+    # sums are summed afresh; the fig3 rows put two rejected rows between two runs. Every
+    # member is computed from the accepted rows and kept runs, whichever is read first
+    wide, fig3 = parse_config_text(WIDE), fig3_config(0.0, seed=1)
+    aod, gain = TrialSampler(fig3).draw(np.zeros(6, dtype=int), 0)
+    aod[2:4, 1, 0] = aod[2:4, 0, 0]
+    aod[4:, 0, 1] = 0.5
+    rng = np.random.default_rng(43)
+    names = engine.Design.MEMBERS
+    orders = [names, names[::-1], *(rng.permutation(names).tolist() for _ in range(4))]
+    for config, draw in ((wide, TrialSampler(wide).draw(np.arange(300), 0)), (fig3, (aod, gain))):
+        accepted, design = engine.design_trials(config, *draw)
+        assert 0 < accepted.sum() < len(accepted)
+        assert config is fig3 or design.demoted.any()
+        rows = np.flatnonzero(accepted)
+        alone = [engine.design_trials(config, *(a[r : r + 1] for a in draw))[1] for r in rows]
+        for order in orders:
+            _, design = engine.design_trials(config, *draw)
+            for name in order:
+                if name != "run":
+                    for i, one in enumerate(alone):
+                        ours = _row_field(design, name, i)
+                        assert ours.tobytes() == getattr(one, name).tobytes(), (i, name)
 
 
 def test_a_block_with_every_row_rejected():
@@ -1169,7 +1239,7 @@ def test_a_block_with_every_row_rejected():
     aod, beta = TrialSampler(config).draw(np.arange(5), 0)
     accepted, design = engine.design_trials(config, aod, beta)
     assert not accepted.any()
-    assert all(len(values) == 0 for values in design)
+    assert all(len(getattr(design, name)) == 0 for name in engine.Design.MEMBERS)
 
 
 def test_rows_differing_only_in_the_sign_of_a_zero_are_not_merged():
@@ -1184,9 +1254,9 @@ def test_rows_differing_only_in_the_sign_of_a_zero_are_not_merged():
 
 
 def test_fig3_sweep_solves_its_one_design_once(monkeypatch):
-    # 361 rows, one run: the zero-forcing solve sees one design, and the reject
-    # test's Gershgorin pre-test accepts it without an eigensolve; fig3 reads
-    # only rho, so neither eta's eigensolve nor the leakage step runs
+    # 361 rows, one run: the reject test's Gershgorin pre-test accepts its one design
+    # without an eigensolve; fig3 reads only rho, so neither the zero-forcing solve
+    # nor eta's eigensolve nor the leakage step runs
     leakage = []
     monkeypatch.setattr(engine, "_max_leakage_eigenvalues", lambda gram: leakage.append(gram))
     batches = {"eigvalsh": [], "solve": []}
@@ -1199,7 +1269,7 @@ def test_fig3_sweep_solves_its_one_design_once(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     assert len(sweep_fig3().rows) == 361
-    assert batches == {"eigvalsh": [], "solve": [1]}
+    assert batches == {"eigvalsh": [], "solve": []}
     assert leakage == []
 
 
