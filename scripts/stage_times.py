@@ -10,17 +10,15 @@ JSON object instead. A stage's time is exclusive:
 a call nested in another stage counts to the inner stage only. The stages:
 
 * draw: ``TrialSampler.draw``;
-* kernel: ``dirichlet_kernel`` (``_kernels`` in a checkout that has it), in
-  the design only: its beam kernel and the fresh kernels of rows with a
-  demoted beam;
+* kernel: ``dirichlet_kernel``, in the design only: its beam kernel and the
+  fresh kernels of rows with a demoted beam;
 * reject test: ``zero_forcing_rejects``, its eigensolves included;
-* solve: ``np.linalg.solve`` called by the ``Design`` member ``baseband``
-  (by ``design_trials`` in a checkout whose design is eager). ``fig3`` reads
-  no precoder, so its solve row reads 0;
+* solve: ``np.linalg.solve`` called by the ``Design`` member ``baseband``.
+  ``fig3`` reads no precoder, so its solve row reads 0;
 * design rest: the rest of ``design_trials`` (gathers, SIC sort, norms,
   run detection) and of the ``Design`` members it leaves to their first
   read (the beam Gram, the Fejér squares and sums, the precoder's radiated
-  power, the SIC-ordered AoDs and gains), whichever stage reads them first;
+  power, the SIC-ordered gains), whichever stage reads them first;
 * η eigvalsh: ``np.linalg.eigvalsh`` called by an ``evaluate`` member (the
   beam Gram's, for η);
 * leakage: ``_max_leakage_eigenvalues``;
@@ -35,11 +33,11 @@ a call nested in another stage counts to the inner stage only. The stages:
   statistic and block in the value's own shape, and one fold per statistic
   of the block's whole trials into its per-point totals. Each workload
   asks ``simulate`` for the rows and clusters its command prints: every
-  row for ``demo`` and ``wide``, as ``run`` does, and ``sweep_fig2``'s and
-  ``sweep_fig3``'s own names for ``fig2`` and ``fig3``; every cluster but
-  for ``fig2``, which asks for ``FIG2_CLUSTERS``, the swept user's, as
-  ``sweep_fig2`` does. A checkout whose runner has no ``FIG2_CLUSTERS``
-  is asked for every cluster, as its ``fig2`` command is.
+  row and cluster for ``demo`` and ``wide``, as ``run`` does, and
+  ``sweep_fig2``'s and ``sweep_fig3``'s own names for ``fig2`` and
+  ``fig3``, with the cluster the checkout's runner passes:
+  ``SWEPT_CLUSTER`` for both, or in a checkout without it
+  ``FIG2_CLUSTERS`` for ``fig2`` only and every cluster for ``fig3``.
 
 ``total`` is the best instrumented run and ``untimed`` the best run with no
 wrapper, so their difference is the timers' own cost. The script changes
@@ -110,12 +108,13 @@ def workloads() -> dict:
     fig3_grid = sweep_grid(-90.0, 90.0, 0.5)
     every = tuple(engine.STATISTICS)
     fig2 = fig2_config(fig2_grid[0], 1, 100, (0.0, 5.0))
-    fig2_clusters = getattr(runner, "FIG2_CLUSTERS", None)  # None where fig2 keeps every one
+    # a runner without SWEPT_CLUSTER cuts fig2 to FIG2_CLUSTERS and keeps every fig3 cluster
+    swept = getattr(runner, "SWEPT_CLUSTER", None)
     return {
         "demo": (dataclasses.replace(demo, trials=20_000), None, every, None),
         "wide": (dataclasses.replace(wide, trials=5_000), None, every, None),
-        "fig2": (fig2, fig2_grid, FIG2_STATISTICS, fig2_clusters),
-        "fig3": (fig3_config(fig3_grid[0], 1), fig3_grid, FIG3_STATISTICS, None),
+        "fig2": (fig2, fig2_grid, FIG2_STATISTICS, swept or runner.FIG2_CLUSTERS),
+        "fig3": (fig3_config(fig3_grid[0], 1), fig3_grid, FIG3_STATISTICS, swept),
     }
 
 
@@ -154,11 +153,7 @@ class StageTimer:
 # ``instrumented`` wraps
 TARGETS = (
     (engine.TrialSampler, "draw", "draw", None),
-    *(
-        (engine, name, "kernel", None)
-        for name in ("_kernels", "dirichlet_kernel")
-        if hasattr(engine, name)
-    ),
+    (engine, "dirichlet_kernel", "kernel", None),
     (engine, "zero_forcing_rejects", "reject test", None),
     (np.linalg, "solve", "solve", "design rest"),
     (engine, "design_trials", "design rest", None),

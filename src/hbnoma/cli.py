@@ -56,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fig3 = sub.add_parser("fig3", help="correlation versus angle, three clusters")
     fig3.add_argument("--step", type=float, default=0.5, help="grid step in degrees")
-    fig3.add_argument("--seed", type=int, default=1)
+    fig3.add_argument("--seed", type=int, default=1, help="JSON echo only; changes no CSV byte")
     _output_options(fig3)
 
     validate = sub.add_parser("validate", help="check a config and its precoder constraints")

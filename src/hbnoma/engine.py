@@ -18,7 +18,7 @@ the draws is array arithmetic over the whole block:
   kernel, into the bound's Fejer sums, afresh in rows with a demoted beam;
 * ``design_trials`` computes only what acceptance reads: the beam kernel, the
   effective channels, their norms and SIC order, the runs and the reject test.
-  The Fejer sums, the beam Gram, the precoder and the SIC-ordered AoDs and gains are
+  The Fejer sums, the beam Gram, the precoder and the SIC-ordered gains are
   ``Design`` members computed on first read, so ``fig3``'s rho computes none of them;
 * the matrix work of a design (the zero-forcing reject test, the stacked
   ``np.linalg.solve``, the beam Gram's and the leakage eigenvalues) is done
@@ -29,6 +29,7 @@ the draws is array arithmetic over the whole block:
   eigenvalue, with ``eigvalsh`` only near a double top eigenvalue;
 * ``evaluate`` computes each output of the kept clusters at every SNR of one design,
   once, when a statistic first reads it; the bound and the correlation of weak users only.
+  It cuts the design's per-user members to the kept clusters; every cluster is designed.
 
 The matched receive combiner cancels the AoA from every effective channel,
 so AoAs are never drawn.
@@ -36,7 +37,7 @@ so AoAs are never drawn.
 ``simulate`` returns the statistics asked for by name, of the clusters kept, each folded
 per sweep point, and each point's redraw count. ``STATISTICS`` gives each name its fold,
 ``np.add`` or ``np.maximum``, and its value, of any shape, from the ``evaluate`` outputs
-it reads and their ``Design``: a new statistic is one table row.
+it reads: a new statistic is one table row.
 A block folds into a total trial after trial: by one ufunc call per trial when it has
 fewer trials than the total has cells, else by one ``accumulate``, which loops per cell
 (``reduce`` adds a one-element column pairwise). Short sums run left to right, as
@@ -192,9 +193,10 @@ class Design:
     R; user axes are in SIC order (strongest first), and ``sic`` maps each SIC
     position to the user's index in the config. ``rows``, ``gram`` and ``baseband``
     are float64, in the centred basis (``dirichlet_kernel``), without gain phases.
-    ``design_trials`` sets the members that decide acceptance; ``aod``, ``gain``,
-    ``ks_user``, ``gram`` and ``baseband`` are computed from the accepted rows and kept
-    runs when first read, and at most once.
+    ``design_trials`` sets the members that decide acceptance; ``gain``, ``ks_user``,
+    ``gram`` and ``baseband`` are computed from the accepted rows and kept runs when first
+    read, and at most once. Every cluster is designed: ``evaluate`` makes the cut to the
+    kept clusters, and the sweeps keep cluster 1 only.
     """
 
     beam_aod: np.ndarray  # (C, N) normalized AoD each analog beam is steered at
@@ -203,7 +205,7 @@ class Design:
     sic: np.ndarray  # (C, N, M) config index of each SIC position
     demoted: np.ndarray  # (C, N) the beam's user lost first place in the SIC order
     run: np.ndarray  # (C,) the row's run of consecutive rows with equal first rows and beams
-    MEMBERS = ("aod", "gain", "beam_aod", "rows", "norm", "sic", "demoted", "ks_user", "run",
+    MEMBERS = ("gain", "beam_aod", "rows", "norm", "sic", "demoted", "ks_user", "run",
                "gram", "baseband")  # every member, set or computed on first read
 
     def __init__(self, t_bs, drawn, starts, first_rows, **members):
@@ -213,7 +215,6 @@ class Design:
         self._aod, self._gain, self._kernel, self._beam_user = drawn
         self._t_bs, self._starts, self._first_rows = t_bs, starts, first_rows
 
-    aod = cached_property(lambda self: _take_users(self.sic, self._aod)[0])  # (C, N, M)
     gain = cached_property(lambda self: _take_users(self.sic, self._gain)[0])  # (C, N, M) |beta|
 
     @cached_property
@@ -353,20 +354,20 @@ class Outputs:
     """The ``OUTPUTS`` of a design's rows at each SNR of ``config``, for the clusters that
     ``clusters`` keeps, and their parts, each computed on its first read and at most once.
 
-    ``design`` is cut to the kept clusters in its per-user members only, each when read,
-    and only when a cluster is dropped: every beam enters a kept user's couplings, eta
-    and lam. The same quantities as ``rates.user_rate`` and
+    The cut to the kept clusters is made here: ``rows``, ``norm`` and ``demoted`` are views
+    of the kept clusters', and the bound cuts the design's ``gain`` and ``ks_user`` where it
+    reads them. The per-run beam Gram and precoder stay whole: every beam enters a kept
+    user's couplings, eta and lam. The same quantities as ``rates.user_rate`` and
     ``bounds.lower_bound_rate``; first users keep their exact rate as their bound and a
     correlation of 1, and the correlation and the bound's ``eta`` and ``lam`` are
     computed for weak users only.
     """
 
-    PER_USER = ("aod", "gain", "rows", "norm", "sic", "demoted", "ks_user")  # what is cut
-
     def __init__(self, config: ScenarioConfig, design: Design, clusters=slice(None)):
-        self.config, self.clusters = config, clusters
-        every = range(config.num_clusters)
-        self.design = design if every[clusters] == every else _ClusterCut(design, clusters)
+        self.config, self.design, self.clusters = config, design, clusters
+        self.rows, self.norm, self.demoted = (
+            a[:, clusters] for a in (design.rows, design.norm, design.demoted)
+        )
         # power scalars in Python floats, one row per SNR, broadcast over (C, K, M)
         cluster = [10.0 ** (snr_db / 10.0) / config.num_clusters for snr_db in config.snr_dbs]
         user = [[f * p for f in config.resolved_fractions()] for p in cluster]
@@ -382,7 +383,7 @@ class Outputs:
         over the other beams."""
         design, beams = self.design, np.arange(self.config.num_clusters)[self.clusters]
         kept = np.arange(len(beams))
-        beam_gain = (design.rows @ design.baseband[design.run, None]) ** 2  # (C, K, M, beam)
+        beam_gain = (self.rows @ design.baseband[design.run, None]) ** 2  # (C, K, M, beam)
         own = beam_gain[:, kept, :, beams].transpose(1, 0, 2)  # a copy: (C, K, M)
         beam_gain[:, kept, :, beams] = 0.0
         return own, _sum_last(beam_gain)
@@ -399,12 +400,12 @@ class Outputs:
     @cached_property
     def inner(self) -> np.ndarray:
         """(C, K, M - 1): each weak user's row times its first user's."""
-        rows = self.design.rows
+        rows = self.rows
         return (rows[:, :, 1:] @ rows[:, :, :1].swapaxes(-1, -2))[..., 0]
 
     @cached_property
     def rho(self) -> np.ndarray:
-        norm = self.design.norm
+        norm = self.norm
         rho = np.ones(norm.shape)
         rho[..., 1:] = np.minimum(np.abs(self.inner) / (norm[..., 1:] * norm[..., :1]), 1.0)
         return rho[None]
@@ -430,10 +431,11 @@ class Outputs:
     def bound(self) -> np.ndarray:
         bound = self.rate.copy()
         if self.config.users_per_cluster > 1:
-            design, eta = self.design, self.eta
+            eta, rows, norm = self.eta, self.rows, self.norm
             t_bs, t_mu = self.config.bs_antennas, self.config.mu_antennas
-            ks_first, rows, norm = design.ks_user[..., :1], design.rows, design.norm
-            gain2 = design.gain[..., 1:] ** 2
+            ks_user = self.design.ks_user[:, self.clusters]
+            ks_first = ks_user[..., :1]
+            gain2 = self.design.gain[:, self.clusters, 1:] ** 2
             received = t_bs * t_mu * gain2
             rho2 = self.rho[0, ..., 1:] ** 2
             # 1 - rho^2 as the weak row's squared residual off its first row: near rho = 1,
@@ -442,7 +444,7 @@ class Outputs:
             across = _sum_last((rows[:, :, 1:] - projection) ** 2) / norm[..., 1:] ** 2
             zeta_intra = self.stronger[..., 1:] * rho2 * received
             zeta_inter = self.cluster * across * received * self.lam * eta * ks_first
-            zeta_noise = eta * ks_first / design.ks_user[..., 1:]
+            zeta_noise = eta * ks_first / ks_user[..., 1:]
             numerator = self.powers[..., 1:] * rho2 * t_bs * t_mu * gain2
             sinr = numerator / (zeta_intra + zeta_inter + zeta_noise)
             bound[..., 1:] = np.log1p(sinr) / math.log(2.0)
@@ -450,20 +452,6 @@ class Outputs:
 
 
 evaluate = Outputs  # a round's outputs: evaluate(config, design[, clusters])
-
-
-class _ClusterCut:
-    """``design`` with each ``Outputs.PER_USER`` member cut to ``clusters`` when first read."""
-
-    def __init__(self, design: Design, clusters: slice):
-        self._design, self._clusters = design, clusters
-
-    def __getattr__(self, name: str):
-        value = getattr(self._design, name)
-        if name in Outputs.PER_USER:
-            value = value[:, self._clusters]
-        setattr(self, name, value)
-        return value
 
 
 def _max_leakage_eigenvalues(gram: np.ndarray) -> np.ndarray:
@@ -586,13 +574,13 @@ def _normalized_from_degrees(aod_deg: Sequence[float]) -> np.ndarray:
 
 
 # Every run statistic ``simulate`` can fold: name -> (the ufunc that folds it over trials,
-# its value from a round's ``evaluate`` outputs and their ``Design``: any shape, rows on axis 1).
+# its value from a round's ``evaluate`` outputs: any shape, rows on axis 1).
 # A new statistic is one row; ``np.add`` of a 0/1 array counts.
 STATISTICS = {
-    **{name: (np.add, lambda o, d, f=name: getattr(o, f)) for name in OUTPUTS},
-    "violations": (np.add, lambda o, d: o.bound > o.rate),  # weak users': a first's bound is its rate
-    "max_excess": (np.maximum, lambda o, d: np.where(o.bound > o.rate, o.bound - o.rate, 0.0)),
-    "demotions": (np.add, lambda o, d: d.demoted[None]),  # (1, C, K): beam user not SIC-first
+    **{name: (np.add, lambda o, f=name: getattr(o, f)) for name in OUTPUTS},
+    "violations": (np.add, lambda o: o.bound > o.rate),  # weak users': a first's bound is its rate
+    "max_excess": (np.maximum, lambda o: np.where(o.bound > o.rate, o.bound - o.rate, 0.0)),
+    "demotions": (np.add, lambda o: o.demoted[None]),  # (1, C, K): beam user not SIC-first
 }
 
 
@@ -627,7 +615,7 @@ def simulate(
         rounds = accepted_designs(config, sampler, *rows, budget, swept)
         rounds = [(done, evaluate(config, design, clusters)) for done, _, design in rounds]
         for name in names:
-            values = [(done, STATISTICS[name][1](o, o.design).swapaxes(0, 1)) for done, o in rounds]
+            values = [(done, STATISTICS[name][1](o).swapaxes(0, 1)) for done, o in rounds]
             block = np.empty((len(rows[0]), *values[0][1].shape[1:]))
             for done, value in values:
                 block[done] = value

@@ -153,6 +153,8 @@ def spearman_rank_correlation(x: Sequence[float], y: Sequence[float]) -> float:
     return float(np.mean((rx - rx.mean()) * (ry - ry.mean())) / spread) if spread else 0.0
 
 
+SWEPT_CLUSTER = slice(0, 1)  # the one cluster a sweep evaluates: its tracked weak user's
+
 # Beam-alignment sweep preset: two clusters of two users, beams at +-60
 # degrees, strong users at 0 dB and weak users at -10 dB with the weak user
 # of cluster one swept toward its beam. The first users' directions are a
@@ -162,7 +164,6 @@ FIG2_OTHER_CLUSTER_AODS = (-60.0, -50.0)
 FIG2_SWEEP_START_DEG = 50.0
 FIG2_SWEEP_STOP_DEG = 60.0
 FIG2_STATISTICS = ("rate", "bound", "rho")  # the engine statistics sweep_fig2 prints
-FIG2_CLUSTERS = slice(0, 1)  # of the swept user's cluster only
 
 
 def fig2_config(
@@ -234,7 +235,7 @@ def sweep_fig2(
     """
     grid = sweep_grid(FIG2_SWEEP_START_DEG, FIG2_SWEEP_STOP_DEG, step_deg)
     config = fig2_config(grid[0], seed, trials, tuple(snr_db_values))
-    sums = simulate(config, grid, FIG2_STATISTICS, FIG2_CLUSTERS)[0]
+    sums = simulate(config, grid, FIG2_STATISTICS, SWEPT_CLUSTER)[0]
     # each (SNRs, points); rho, SNR-free, is (1, points) and serves every SNR
     tracked = np.broadcast_arrays(*(sums[name][:, :, 0, 1].T / trials for name in FIG2_STATISTICS))
     rows = []
@@ -298,5 +299,6 @@ def sweep_fig3(step_deg: float = 0.5, seed: int = 1) -> Fig3Sweep:
     """
     grid = sweep_grid(-90.0, 90.0, step_deg)
     config = fig3_config(grid[0], seed)
-    rho = simulate(config, grid, FIG3_STATISTICS)[0]["rho"][:, 0, 0, 1] / config.trials
+    sums = simulate(config, grid, FIG3_STATISTICS, SWEPT_CLUSTER)[0]
+    rho = sums["rho"][:, 0, 0, 1] / config.trials
     return Fig3Sweep(list(zip(grid, rho.tolist())), seed=seed, version=__version__)

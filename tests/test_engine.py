@@ -292,8 +292,8 @@ def test_simulate_blocks_are_whole_trials_or_one_trial(monkeypatch, block_rows):
 def _spiked(evaluate):
     """``evaluate`` with -0.0, +inf or NaN written into every output of the last
     user of the first cluster, or -inf into those of the first user of the last
-    cluster, in about a third of the rows, chosen by the row's AoDs and gains so
-    that a row carries the same values in any block.
+    cluster, in about a third of the rows, chosen by the row's effective channels and
+    gains so that a row carries the same values in any block.
 
     IEEE 754 leaves open which NaN the sum of two NaNs returns, and numpy's
     loops differ in it, so +inf and -inf, whose sum is a NaN of the platform's,
@@ -302,8 +302,8 @@ def _spiked(evaluate):
     def spiked(config, design, *clusters):
         outputs = evaluate(config, design, *clusters)
         values = [getattr(outputs, name) for name in engine.OUTPUTS]  # each computed, then spiked
-        drawn = np.concatenate([design.aod, design.gain], axis=1)
-        key = drawn.reshape(len(drawn), -1).view(np.uint64).sum(axis=1) % 11
+        drawn = (design.rows, design.gain)
+        key = sum(a.reshape(len(a), -1).view(np.uint64).sum(axis=1) for a in drawn) % 11
         for k, (value, user) in enumerate(
             [(-0.0, (0, -1)), (math.inf, (0, -1)), (math.nan, (0, -1)), (-math.inf, (-1, 0))]
         ):
@@ -347,6 +347,7 @@ def test_kept_clusters_total_as_the_full_run_at_them(monkeypatch, block_rows):
     cases = [
         (fig2_config(50.0, 7, 12, (0.0, 5.0)), sweep_grid(50.0, 60.0, 2.5), slice(0, 1)),
         (parse_config_text(WIDE), None, slice(1, 3)),
+        (fig3_config(-90.0, 1), sweep_grid(-90.0, 90.0, 2.5), slice(0, 1)),
     ]
     for config, grid, clusters in cases:
         full, redraws = simulate(config, grid)
@@ -366,7 +367,7 @@ WIDE_CFG = Path(__file__).resolve().parents[1] / "perfbench" / "wide.cfg"
     [
         (["fig2", "--trials", "3", "--step", "2.5"], 1),
         (["run", "--config", str(WIDE_CFG), "--trials", "20"], 4),
-        (["fig3", "--step", "15"], 3),
+        (["fig3", "--step", "15"], 1),
     ],
     ids=["fig2", "run", "fig3"],
 )
@@ -384,7 +385,7 @@ def test_a_request_computes_only_the_clusters_it_prints(monkeypatch, tmp_path, a
     for outputs in made:
         computed = [v for name, v in vars(outputs).items() if name in engine.OUTPUTS]
         assert computed and {value.shape[2] for value in computed} == {clusters}
-        assert {getattr(outputs.design, k).shape[1] for k in outputs.PER_USER} == {clusters}
+        assert {a.shape[1] for a in (outputs.rows, outputs.norm, outputs.demoted)} == {clusters}
 
 
 @pytest.mark.parametrize(
@@ -438,7 +439,7 @@ def test_a_statistic_of_a_new_shape_is_one_table_row(monkeypatch, block_rows):
     # a (SNR, row, N, M, 2) value folds to a (points, SNRs, N, M, 2) total with no
     # edit to simulate, equal to the totals of its parts
     monkeypatch.setattr(engine, "BLOCK_ROWS", block_rows)
-    pair = (np.add, lambda o, d: np.stack([o.rate, o.intra], -1))
+    pair = (np.add, lambda o: np.stack([o.rate, o.intra], -1))
     monkeypatch.setitem(engine.STATISTICS, "pair", pair)
     cases = [
         (replace(parse_config_text(WIDE), trials=60), None),
@@ -520,9 +521,9 @@ def test_a_statistic_not_asked_for_is_never_evaluated(monkeypatch, command, aske
     called = set()
 
     def counted(name, value):
-        def evaluated(outputs, design):
+        def evaluated(outputs):
             called.add(name)
-            return value(outputs, design)
+            return value(outputs)
 
         return evaluated
 
@@ -881,9 +882,10 @@ def test_design_kernel_gives_the_bound_the_fresh_kernel_gives():
     for _ in range(40):
         config = random_config(rng)
         aod, beta = TrialSampler(config).draw(np.arange(64), 0)
-        _, design = engine.design_trials(config, aod, beta)
-        first = design.aod[:, None, None, :, 0]
-        kernel = engine.dirichlet_kernel(first - design.aod[..., None], config.bs_antennas)
+        accepted, design = engine.design_trials(config, aod, beta)
+        aod = np.take_along_axis(aod[accepted], design.sic, axis=2)  # in SIC order
+        first = aod[:, None, None, :, 0]
+        kernel = engine.dirichlet_kernel(first - aod[..., None], config.bs_antennas)
         fejer = engine._fejer(kernel)
         assert design.ks_user.tobytes() == np.sum(fejer, axis=-1).tobytes()
         if config.users_per_cluster > 1:

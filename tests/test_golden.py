@@ -35,7 +35,8 @@ def test_output_matches_golden(name):
 
 
 def test_committed_fig2_table_is_the_default_fig2_output():
-    # scripts/run_fig2.py writes it; the value rule, because it is kept without a build record
+    # `hbnoma fig2 --out results/fig2.csv` writes it; the value rule, because it is kept
+    # without a build record
     committed = (ROOT / "results" / "fig2.csv").read_text()
     assert value_mismatch(render(["fig2"]), committed) is None
 
