@@ -15,10 +15,14 @@ a call nested in another stage counts to the inner stage only. The stages:
 * reject test: ``zero_forcing_rejects``, its eigensolves included;
 * solve: ``np.linalg.solve`` called by the ``Design`` member ``baseband``.
   ``fig3`` reads no precoder, so its solve row reads 0;
-* design rest: the rest of ``design_trials`` (gathers, SIC sort, norms,
-  run detection) and of the ``Design`` members it leaves to their first
-  read (the beam Gram, the Fejér squares and sums, the precoder's radiated
-  power, the SIC-ordered gains), whichever stage reads them first;
+* design rest: the rest of ``design_block`` (the redraw loop, gathers, SIC
+  sort, norms, run detection, writing redrawn rows into the block) and of
+  the ``Design`` members it leaves to their first read (the beam Gram, the
+  Fejér squares and sums, the precoder's radiated power, the SIC-ordered
+  gains), whichever stage reads them first. A checkout without
+  ``design_block`` designs each redraw round apart: there this stage wraps
+  ``design_trials`` and each step of the ``accepted_designs`` generator,
+  its redraw loop;
 * η eigvalsh: ``np.linalg.eigvalsh`` called by an ``evaluate`` member (the
   beam Gram's, for η);
 * leakage: ``_max_leakage_eigenvalues``;
@@ -27,11 +31,10 @@ a call nested in another stage counts to the inner stage only. The stages:
   arithmetic, the leakage Gram, the rate and bound arithmetic). So a stage
   whose output no statistic of a workload reads shows 0;
 * spend: ``RedrawBudget.spend``, the redraw cap's ``bincount`` and check;
-* aggregation: ``simulate``'s own code: the block walk, the redraw loop,
-  the values of the ``STATISTICS`` rows, each computed from a round's
-  outputs and design and written into its block array, one array per
-  statistic and block in the value's own shape, and one fold per statistic
-  of the block's whole trials into its per-point totals. Each workload
+* aggregation: ``simulate``'s own code: the block walk, the values of the
+  ``STATISTICS`` rows, each computed from a block's outputs in the value's
+  own shape, and one fold per statistic of the block's whole trials into
+  its per-point totals. Each workload
   asks ``simulate`` for the rows and clusters its command prints: every
   row and cluster for ``demo`` and ``wide``, as ``run`` does, and
   ``sweep_fig2``'s and ``sweep_fig3``'s own names for ``fig2`` and
@@ -62,6 +65,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import dataclasses  # noqa: E402
 import functools  # noqa: E402
+import inspect  # noqa: E402
 import json  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
@@ -139,15 +143,31 @@ class StageTimer:
 
     def wrap(self, stage: str, function, inside: str | None = None):
         """``function`` timed as ``stage``; with ``inside``, only when called
-        directly from that stage, and otherwise counted to its caller."""
+        directly from that stage, and otherwise counted to its caller. A
+        generator function is timed in each step of its generator."""
 
         def timed(*args, **kwargs):
             if inside is not None and (not self.stack or self.stack[-1][0] != inside):
                 return function(*args, **kwargs)
             return self.call(stage, function, *args, **kwargs)
 
-        return timed
+        def stepped(*args, **kwargs):
+            steps = function(*args, **kwargs)
+            while True:
+                try:
+                    item = self.call(stage, next, steps)
+                except StopIteration:
+                    return
+                yield item
 
+        return stepped if inspect.isgeneratorfunction(function) else timed
+
+
+# what designs a block: in a checkout without design_block, design_trials for each
+# redraw round and the accepted_designs generator that loops over the rounds
+DESIGNS = ("design_block",) if hasattr(engine, "design_block") else (
+    "design_trials", "accepted_designs"
+)
 
 # (owner, attribute, stage, the stage it is timed inside of or None): what
 # ``instrumented`` wraps
@@ -156,7 +176,7 @@ TARGETS = (
     (engine, "dirichlet_kernel", "kernel", None),
     (engine, "zero_forcing_rejects", "reject test", None),
     (np.linalg, "solve", "solve", "design rest"),
-    (engine, "design_trials", "design rest", None),
+    *((engine, name, "design rest", None) for name in DESIGNS),
     *(
         (member, "func", "design rest", None)
         for member in vars(engine.Design).values()

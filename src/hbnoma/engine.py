@@ -7,7 +7,8 @@ a trial's points fill a block, one trial at a range of points; a plain run is
 a sweep of one point. ``TrialSampler`` draws a block's AoDs and gains in
 one call from a counter-based stream keyed by (seed, attempt), at a fixed
 offset per trial, and every point of a trial shares them. Everything after
-the draws is array arithmetic over the whole block:
+the draws is array arithmetic over the whole block, with one design and one
+``evaluate`` per block:
 
 * no output changes when a user's effective channel or a beam is multiplied
   by a unit phase, so the design drops every gain and steering phase: it
@@ -16,8 +17,9 @@ the draws is array arithmetic over the whole block:
   radiated power of a beam are closed forms in float64, and no T_MU x T_BS
   channel matrix is built; the design sums the kernel's square, the Fejer
   kernel, into the bound's Fejer sums, afresh in rows with a demoted beam;
-* ``design_trials`` computes only what acceptance reads: the beam kernel, the
-  effective channels, their norms and SIC order, the runs and the reject test.
+* ``design_block`` computes only what acceptance reads: the beam kernel, the
+  effective channels, their norms and SIC order, the runs and the reject test. It
+  redraws rejected rows alone and writes them into their places: one design a block.
   The Fejer sums, the beam Gram, the precoder and the SIC-ordered gains are
   ``Design`` members computed on first read, so ``fig3``'s rho computes none of them;
 * the matrix work of a design (the zero-forcing reject test, the stacked
@@ -49,7 +51,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -187,13 +189,13 @@ class TrialSampler:
 
 
 class Design:
-    """Precoders of a batch of accepted trials.
+    """Precoders of a block of accepted rows.
 
     Per-row arrays lead with the row axis C, per-run arrays with the run axis
     R; user axes are in SIC order (strongest first), and ``sic`` maps each SIC
     position to the user's index in the config. ``rows``, ``gram`` and ``baseband``
     are float64, in the centred basis (``dirichlet_kernel``), without gain phases.
-    ``design_trials`` sets the members that decide acceptance; ``gain``, ``ks_user``,
+    ``_steer`` computes the members that decide acceptance, row by row; ``gain``, ``ks_user``,
     ``gram`` and ``baseband`` are computed from the accepted rows and kept runs when first
     read, and at most once. Every cluster is designed: ``evaluate`` makes the cut to the
     kept clusters, and the sweeps keep cluster 1 only.
@@ -208,12 +210,12 @@ class Design:
     MEMBERS = ("gain", "beam_aod", "rows", "norm", "sic", "demoted", "ks_user", "run",
                "gram", "baseband")  # every member, set or computed on first read
 
-    def __init__(self, t_bs, drawn, starts, first_rows, **members):
-        """``drawn``: the accepted rows' AoDs, |beta|, beam kernel and beam users, in config
-        order; ``starts``: each kept run's first row; ``first_rows``: its first users' rows."""
-        self.__dict__.update(members)
-        self._aod, self._gain, self._kernel, self._beam_user = drawn
-        self._t_bs, self._starts, self._first_rows = t_bs, starts, first_rows
+    def __init__(self, t_bs, steered, starts, run):
+        """``steered``: ``_steer``'s arrays of the accepted rows; ``starts``: each kept
+        run's first row; ``run``: each row's run."""
+        (self._aod, self._gain, self._kernel, self._beam_user,
+         self.beam_aod, self.rows, self.norm, self.sic, self.demoted) = steered
+        self._t_bs, self._starts, self.run = t_bs, starts, run
 
     gain = cached_property(lambda self: _take_users(self.sic, self._gain)[0])  # (C, N, M) |beta|
 
@@ -237,7 +239,7 @@ class Design:
     @cached_property
     def baseband(self) -> np.ndarray:
         """(R, N, N) zero-forcing precoder for the first rows, unit power per beam."""
-        first_rows = self._first_rows
+        first_rows = self.rows[self._starts, :, 0]
         identity = np.broadcast_to(np.eye(first_rows.shape[1]), first_rows.shape)
         # LU solve of first_rows @ F0 = I; explicit inversion loses digits at T_BS = 64
         raw = np.linalg.solve(first_rows, identity)
@@ -305,17 +307,15 @@ def zero_forcing_rejects(first_rows: np.ndarray) -> np.ndarray:
     return rejects
 
 
-def design_trials(
-    config: ScenarioConfig, aod: np.ndarray, gain: np.ndarray
-) -> tuple[np.ndarray, Design]:
-    """Steer, reorder and zero-force a batch of drawn trials.
-
-    ``gain`` is each user's |beta|, as ``TrialSampler.draw`` returns it.
-    Returns the acceptance mask and the design of the accepted trials. Beams
-    are steered at each cluster's largest-|beta| user (ties to the lower
-    index); every per-user array is then put in SIC order, by descending
-    effective-channel norm, and zero forcing uses the SIC-first users, as
-    ``power.reorder_by_effective_norm`` and ``precoding.zero_forcing_precoder`` do.
+def _steer(config: ScenarioConfig, aod: np.ndarray, gain: np.ndarray) -> tuple:
+    """Steer, reorder and reject-test drawn rows. Returns ``Design``'s arrays, each row's
+    from its own draw alone (the AoDs and |beta| in config order, the beam kernel, the beam
+    users and AoDs, ``rows``, ``norm``, ``sic``, ``demoted``), each run's first row, each
+    row's run and whether zero forcing keeps each run.
+    Beams are steered at each cluster's largest-|beta| user (ties to the lower index); every
+    per-user array is then put in SIC order, by descending effective-channel norm, and zero
+    forcing uses the SIC-first users, as ``power.reorder_by_effective_norm`` and
+    ``precoding.zero_forcing_precoder`` do.
     """
     t_bs = config.bs_antennas
     beam_user = np.argmax(gain, axis=2)
@@ -326,23 +326,26 @@ def design_trials(
     norm = np.sqrt(_sum_last(rows**2))
     sic = np.argsort(-norm, axis=2, kind="stable")
     norm, rows = _take_users(sic, norm, rows)
-    demoted = sic[..., 0] != beam_user
     # the precoder depends on the first rows and the beam Gram, which is a
     # function of the beam AoDs alone, so one run of rows shares one design
     starts, run = _runs(rows[:, :, 0], beam_aod)
-    first_rows = rows[starts, :, 0]
-    kept = ~zero_forcing_rejects(first_rows)
+    kept = ~zero_forcing_rejects(rows[starts, :, 0])
+    steered = [aod, gain, kernel, beam_user, beam_aod, rows, norm, sic, sic[..., 0] != beam_user]
+    return steered, starts, run, kept
+
+
+def design_trials(config: ScenarioConfig, aod, gain) -> tuple[np.ndarray, Design]:
+    """The acceptance mask of a batch of drawn trials, and the design of the accepted ones.
+
+    ``gain`` is each user's |beta|, as ``TrialSampler.draw`` returns it.
+    """
+    steered, starts, run, kept = _steer(config, aod, gain)
     accepted = kept[run]
     if not accepted.all():
-        aod, gain, kernel, beam_user, beam_aod, rows, norm, sic, demoted = (
-            a[accepted] for a in (aod, gain, kernel, beam_user, beam_aod, rows, norm, sic, demoted)
-        )
-        first_rows, run = first_rows[kept], (np.cumsum(kept) - 1)[run[accepted]]
+        steered = [a[accepted] for a in steered]
+        run = (np.cumsum(kept) - 1)[run[accepted]]
         starts = (np.cumsum(accepted) - 1)[starts[kept]]
-    return accepted, Design(
-        t_bs, (aod, gain, kernel, beam_user), starts, first_rows,
-        beam_aod=beam_aod, rows=rows, norm=norm, sic=sic, demoted=demoted, run=run,
-    )
+    return accepted, Design(config.bs_antennas, steered, starts, run)
 
 
 # The per-user outputs, each (SNRs, C, K, M) for K kept clusters, users in SIC order; rho,
@@ -451,7 +454,7 @@ class Outputs:
         return bound
 
 
-evaluate = Outputs  # a round's outputs: evaluate(config, design[, clusters])
+evaluate = Outputs  # a block's outputs: evaluate(config, design[, clusters])
 
 
 def _max_leakage_eigenvalues(gram: np.ndarray) -> np.ndarray:
@@ -520,45 +523,43 @@ class RedrawBudget:
             raise SingularClusteringError(message)
 
 
-def accepted_designs(
-    config: ScenarioConfig,
-    sampler: TrialSampler,
-    trials: np.ndarray,
-    points: np.ndarray,
-    budget: RedrawBudget,
-    swept: np.ndarray | None = None,
-) -> Iterator[tuple[np.ndarray, int, Design]]:
-    """Design ``trials``, redrawing rejected rows at the next attempt.
+def design_block(config, sampler, trials, points, budget: RedrawBudget, swept=None) -> Design:
+    """The one design of ``trials``, each rejected row redrawn at the next attempt.
 
     Row i is trial ``trials[i]`` at sweep point ``points[i]``; ``swept``, when
-    given, holds each point's normalized AoD for config user (1, 2). Yields
-    (positions in ``trials``, attempt, design) for the rows each round
-    accepts; round k draws attempt k, for the rows still rejected, and
-    charges each to its own point's budget.
+    given, holds each point's normalized AoD for config user (1, 2). Round k
+    draws attempt k for the rows still rejected, charges each to its own point's
+    budget, and writes the arrays of the rows it accepts into their own places in
+    the block: a row's draws, and so its design, do not depend on the rows drawn
+    with it. The runs are found again on the final rows.
     """
-    pending = np.arange(len(trials))
-    attempt = 0
+    pending, attempt = np.arange(len(trials)), 0
     while pending.size:
         aod, gain = sampler.draw(trials[pending], attempt)
         if swept is not None:
             aod[:, 0, 1] = swept[points[pending]]
-        accepted, design = design_trials(config, aod, gain)
-        if accepted.any():
-            yield pending[accepted], attempt, design
+        steered, starts, run, kept = _steer(config, aod, gain)
+        accepted = kept[run]
+        if attempt == 0:
+            block = steered
+        else:
+            for whole, part in zip(block, steered):
+                whole[pending[accepted]] = part[accepted]
         pending = pending[~accepted]
         budget.spend(points[pending])
         attempt += 1
+    if attempt > 1:
+        starts, run = _runs(block[5][:, :, 0], block[4])  # the first rows and beam AoDs
+    return Design(config.bs_antennas, block, starts, run)
 
 
 def design_trial(config: ScenarioConfig, trial: int = 0) -> tuple[int, Design]:
-    """The design ``simulate`` accepts for one trial, and the attempt that produced it.
-
-    The trial's redraws count against the run's redraw cap.
-    """
+    """The design ``simulate`` accepts for one trial, and the attempt that produced it:
+    the trial's redraws, which count against the run's redraw cap."""
     budget = RedrawBudget(config.trials)
     trials, points = np.array([trial]), np.zeros(1, dtype=int)
-    _, attempt, design = next(accepted_designs(config, TrialSampler(config), trials, points, budget))
-    return attempt, design
+    design = design_block(config, TrialSampler(config), trials, points, budget)
+    return int(budget.used[0]), design
 
 
 def _normalized_from_degrees(aod_deg: Sequence[float]) -> np.ndarray:
@@ -574,7 +575,7 @@ def _normalized_from_degrees(aod_deg: Sequence[float]) -> np.ndarray:
 
 
 # Every run statistic ``simulate`` can fold: name -> (the ufunc that folds it over trials,
-# its value from a round's ``evaluate`` outputs: any shape, rows on axis 1).
+# its value from a block's ``evaluate`` outputs: any shape, rows on axis 1).
 # A new statistic is one row; ``np.add`` of a 0/1 array counts.
 STATISTICS = {
     **{name: (np.add, lambda o, f=name: getattr(o, f)) for name in OUTPUTS},
@@ -597,10 +598,11 @@ def simulate(
     trial-major blocks of at most ``BLOCK_ROWS`` rows: ``BLOCK_ROWS // points``
     whole trials, or one trial at up to ``BLOCK_ROWS`` points when a trial has
     more points than that. A trial's draw at each attempt is shared by its
-    points, and one design serves every SNR. Returns the ``STATISTICS`` rows
-    ``names`` of the clusters the slice ``clusters`` keeps (all are designed), each in
-    its value's shape with a point axis for the row axis, folded from 0 over the point's
-    trials in trial order by ``_fold``, and each point's redraw count.
+    points; a block is one design, redrawn rows included, and one ``evaluate`` at every
+    SNR. Returns the ``STATISTICS`` rows ``names`` of the clusters the slice ``clusters``
+    keeps (all are designed), each in its value's shape with a point axis for the row axis,
+    folded from 0 over the point's trials in trial order by ``_fold``, and each point's
+    redraw count.
     """
     swept = None if sweep_aod_deg is None else _normalized_from_degrees(sweep_aod_deg)
     budget = RedrawBudget(config.trials, sweep_aod_deg)
@@ -612,15 +614,12 @@ def simulate(
         trials = np.arange(first, min(first + per, config.trials))
         at = np.arange(start, min(start + span, points))
         rows = np.repeat(trials, len(at)), np.tile(at, len(trials))  # trial-major
-        rounds = accepted_designs(config, sampler, *rows, budget, swept)
-        rounds = [(done, evaluate(config, design, clusters)) for done, _, design in rounds]
+        outputs = evaluate(config, design_block(config, sampler, *rows, budget, swept), clusters)
         for name in names:
-            values = [(done, STATISTICS[name][1](o).swapaxes(0, 1)) for done, o in rounds]
-            block = np.empty((len(rows[0]), *values[0][1].shape[1:]))
-            for done, value in values:
-                block[done] = value
+            ufunc, value = STATISTICS[name]
+            block = value(outputs).swapaxes(0, 1)
             if name not in totals:
                 totals[name] = np.zeros((points, *block.shape[1:]))
             total = totals[name][start : start + span]
-            _fold(STATISTICS[name][0], total, block.reshape(len(trials), *total.shape))
+            _fold(ufunc, total, block.reshape(len(trials), *total.shape))
     return totals, budget.used

@@ -6,8 +6,9 @@ order, one row at a time, so every sum runs in trial order. ``simulate``
 gets the same bytes from one ``accumulate`` per statistic over a block's
 whole trials; this keeps the slow, obviously ordered form, over blocks of
 ``BLOCK_ROWS`` consecutive rows, to compare against. It calls the engine's
-functions through the module, so a test that patches ``engine.evaluate`` or
-``engine.BLOCK_ROWS`` patches both.
+functions through the module, one ``design_block`` and one ``evaluate`` per
+block, so a test that patches ``engine.evaluate`` or ``engine.BLOCK_ROWS``
+patches both.
 """
 
 import numpy as np
@@ -35,13 +36,11 @@ def add_at_totals(config, sweep_aod_deg=None):
     for first in range(0, rows, engine.BLOCK_ROWS):
         trials, at = np.divmod(np.arange(first, min(first + engine.BLOCK_ROWS, rows)), points)
         block = np.empty((*sums.shape[:2], len(trials), *shape[2:]))
-        demoted = np.empty((1, len(trials), config.num_clusters))
-        rounds = engine.accepted_designs(config, sampler, trials, at, budget, swept)
-        for done, _, design in rounds:
-            outputs = engine.evaluate(config, design)
-            for into, name in zip(block, engine.OUTPUTS):
-                into[:, done] = getattr(outputs, name)
-            demoted[0, done] = design.demoted
+        design = engine.design_block(config, sampler, trials, at, budget, swept)
+        outputs = engine.evaluate(config, design)
+        for into, name in zip(block, engine.OUTPUTS):
+            into[...] = getattr(outputs, name)
+        demoted = design.demoted[None].astype(float)
         rate, bound = block[0, ..., 1:], block[1, ..., 1:]
         over = bound > rate
         np.add.at(violations[..., 1:], np.s_[:, at], over)

@@ -5,6 +5,7 @@ import functools
 import json
 import logging
 import math
+import re
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -268,10 +269,10 @@ def test_simulate_blocks_are_whole_trials_or_one_trial(monkeypatch, block_rows):
 
     def spy(config, sampler, trials, points, *rest):
         blocks.append((trials, points))
-        return accepted_designs(config, sampler, trials, points, *rest)
+        return design_block(config, sampler, trials, points, *rest)
 
-    accepted_designs = engine.accepted_designs
-    monkeypatch.setattr(engine, "accepted_designs", spy)
+    design_block = engine.design_block
+    monkeypatch.setattr(engine, "design_block", spy)
     fig2_grid, fig3_grid = sweep_grid(50.0, 60.0, 0.25), sweep_grid(-90.0, 90.0, 0.5)
     cases = [(fig2_config(50.0, 7, 30, (0.0, 5.0)), fig2_grid), (fig3_config(0.0, 1), fig3_grid)]
     for config, grid in cases:
@@ -399,7 +400,7 @@ def test_a_request_computes_only_the_clusters_it_prints(monkeypatch, tmp_path, a
 )
 def test_a_request_computes_the_design_members_it_reads(monkeypatch, tmp_path, argv, once):
     # fig3 reads rho alone, which needs no lazy design member; run and fig2 compute the
-    # precoder, the beam Gram and the Fejer sums once in every round, redraws included
+    # precoder, the beam Gram and the Fejer sums once in every block, redraws included
     computed = _count_members(monkeypatch, engine.Design)
     designs = []
     original = engine.evaluate
@@ -410,11 +411,13 @@ def test_a_request_computes_the_design_members_it_reads(monkeypatch, tmp_path, a
 
     monkeypatch.setattr(engine, "evaluate", evaluate)
     assert main([*argv, "--out", str(tmp_path / "out")]) == 0
-    assert len(designs) > (argv[0] == "run") * 2  # the run's second block redraws a row
+    assert designs
     assert set(Counter((id(design), name) for design, name in computed).values()) <= {1}
     for design in designs:
         assert {name for d, name in computed if d is design} >= once
     assert once or computed == []
+    if argv[0] == "run":  # one design per block of 512 rows, the redrawn rows written in
+        assert len(designs) == 2 and run_scenario(load_config(WIDE_CFG)).singular_redraws > 0
 
 
 @pytest.mark.parametrize("block_rows", [1, 7, 512])
@@ -535,10 +538,10 @@ def test_a_statistic_not_asked_for_is_never_evaluated(monkeypatch, command, aske
     assert {name for _, name in computed} == members
 
 
-def test_a_run_computes_each_member_once_per_round(monkeypatch):
+def test_a_run_computes_each_member_once_per_block(monkeypatch):
     # rate, bound, violations and max_excess all read rate, and the bound reads rho:
-    # each member is still computed once per round, and eta's eigensolve takes one
-    # batch per round, of that round's beam Grams
+    # each member is still computed once per block, and eta's eigensolve takes one
+    # batch per block, of that block's beam Grams
     computed = _count_members(monkeypatch)
     designs, batches = [], []
     original_evaluate, original_eigvalsh = engine.evaluate, np.linalg.eigvalsh
@@ -553,12 +556,12 @@ def test_a_run_computes_each_member_once_per_round(monkeypatch):
 
     monkeypatch.setattr(engine, "evaluate", evaluate)
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-    run_scenario(parse_config_text(WIDE))
-    assert len(designs) == 2  # WIDE's one block redraws its rejected rows in a second round
+    assert run_scenario(parse_config_text(WIDE)).singular_redraws == 2
+    assert len(designs) == 1  # WIDE's one block, its two redrawn rows written in place
     counts = Counter((id(outputs), name) for outputs, name in computed)
     assert set(counts.values()) == {1}
     assert len(counts) == len(designs) * len(_members())
-    assert [sum(a is design.gram for a in batches) for design in designs] == [1, 1]
+    assert [sum(a is design.gram for a in batches) for design in designs] == [1]
 
 
 def test_trial_draws_do_not_depend_on_the_batch():
@@ -1242,6 +1245,48 @@ def test_a_block_with_every_row_rejected():
     accepted, design = engine.design_trials(config, aod, beta)
     assert not accepted.any()
     assert all(len(getattr(design, name)) == 0 for name in engine.Design.MEMBERS)
+
+
+def test_a_redrawn_row_is_written_into_its_place_in_the_block(monkeypatch):
+    # zero forcing rejects trial 123 of WIDE at attempts 0 and 1, keyed by the bits of its
+    # first users' rows, as _spiked keys rows: the block's one design holds the trial's
+    # attempt-2 design at its own row, and its point is charged two more redraws
+    config = replace(parse_config_text(WIDE), trials=400)
+    trial, sampler = 123, TrialSampler(config)
+    natural = simulate(config, None, ("rate",))[1]
+    drawn = [engine.design_trials(config, *sampler.draw(np.array([trial]), a)) for a in range(3)]
+    assert all(accepted.all() for accepted, _ in drawn)
+    keys = [design.rows[0, :, 0].ravel().view(np.uint64) for _, design in drawn[:2]]
+    alone = drawn[2][1]
+    rejects = engine.zero_forcing_rejects
+
+    def rejecting(first_rows):
+        bits = first_rows.reshape(len(first_rows), -1).view(np.uint64)
+        return rejects(first_rows) | np.any([np.all(bits == key, axis=1) for key in keys], axis=0)
+
+    made, original = [], engine.evaluate
+
+    def evaluate(*args):
+        made.append(original(*args))
+        return made[-1]
+
+    monkeypatch.setattr(engine, "zero_forcing_rejects", rejecting)
+    monkeypatch.setattr(engine, "evaluate", evaluate)
+    _, redraws = simulate(config)
+    assert natural.tolist() == [2] and redraws.tolist() == [4]
+    assert len(made) == 1 and len(made[0].design.run) == config.trials
+    attempt, replayed = design_trial(config, trial)
+    assert attempt == 2
+    for name in engine.Design.MEMBERS:
+        if name != "run":
+            expected = getattr(alone, name).tobytes()
+            assert _row_field(made[0].design, name, trial).tobytes() == expected, name
+            assert getattr(replayed, name).tobytes() == expected, name
+    _assert_row_outputs_equal(made[0], trial, original(config, alone))
+    # a fourth redraw exceeds the cap of 300 trials in the block's second round
+    message = "4 singular cluster draws exceed the 1% redraw cap (3 of 300 trials)"
+    with pytest.raises(SingularClusteringError, match=re.escape(message)):
+        simulate(replace(config, trials=300))
 
 
 def test_rows_differing_only_in_the_sign_of_a_zero_are_not_merged():
