@@ -416,7 +416,7 @@ def test_a_request_computes_the_design_members_it_reads(monkeypatch, tmp_path, a
     for design in designs:
         assert {name for d, name in computed if d is design} >= once
     assert once or computed == []
-    if argv[0] == "run":  # one design per block of 512 rows, the redrawn rows written in
+    if argv[0] == "run":  # one design per block of 512 rows, redrawn rows included
         assert len(designs) == 2 and run_scenario(load_config(WIDE_CFG)).singular_redraws > 0
 
 
