@@ -19,10 +19,7 @@ a call nested in another stage counts to the inner stage only. The stages:
   sort, norms, run detection, writing redrawn rows into the block) and of
   the ``Design`` members it leaves to their first read (the beam Gram, the
   Fejér squares and sums, the precoder's radiated power, the SIC-ordered
-  gains), whichever stage reads them first. A checkout without
-  ``design_block`` designs each redraw round apart: there this stage wraps
-  ``design_trials`` and each step of the ``accepted_designs`` generator,
-  its redraw loop;
+  gains), whichever stage reads them first;
 * η eigvalsh: ``np.linalg.eigvalsh`` called by an ``evaluate`` member (the
   beam Gram's, for η);
 * leakage: ``_max_leakage_eigenvalues``;
@@ -38,9 +35,7 @@ a call nested in another stage counts to the inner stage only. The stages:
   asks ``simulate`` for the rows and clusters its command prints: every
   row and cluster for ``demo`` and ``wide``, as ``run`` does, and
   ``sweep_fig2``'s and ``sweep_fig3``'s own names for ``fig2`` and
-  ``fig3``, with the cluster the checkout's runner passes:
-  ``SWEPT_CLUSTER`` for both, or in a checkout without it
-  ``FIG2_CLUSTERS`` for ``fig2`` only and every cluster for ``fig3``.
+  ``fig3``, with the cluster their runner passes, ``SWEPT_CLUSTER``.
 
 ``total`` is the best instrumented run and ``untimed`` the best run with no
 wrapper, so their difference is the timers' own cost. The script changes
@@ -65,7 +60,6 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import dataclasses  # noqa: E402
 import functools  # noqa: E402
-import inspect  # noqa: E402
 import json  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
@@ -76,10 +70,11 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from hbnoma import engine, runner  # noqa: E402
+from hbnoma import engine  # noqa: E402
 from hbnoma.runner import (  # noqa: E402
     FIG2_STATISTICS,
     FIG3_STATISTICS,
+    SWEPT_CLUSTER,
     fig2_config,
     fig3_config,
     sweep_grid,
@@ -112,13 +107,11 @@ def workloads() -> dict:
     fig3_grid = sweep_grid(-90.0, 90.0, 0.5)
     every = tuple(engine.STATISTICS)
     fig2 = fig2_config(fig2_grid[0], 1, 100, (0.0, 5.0))
-    # a runner without SWEPT_CLUSTER cuts fig2 to FIG2_CLUSTERS and keeps every fig3 cluster
-    swept = getattr(runner, "SWEPT_CLUSTER", None)
     return {
         "demo": (dataclasses.replace(demo, trials=20_000), None, every, None),
         "wide": (dataclasses.replace(wide, trials=5_000), None, every, None),
-        "fig2": (fig2, fig2_grid, FIG2_STATISTICS, swept or runner.FIG2_CLUSTERS),
-        "fig3": (fig3_config(fig3_grid[0], 1), fig3_grid, FIG3_STATISTICS, swept),
+        "fig2": (fig2, fig2_grid, FIG2_STATISTICS, SWEPT_CLUSTER),
+        "fig3": (fig3_config(fig3_grid[0], 1), fig3_grid, FIG3_STATISTICS, SWEPT_CLUSTER),
     }
 
 
@@ -143,31 +136,14 @@ class StageTimer:
 
     def wrap(self, stage: str, function, inside: str | None = None):
         """``function`` timed as ``stage``; with ``inside``, only when called
-        directly from that stage, and otherwise counted to its caller. A
-        generator function is timed in each step of its generator."""
+        directly from that stage, and otherwise counted to its caller."""
 
         def timed(*args, **kwargs):
             if inside is not None and (not self.stack or self.stack[-1][0] != inside):
                 return function(*args, **kwargs)
             return self.call(stage, function, *args, **kwargs)
 
-        def stepped(*args, **kwargs):
-            steps = function(*args, **kwargs)
-            while True:
-                try:
-                    item = self.call(stage, next, steps)
-                except StopIteration:
-                    return
-                yield item
-
-        return stepped if inspect.isgeneratorfunction(function) else timed
-
-
-# what designs a block: in a checkout without design_block, design_trials for each
-# redraw round and the accepted_designs generator that loops over the rounds
-DESIGNS = ("design_block",) if hasattr(engine, "design_block") else (
-    "design_trials", "accepted_designs"
-)
+        return timed
 
 # (owner, attribute, stage, the stage it is timed inside of or None): what
 # ``instrumented`` wraps
@@ -176,7 +152,7 @@ TARGETS = (
     (engine, "dirichlet_kernel", "kernel", None),
     (engine, "zero_forcing_rejects", "reject test", None),
     (np.linalg, "solve", "solve", "design rest"),
-    *((engine, name, "design rest", None) for name in DESIGNS),
+    (engine, "design_block", "design rest", None),
     *(
         (member, "func", "design rest", None)
         for member in vars(engine.Design).values()

@@ -25,7 +25,7 @@ from .engine import design_trial
 from .errors import ConfigurationError, SingularClusteringError
 from .results import emit_results, render
 from .runner import run_scenario, sweep_fig2, sweep_fig3
-from .scenario import load_config
+from .scenario import load_config, parse_numbers
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -86,10 +86,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_fig2(args) -> int:
-    try:
-        snrs = tuple(float(s) for s in args.snr_db.split(","))
-    except ValueError:
-        raise ConfigurationError(f"--snr-db must be numbers, got {args.snr_db!r}") from None
+    snrs = parse_numbers(args.snr_db, "--snr-db")
     sweep = sweep_fig2(snr_db_values=snrs, step_deg=args.step, trials=args.trials, seed=args.seed)
     _deliver(sweep, args)
     return EXIT_OK

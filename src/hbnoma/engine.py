@@ -17,9 +17,10 @@ the draws is array arithmetic over the whole block, with one design and one
   radiated power of a beam are closed forms in float64, and no T_MU x T_BS
   channel matrix is built; the design sums the kernel's square, the Fejer
   kernel, into the bound's Fejer sums, afresh in rows with a demoted beam;
-* ``design_block`` computes only what acceptance reads: the beam kernel, the
-  effective channels, their norms and SIC order, the runs and the reject test. It
-  redraws rejected rows alone and writes them into their places: one design a block.
+* ``design_block`` computes only what acceptance reads: ``Design.ROWS`` (the beam kernel,
+  the effective channels, their norms and SIC order), the runs and the reject test. It
+  redraws rejected rows alone and writes them into their places by name: one design a
+  block, which finds its runs on its final rows.
   The Fejer sums, the beam Gram, the precoder and the SIC-ordered gains are
   ``Design`` members computed on first read, so ``fig3``'s rho computes none of them;
 * the matrix work of a design (the zero-forcing reject test, the stacked
@@ -195,10 +196,10 @@ class Design:
     R; user axes are in SIC order (strongest first), and ``sic`` maps each SIC
     position to the user's index in the config. ``rows``, ``gram`` and ``baseband``
     are float64, in the centred basis (``dirichlet_kernel``), without gain phases.
-    ``_steer`` computes the members that decide acceptance, row by row; ``gain``, ``ks_user``,
-    ``gram`` and ``baseband`` are computed from the accepted rows and kept runs when first
-    read, and at most once. Every cluster is designed: ``evaluate`` makes the cut to the
-    kept clusters, and the sweeps keep cluster 1 only.
+    ``_steer`` computes the ``ROWS`` row by row: config-order AoDs and |beta|, the beam kernel
+    and users, and the members below but ``run``; a design finds its runs on its final rows.
+    ``gain``, ``ks_user``, ``gram`` and ``baseband`` are computed from them on first read, at
+    most once. Every cluster is designed; ``evaluate`` keeps some (cluster 1 in sweeps).
     """
 
     beam_aod: np.ndarray  # (C, N) normalized AoD each analog beam is steered at
@@ -207,15 +208,14 @@ class Design:
     sic: np.ndarray  # (C, N, M) config index of each SIC position
     demoted: np.ndarray  # (C, N) the beam's user lost first place in the SIC order
     run: np.ndarray  # (C,) the row's run of consecutive rows with equal first rows and beams
-    MEMBERS = ("gain", "beam_aod", "rows", "norm", "sic", "demoted", "ks_user", "run",
-               "gram", "baseband")  # every member, set or computed on first read
+    ROWS = ("_aod", "_gain", "_kernel", "_beam_user", "beam_aod", "rows", "norm", "sic", "demoted")
+    # every member, set or computed on first read
+    MEMBERS = (*(n for n in ROWS if n[0] != "_"), "gain", "ks_user", "run", "gram", "baseband")
 
-    def __init__(self, t_bs, steered, starts, run):
-        """``steered``: ``_steer``'s arrays of the accepted rows; ``starts``: each kept
-        run's first row; ``run``: each row's run."""
-        (self._aod, self._gain, self._kernel, self._beam_user,
-         self.beam_aod, self.rows, self.norm, self.sic, self.demoted) = steered
-        self._t_bs, self._starts, self.run = t_bs, starts, run
+    def __init__(self, t_bs, rows: dict, runs=None):
+        """``rows``: the ``ROWS`` by name; ``runs``: their ``_runs``, found here when None."""
+        self.__dict__.update(rows, _t_bs=t_bs)
+        self._starts, self.run = _runs(self.rows[:, :, 0], self.beam_aod) if runs is None else runs
 
     gain = cached_property(lambda self: _take_users(self.sic, self._gain)[0])  # (C, N, M) |beta|
 
@@ -308,10 +308,9 @@ def zero_forcing_rejects(first_rows: np.ndarray) -> np.ndarray:
 
 
 def _steer(config: ScenarioConfig, aod: np.ndarray, gain: np.ndarray) -> tuple:
-    """Steer, reorder and reject-test drawn rows. Returns ``Design``'s arrays, each row's
-    from its own draw alone (the AoDs and |beta| in config order, the beam kernel, the beam
-    users and AoDs, ``rows``, ``norm``, ``sic``, ``demoted``), each run's first row, each
-    row's run and whether zero forcing keeps each run.
+    """Steer, reorder and reject-test drawn rows. Returns the ``Design.ROWS`` arrays by name,
+    each row's from its own draw alone, each run's first row, each row's run and whether
+    zero forcing keeps each run.
     Beams are steered at each cluster's largest-|beta| user (ties to the lower index); every
     per-user array is then put in SIC order, by descending effective-channel norm, and zero
     forcing uses the SIC-first users, as ``power.reorder_by_effective_norm`` and
@@ -330,8 +329,8 @@ def _steer(config: ScenarioConfig, aod: np.ndarray, gain: np.ndarray) -> tuple:
     # function of the beam AoDs alone, so one run of rows shares one design
     starts, run = _runs(rows[:, :, 0], beam_aod)
     kept = ~zero_forcing_rejects(rows[starts, :, 0])
-    steered = [aod, gain, kernel, beam_user, beam_aod, rows, norm, sic, sic[..., 0] != beam_user]
-    return steered, starts, run, kept
+    steered = (aod, gain, kernel, beam_user, beam_aod, rows, norm, sic, sic[..., 0] != beam_user)
+    return dict(zip(Design.ROWS, steered)), starts, run, kept
 
 
 def design_trials(config: ScenarioConfig, aod, gain) -> tuple[np.ndarray, Design]:
@@ -341,11 +340,9 @@ def design_trials(config: ScenarioConfig, aod, gain) -> tuple[np.ndarray, Design
     """
     steered, starts, run, kept = _steer(config, aod, gain)
     accepted = kept[run]
-    if not accepted.all():
-        steered = [a[accepted] for a in steered]
-        run = (np.cumsum(kept) - 1)[run[accepted]]
-        starts = (np.cumsum(accepted) - 1)[starts[kept]]
-    return accepted, Design(config.bs_antennas, steered, starts, run)
+    if accepted.all():
+        return accepted, Design(config.bs_antennas, steered, (starts, run))
+    return accepted, Design(config.bs_antennas, {k: a[accepted] for k, a in steered.items()})
 
 
 # The per-user outputs, each (SNRs, C, K, M) for K kept clusters, users in SIC order; rho,
@@ -530,8 +527,8 @@ def design_block(config, sampler, trials, points, budget: RedrawBudget, swept=No
     given, holds each point's normalized AoD for config user (1, 2). Round k
     draws attempt k for the rows still rejected, charges each to its own point's
     budget, and writes the arrays of the rows it accepts into their own places in
-    the block: a row's draws, and so its design, do not depend on the rows drawn
-    with it. The runs are found again on the final rows.
+    the block, by name: a row's draws, and so its design, do not depend on the rows
+    drawn with it. The design finds its runs on the final rows if any was redrawn.
     """
     pending, attempt = np.arange(len(trials)), 0
     while pending.size:
@@ -541,16 +538,15 @@ def design_block(config, sampler, trials, points, budget: RedrawBudget, swept=No
         steered, starts, run, kept = _steer(config, aod, gain)
         accepted = kept[run]
         if attempt == 0:
-            block = steered
+            block, runs = steered, (starts, run)
         else:
-            for whole, part in zip(block, steered):
-                whole[pending[accepted]] = part[accepted]
+            runs = None
+            for name, part in steered.items():
+                block[name][pending[accepted]] = part[accepted]
         pending = pending[~accepted]
         budget.spend(points[pending])
         attempt += 1
-    if attempt > 1:
-        starts, run = _runs(block[5][:, :, 0], block[4])  # the first rows and beam AoDs
-    return Design(config.bs_antennas, block, starts, run)
+    return Design(config.bs_antennas, block, runs)
 
 
 def design_trial(config: ScenarioConfig, trial: int = 0) -> tuple[int, Design]:

@@ -197,15 +197,24 @@ class ScenarioConfig:
         }
 
 
+def _convert(convert, text: str, message: str):
+    """``convert(text)``; a ValueError becomes the ConfigurationError
+    ``"<message>, got <text!r>"``."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise ConfigurationError(f"{message}, got {text!r}") from None
+
+
+def parse_numbers(text: str, name: str) -> tuple[float, ...]:
+    """The numbers of a comma list, such as ``0,5``; ``name`` is the setting's name."""
+    return _convert(lambda t: tuple(map(float, t.split(","))), text, f"{name} must be numbers")
+
+
 def _parse_angle(value: str, line_no: int) -> float | None:
     if value == "random":
         return None
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigurationError(
-            f"line {line_no}: angle must be a number or 'random', got {value!r}"
-        ) from None
+    return _convert(float, value, f"line {line_no}: angle must be a number or 'random'")
 
 
 def _parse_user_line(line: str, line_no: int) -> UserSpec:
@@ -221,24 +230,14 @@ def _parse_user_line(line: str, line_no: int) -> UserSpec:
         fields[key] = value
     if "aod_deg" not in fields or "aoa_deg" not in fields:
         raise ConfigurationError(f"line {line_no}: user needs aod_deg and aoa_deg")
-    gain: complex | None = None
-    if "gain" in fields:
-        try:
-            gain = complex(fields["gain"])
-        except ValueError:
-            raise ConfigurationError(
-                f"line {line_no}: gain must parse as complex, got {fields['gain']!r}"
-            ) from None
-    try:
-        large_scale = float(fields.get("large_scale_db", "0"))
-    except ValueError:
-        raise ConfigurationError(
-            f"line {line_no}: large_scale_db must be a number, got {fields['large_scale_db']!r}"
-        ) from None
+    gain, level = fields.get("gain"), fields.get("large_scale_db", "0")
+    if gain is not None:
+        gain = _convert(complex, gain, f"line {line_no}: gain must parse as complex")
+    level = _convert(float, level, f"line {line_no}: large_scale_db must be a number")
     return UserSpec(
         aod_deg=_parse_angle(fields["aod_deg"], line_no),
         aoa_deg=_parse_angle(fields["aoa_deg"], line_no),
-        large_scale_db=large_scale,
+        large_scale_db=level,
         small_scale=gain,
     )
 
@@ -288,33 +287,17 @@ def parse_config_text(text: str) -> ScenarioConfig:
             if default is None:
                 raise ConfigurationError(f"missing required key {key!r}")
             return default
-        try:
-            return int(top[key])
-        except ValueError:
-            raise ConfigurationError(f"{key} must be an integer, got {top[key]!r}") from None
+        return _convert(int, top[key], f"{key} must be an integer")
 
-    snr: float | tuple[float, ...] = 5.0
-    if "snr_db" in top:
-        try:
-            parts = [float(p) for p in top["snr_db"].split(",")]
-        except ValueError:
-            raise ConfigurationError(f"snr_db must be numbers, got {top['snr_db']!r}") from None
-        snr = parts[0] if len(parts) == 1 else tuple(parts)
-
-    fractions: tuple[float, ...] | None = None
-    if "intra_fractions" in top:
-        try:
-            fractions = tuple(float(p) for p in top["intra_fractions"].split(","))
-        except ValueError:
-            raise ConfigurationError(
-                f"intra_fractions must be numbers, got {top['intra_fractions']!r}"
-            ) from None
-
+    snr = parse_numbers(top.get("snr_db", "5"), "snr_db")
+    fractions = top.get("intra_fractions")
+    if fractions is not None:
+        fractions = parse_numbers(fractions, "intra_fractions")
     return ScenarioConfig(
         bs_antennas=_to_int("bs_antennas"),
         mu_antennas=_to_int("mu_antennas"),
         clusters=tuple(clusters),
-        snr_db=snr,
+        snr_db=snr[0] if len(snr) == 1 else snr,
         intra_fractions=fractions,
         seed=_to_int("seed", 1),
         trials=_to_int("trials", 1000),

@@ -5,10 +5,12 @@ reference for the trial-order totals.
 order, one row at a time, so every sum runs in trial order. ``simulate``
 gets the same bytes from one ``accumulate`` per statistic over a block's
 whole trials; this keeps the slow, obviously ordered form, over blocks of
-``BLOCK_ROWS`` consecutive rows, to compare against. It calls the engine's
-functions through the module, one ``design_block`` and one ``evaluate`` per
-block, so a test that patches ``engine.evaluate`` or ``engine.BLOCK_ROWS``
-patches both.
+``BLOCK_ROWS`` consecutive rows, to compare against. It redraws a block round
+by round itself: each round draws the rows still rejected at the next attempt,
+designs them alone with ``design_trials``, evaluates the rows it accepts and puts
+their outputs at their rows, so it shares no splice of redrawn rows with
+``design_block``. It calls the engine's functions through the module,
+so a test that patches ``engine.evaluate`` or ``engine.BLOCK_ROWS`` patches both.
 """
 
 import numpy as np
@@ -36,11 +38,22 @@ def add_at_totals(config, sweep_aod_deg=None):
     for first in range(0, rows, engine.BLOCK_ROWS):
         trials, at = np.divmod(np.arange(first, min(first + engine.BLOCK_ROWS, rows)), points)
         block = np.empty((*sums.shape[:2], len(trials), *shape[2:]))
-        design = engine.design_block(config, sampler, trials, at, budget, swept)
-        outputs = engine.evaluate(config, design)
-        for into, name in zip(block, engine.OUTPUTS):
-            into[...] = getattr(outputs, name)
-        demoted = design.demoted[None].astype(float)
+        demoted = np.empty((1, len(trials), config.num_clusters))
+        pending, attempt = np.arange(len(trials)), 0
+        while pending.size:
+            aod, gain = sampler.draw(trials[pending], attempt)
+            if swept is not None:
+                aod[:, 0, 1] = swept[at[pending]]
+            accepted, design = engine.design_trials(config, aod, gain)
+            done = pending[accepted]
+            if done.size:
+                outputs = engine.evaluate(config, design)
+                for into, name in zip(block, engine.OUTPUTS):
+                    into[:, done] = getattr(outputs, name)
+                demoted[0, done] = design.demoted
+            pending = pending[~accepted]
+            budget.spend(at[pending])
+            attempt += 1
         rate, bound = block[0, ..., 1:], block[1, ..., 1:]
         over = bound > rate
         np.add.at(violations[..., 1:], np.s_[:, at], over)

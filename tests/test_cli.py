@@ -221,6 +221,8 @@ class TestSweepCommands:
 
     def test_fig2_rejects_bad_snr(self, capsys):
         assert main(["fig2", "--snr-db", "five"]) == 2
+        expected = "configuration error: --snr-db must be numbers, got 'five'\n"
+        assert capsys.readouterr().err == expected
 
     @pytest.mark.parametrize("snrs", ["0,0", "0,-0"])
     def test_fig2_rejects_equal_snrs(self, capsys, snrs):

@@ -1321,8 +1321,8 @@ def test_fig3_sweep_solves_its_one_design_once(monkeypatch):
 
 
 def test_design_trials_finds_the_runs_once(monkeypatch):
-    # once per block, before the reject test: WIDE's first 300 rows include
-    # rejects, and fig3's grid is one run
+    # once before the reject test, and once more on the kept rows when zero forcing drops
+    # some: WIDE's first 300 rows include two rejects, and fig3's grid is one accepted run
     calls = []
     runs = engine._runs
 
@@ -1332,24 +1332,24 @@ def test_design_trials_finds_the_runs_once(monkeypatch):
 
     monkeypatch.setattr(engine, "_runs", spy)
     wide, fig3 = parse_config_text(WIDE), fig3_config(0.0, seed=1)
-    for config, trials in ((wide, 300), (fig3, 361)):
+    for config, trials, expected in ((wide, 300, [300, 298]), (fig3, 361, [361])):
         calls.clear()
         accepted, _ = engine.design_trials(config, *TrialSampler(config).draw(np.arange(trials), 0))
-        assert calls == [trials]
+        assert calls == expected
         assert accepted.all() == (config is fig3)
 
 
-def test_runs_that_survive_the_reject_test_are_renumbered():
-    # rows 2 and 3 put cluster two's first user on cluster one's, which zero
-    # forcing rejects; the runs around them keep their own designs
+def test_runs_that_survive_the_reject_test_are_merged():
+    # rows 2 and 3 put cluster two's first user on cluster one's, which zero forcing
+    # rejects; the equal runs around them, rows 0-1 and 4-5, become one run of one design
     config = fig3_config(0.0, seed=1)
     aod, gain = TrialSampler(config).draw(np.zeros(6, dtype=int), 0)
     aod[2:4, 1, 0] = aod[2:4, 0, 0]
     aod[4:, 0, 1] = 0.5
     accepted, design = engine.design_trials(config, aod, gain)
     assert accepted.tolist() == [True, True, False, False, True, True]
-    assert design.run.tolist() == [0, 0, 1, 1]
-    assert design.gram.shape[0] == design.baseband.shape[0] == 2
+    assert design.run.tolist() == [0, 0, 0, 0]
+    assert design.gram.shape[0] == design.baseband.shape[0] == 1
     outputs = evaluate(config, design)
     for i, row in enumerate(np.flatnonzero(accepted)):
         _, alone = engine.design_trials(config, aod[row : row + 1], gain[row : row + 1])

@@ -63,20 +63,61 @@ class TestParsing:
 
     @pytest.mark.parametrize(
         "mutation",
-        [
-            lambda t: t.replace("bs_antennas", "antennas"),
-            lambda t: t.replace("aod_deg=60", "direction=60"),
-            lambda t: t.replace("snr_db = 5", "snr_db = five"),
-            lambda t: t.replace("user aod_deg=60", "gadget aod_deg=60"),
-            lambda t: t + "cluster {\n}\n",
-            lambda t: t + "}\n",
-            lambda t: t.replace("trials = 250", "trials = 250\ntrials = 9"),
-            lambda t: t.replace("aod_deg=55", "aod_deg=95"),
+        [  # each returns the mutated text and the whole message it must raise
+            lambda t: (t.replace("bs_antennas", "antennas"), "line 3: unknown key 'antennas'"),
+            lambda t: (
+                t.replace("aod_deg=60", "direction=60"),
+                "line 11: unknown user key 'direction'",
+            ),
+            lambda t: (
+                t.replace("snr_db = 5", "snr_db = five"),
+                "snr_db must be numbers, got 'five'",
+            ),
+            lambda t: (
+                t.replace("user aod_deg=60", "gadget aod_deg=60"),
+                "line 11: cluster blocks may only contain user lines",
+            ),
+            lambda t: (t + "cluster {\n}\n", "line 19: empty cluster block"),
+            lambda t: (t + "}\n", "line 18: stray closing brace"),
+            lambda t: (
+                t.replace("trials = 250", "trials = 250\ntrials = 9"),
+                "line 8: duplicate key 'trials'",
+            ),
+            lambda t: (
+                t.replace("aod_deg=55", "aod_deg=95"),
+                "angles must lie in [-90, 90] degrees, got 95.0",
+            ),
+            lambda t: (
+                t.replace("trials = 250", "trials = 2.5"),
+                "trials must be an integer, got '2.5'",
+            ),
+            lambda t: (
+                t.replace("snr_db = 5", "snr_db = 5,x"),
+                "snr_db must be numbers, got '5,x'",
+            ),
+            lambda t: (
+                t.replace("0.25,0.75", "a,b"),
+                "intra_fractions must be numbers, got 'a,b'",
+            ),
+            lambda t: (
+                t.replace("large_scale_db=-10\n", "large_scale_db=loud\n"),
+                "line 12: large_scale_db must be a number, got 'loud'",
+            ),
+            lambda t: (
+                t.replace("gain=1+0j", "gain=1+"),
+                "line 16: gain must parse as complex, got '1+'",
+            ),
+            lambda t: (
+                t.replace("aod_deg=60", "aod_deg=left"),
+                "line 11: angle must be a number or 'random', got 'left'",
+            ),
         ],
     )
     def test_malformed_rejected(self, mutation):
-        with pytest.raises(ConfigurationError):
-            parse_config_text(mutation(GOOD))
+        text, message = mutation(GOOD)
+        with pytest.raises(ConfigurationError) as raised:
+            parse_config_text(text)
+        assert str(raised.value) == message
 
     def test_user_keyword_is_a_whole_token(self):
         with pytest.raises(ConfigurationError, match="only contain user lines"):

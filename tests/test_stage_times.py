@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from hbnoma import runner
 from hbnoma.scenario import load_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -55,13 +56,7 @@ def test_child_tables_merge_to_each_sides_best(stage_times):
     assert lines[-1] == "| fig3 | untimed | 9.00 | 4.50 | -50.0% |"
 
 
-def test_sweep_workloads_ask_for_the_cluster_the_runner_passes(stage_times, monkeypatch):
-    runner = stage_times.runner
+def test_sweep_workloads_ask_for_the_cluster_the_runner_passes(stage_times):
     loads = stage_times.workloads()
     assert loads["fig2"][3] == loads["fig3"][3] == runner.SWEPT_CLUSTER
     assert loads["demo"][3] is loads["wide"][3] is None
-    # a runner that cuts fig2 alone, by FIG2_CLUSTERS, is timed as its commands run
-    monkeypatch.delattr(runner, "SWEPT_CLUSTER")
-    monkeypatch.setattr(runner, "FIG2_CLUSTERS", slice(0, 1), raising=False)
-    loads = stage_times.workloads()
-    assert loads["fig2"][3] == slice(0, 1) and loads["fig3"][3] is None
